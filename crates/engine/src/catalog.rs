@@ -103,11 +103,15 @@ pub struct CatalogEntry {
     /// monotonically increasing — never reused — counter value for
     /// named session graphs.
     pub version: u64,
-    /// FNV-1a hash of the snapshot's *logical content* (orientation,
-    /// node count, canonical edges). For file entries this is the file
-    /// fingerprint; for named graphs it is recomputed per version, so
-    /// two versions with identical edges (a no-op mutation, a compact)
-    /// hash identically — the warm-restart replay check.
+    /// Hash of the snapshot's *logical content* (orientation, node
+    /// count, edge set). For file entries this is the file fingerprint.
+    /// For named graphs it is [`DeltaGraph::content_hash`]: a multiset
+    /// hash the graph keeps per applied edge, so publishing a version
+    /// costs O(1) here, not a pass over the edges. Equal content gives an
+    /// equal hash whatever history reached it (a compact, an add undone
+    /// by a remove) — the warm-restart replay check. A collision between
+    /// different contents is caught by the engine's `verify_candidate`,
+    /// which re-scores the stored answer before replaying it.
     pub content_hash: u64,
     /// Epoch of the owning named graph's mutation journal when this
     /// snapshot was published (0 for file/memory entries). An
@@ -166,7 +170,7 @@ impl CatalogEntry {
 }
 
 /// FNV-1a offset basis / prime — one definition for every hash in this
-/// module (file fingerprints, graph names, content hashes).
+/// module (file fingerprints, graph names).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -178,31 +182,9 @@ fn fnv1a_update(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
     hash
 }
 
-/// FNV-1a over a byte sequence (graph names, content hashing).
+/// FNV-1a over a byte sequence (graph names).
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
-}
-
-/// FNV-1a over a canonical edge list's logical content: orientation,
-/// node count, and every `(u, v)` pair in canonical order. Two
-/// snapshots hash identically iff they present the same graph.
-fn content_hash(list: &EdgeList) -> u64 {
-    let header = [
-        match list.kind {
-            GraphKind::Undirected => 0u8,
-            GraphKind::Directed => 1u8,
-        },
-        0,
-        0,
-        0,
-    ]
-    .into_iter()
-    .chain(list.num_nodes.to_le_bytes());
-    let edges = list
-        .edges
-        .iter()
-        .flat_map(|&(u, v)| u.to_le_bytes().into_iter().chain(v.to_le_bytes()));
-    fnv1a(header.chain(edges))
 }
 
 /// Cap on retained mutation-journal ops. Crossing it clears the log and
@@ -877,11 +859,9 @@ impl GraphCatalog {
         delta: &DeltaGraph,
         journal: (u64, u64),
     ) -> Arc<CatalogEntry> {
-        let list = delta.materialize();
-        let hash = content_hash(&list);
-        let mut entry = CatalogEntry::from_list(list, 0, fingerprint);
+        let mut entry = CatalogEntry::from_list(delta.materialize(), 0, fingerprint);
         entry.version = version;
-        entry.content_hash = hash;
+        entry.content_hash = delta.content_hash();
         entry.journal_epoch = journal.0;
         entry.journal_pos = journal.1;
         Arc::new(entry)

@@ -796,8 +796,8 @@ impl Engine {
     /// The incremental tier: journal replay → trace simulation →
     /// re-score verification → report. `Some(report)` is a verified hit
     /// (already cached and re-seeded); `None` is a fallback — counters
-    /// and the debug record are updated either way. Weighted snapshots
-    /// and a disabled tier bail out without counting an attempt.
+    /// and the debug record are updated either way. A disabled tier
+    /// bails out without counting an attempt.
     #[allow(clippy::too_many_arguments)]
     fn try_incremental(
         &self,
@@ -813,7 +813,7 @@ impl Engine {
         started: Instant,
     ) -> Option<Report> {
         let threshold = self.incremental_threshold();
-        if threshold <= 0.0 || entry.list.is_weighted() {
+        if threshold <= 0.0 {
             return None;
         }
         let budget = crate::incremental::sim_budget(threshold, entry.list.num_nodes as usize);

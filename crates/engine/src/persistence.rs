@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use dsg_graph::wal::SessionOp;
-use dsg_graph::{DeltaGraph, GraphKind};
+use dsg_graph::{DeltaGraph, EdgeList, GraphKind};
 
 /// First byte of every WAL record (distinct from the frame codec's
 /// `0xD5` so a WAL file can never be mistaken for a wire capture).
@@ -326,23 +326,19 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(u64, DeltaGraph), String> {
         edges.push((u, v));
         at += 8;
     }
-    let mut state = DeltaGraph::new_empty(kind);
-    state
-        .add_edges(&edges)
-        .map_err(|e| format!("snapshot edges rejected: {e}"))?;
-    // The snapshot stores materialized (compacted) state; fold the
-    // freshly-added delta into the base so replayed auto-compaction
-    // decisions start from the same shape the live graph had after its
-    // own snapshot-time compaction. num_nodes is implied by the edges
-    // (materialize() trims to the max endpoint), matching the live
-    // DeltaGraph, so the stored num_nodes is a cross-check only.
-    state.compact();
-    if state.num_nodes() > num_nodes {
-        return Err(format!(
-            "snapshot edges imply {} nodes, header says {num_nodes}",
-            state.num_nodes()
-        ));
-    }
+    // The snapshot holds the materialized state, which becomes the new
+    // base with the header's node count. The count is not implied by the
+    // edges: ids never shrink, so an edge to a new id that was added and
+    // then removed leaves trailing isolated nodes that density
+    // denominators include. `DeltaGraph::new` rejects an edge naming an
+    // id at or past that count.
+    let list = EdgeList {
+        num_nodes,
+        edges,
+        weights: None,
+        kind,
+    };
+    let state = DeltaGraph::new(list).map_err(|e| format!("snapshot edges rejected: {e}"))?;
     Ok((version, state))
 }
 
@@ -859,6 +855,26 @@ mod tests {
         assert_eq!(a.edges, b.edges);
         // Appends keep working after recovery at the right version.
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn snapshot_node_count_comes_from_the_header() {
+        let mut state = DeltaGraph::new_empty(GraphKind::Undirected);
+        state.add_edges(&[(0, 1), (1, 2), (2, 9)]).unwrap();
+        state.remove_edges(&[(2, 9)]);
+        let mut bytes = Vec::new();
+        encode_snapshot(7, &state, &mut bytes);
+        let (version, decoded) = decode_snapshot(&bytes).unwrap();
+        assert_eq!(version, 7);
+        assert_eq!(decoded.num_nodes(), 10, "trailing isolated nodes kept");
+        assert_eq!(decoded.content_hash(), state.content_hash());
+        // A header whose node count the edges exceed is rejected, even
+        // under a valid checksum.
+        bytes[13..17].copy_from_slice(&2u32.to_le_bytes());
+        let body_end = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+        assert!(decode_snapshot(&bytes).is_err());
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //! | 3   | remove  | `edge_count u32`, pairs                   |
 //! | 4   | compact | (empty)                                   |
 //!
-//! Each pair is `u u32, v u32`. Weighted sessions are not encodable:
-//! the serve protocol only creates unweighted sessions, and the codec
-//! rejects weighted graphs with a typed error rather than silently
-//! dropping weights.
+//! Each pair is `u u32, v u32`. The codec carries no weights: sessions
+//! are unweighted ([`DeltaGraph::new`] rejects a weighted base).
 
 use std::borrow::Cow;
 
@@ -204,19 +202,6 @@ impl SessionOp<'_> {
     }
 }
 
-/// Guards encodable sessions: the WAL codec carries no weights, so a
-/// weighted [`DeltaGraph`] session must be rejected at the door (the
-/// serve protocol cannot create one today; this keeps the failure typed
-/// if an embedder tries).
-pub fn check_encodable(state: &DeltaGraph) -> Result<()> {
-    if state.is_weighted() {
-        return Err(GraphError::Format(
-            "weighted sessions are not representable in the WAL codec".into(),
-        ));
-    }
-    Ok(())
-}
-
 fn encode_edges(edges: &[(NodeId, NodeId)], out: &mut Vec<u8>) {
     debug_assert!(edges.len() <= u32::MAX as usize);
     out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
@@ -325,11 +310,5 @@ mod tests {
         assert_eq!(a.num_nodes, b.num_nodes);
         assert_eq!(a.edges, b.edges);
         assert_eq!(live.compactions(), replayed.compactions());
-    }
-
-    #[test]
-    fn weighted_sessions_are_rejected() {
-        let g = DeltaGraph::new_empty_weighted();
-        assert!(check_encodable(&g).is_err());
     }
 }

@@ -1,12 +1,13 @@
 //! Property-based tests for the graph substrate: I/O round-trips, CSR
-//! consistency, canonicalization, and stream equivalence.
+//! consistency, canonicalization, stream equivalence, and the mutable
+//! graph's content hash.
 
 use proptest::prelude::*;
 
 use dsg_graph::edgelist::{EdgeList, GraphKind};
 use dsg_graph::io::{read_binary, read_text, write_binary, write_text};
 use dsg_graph::stream::{BinaryFileStream, EdgeStream, MemoryStream, TextFileStream};
-use dsg_graph::{CsrDirected, CsrUndirected, NodeSet};
+use dsg_graph::{CsrDirected, CsrUndirected, DeltaGraph, NodeSet};
 
 fn arb_edge_list(directed: bool) -> impl Strategy<Value = EdgeList> {
     (2u32..40).prop_flat_map(move |n| {
@@ -34,6 +35,29 @@ fn arb_weighted_list() -> impl Strategy<Value = EdgeList> {
             g
         })
     })
+}
+
+/// A script of mutable-graph ops: `0` adds the batch, `1` removes it,
+/// `2` compacts. Ids reach past any base, so adds grow the node count;
+/// the small id range makes self-loops, duplicate adds and absent
+/// removes common.
+fn arb_delta_script() -> impl Strategy<Value = Vec<(u8, Vec<(u32, u32)>)>> {
+    proptest::collection::vec(
+        (
+            0u8..3,
+            proptest::collection::vec((0u32..24, 0u32..24), 0..6),
+        ),
+        0..40,
+    )
+}
+
+fn list_of(kind: GraphKind, num_nodes: u32, edges: &[(u32, u32)]) -> EdgeList {
+    let mut list = match kind {
+        GraphKind::Undirected => EdgeList::new_undirected(num_nodes),
+        GraphKind::Directed => EdgeList::new_directed(num_nodes),
+    };
+    list.edges = edges.to_vec();
+    list
 }
 
 fn tmp_path(tag: &str) -> std::path::PathBuf {
@@ -213,5 +237,78 @@ proptest! {
         canon.canonicalize();
         let after = canon.total_weight();
         prop_assert!((before - loop_weight - after).abs() < 1e-6 * before.max(1.0));
+    }
+
+    /// The per-edge content hash equals a hash computed from scratch
+    /// after every op, on both orientations, and it changes whenever an
+    /// op changes the edge set.
+    #[test]
+    fn delta_content_hash_matches_a_rebuild(
+        base in proptest::collection::vec((0u32..12, 0u32..12), 0..20),
+        isolated in 0u32..3,
+        script in arb_delta_script(),
+    ) {
+        for kind in [GraphKind::Undirected, GraphKind::Directed] {
+            let n = base.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0) + isolated;
+            let mut g = DeltaGraph::new(list_of(kind, n, &base)).unwrap();
+            for (op, batch) in &script {
+                let before = g.content_hash();
+                let applied = match op {
+                    0 => g.add_edges(batch).unwrap(),
+                    1 => g.remove_edges(batch),
+                    _ => {
+                        g.compact();
+                        0
+                    }
+                };
+                let rebuilt = DeltaGraph::new(g.materialize()).unwrap();
+                prop_assert_eq!(g.content_hash(), rebuilt.content_hash());
+                prop_assert_eq!(applied > 0, g.content_hash() != before);
+            }
+        }
+    }
+
+    /// Equal content hashes equal whatever history reached it; the same
+    /// edges under another node count or orientation hash differently.
+    #[test]
+    fn delta_content_hash_depends_on_content_only(script in arb_delta_script()) {
+        for kind in [GraphKind::Undirected, GraphKind::Directed] {
+            let mut g = DeltaGraph::new_empty(kind);
+            for (op, batch) in &script {
+                match op {
+                    0 => {
+                        g.add_edges(batch).unwrap();
+                    }
+                    1 => {
+                        g.remove_edges(batch);
+                    }
+                    _ => g.compact(),
+                }
+            }
+            let n = g.num_nodes();
+            let edges = g.materialize().edges;
+            // Another history: the same edges added in reverse order in
+            // two batches over an empty base of `n` nodes, a compact in
+            // between, and a decoy edge added and removed.
+            let mut other = DeltaGraph::new(list_of(kind, n, &[])).unwrap();
+            let reversed: Vec<(u32, u32)> = edges.iter().rev().copied().collect();
+            let (first, second) = reversed.split_at(reversed.len() / 2);
+            other.add_edges(first).unwrap();
+            other.compact();
+            other.add_edges(second).unwrap();
+            if n >= 2 && !g.contains(n - 1, 0) {
+                prop_assert_eq!(other.add_edges(&[(n - 1, 0)]).unwrap(), 1);
+                prop_assert_eq!(other.remove_edges(&[(n - 1, 0)]), 1);
+            }
+            prop_assert_eq!(other.num_nodes(), n);
+            prop_assert_eq!(other.content_hash(), g.content_hash());
+
+            let grown = DeltaGraph::new(list_of(kind, n + 1, &edges)).unwrap();
+            prop_assert!(grown.content_hash() != g.content_hash());
+            if kind == GraphKind::Undirected {
+                let directed = DeltaGraph::new(list_of(GraphKind::Directed, n, &edges)).unwrap();
+                prop_assert!(directed.content_hash() != g.content_hash());
+            }
+        }
     }
 }

@@ -27,6 +27,9 @@
 # reproduce a failure).
 set -euo pipefail
 trap 'echo "::error::crash_recovery.sh: unexpected exit at line $LINENO (seed=${SEED:-?})" >&2' ERR
+# A failed assertion exits through set -e; kill every server still
+# running so none outlives the script.
+trap 'kill -9 $(jobs -p) 2>/dev/null || true' EXIT
 
 BIN=${BIN:-target/release/densest}
 WORK=${WORK:-/tmp/dsg-crash-recovery}

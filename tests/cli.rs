@@ -1,7 +1,7 @@
 //! End-to-end tests of the `densest` command-line binary.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command};
 
 fn densest_bin() -> &'static str {
     env!("CARGO_BIN_EXE_densest")
@@ -15,8 +15,10 @@ fn write_fixture(name: &str, content: &str) -> PathBuf {
     path
 }
 
-/// A K5 (density 2.0) with a pendant path.
-fn clique_fixture() -> PathBuf {
+/// A K5 (density 2.0) with a pendant path, in a file named after the
+/// calling test: tests run in parallel, and a shared path would let one
+/// test's truncating write race another's read.
+fn clique_fixture(test: &str) -> PathBuf {
     let mut s = String::from("# K5 plus path\n");
     for u in 0..5u32 {
         for v in (u + 1)..5 {
@@ -24,7 +26,43 @@ fn clique_fixture() -> PathBuf {
         }
     }
     s.push_str("4 5\n5 6\n6 7\n");
-    write_fixture("clique.txt", &s)
+    write_fixture(&format!("clique_{test}.txt"), &s)
+}
+
+/// Kills and reaps a spawned `densest serve` on drop, so a failed
+/// assertion cannot leak the server past the test.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        // Both fail harmlessly when the server already exited and was
+        // reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `densest serve --quiet --socket <sock> <extra>` and waits for
+/// the socket to appear.
+fn spawn_socket_server(sock: &Path, extra: &[&str]) -> KillOnDrop {
+    let _ = std::fs::remove_file(sock);
+    let server = KillOnDrop(
+        Command::new(densest_bin())
+            .args(["serve", "--quiet", "--socket", sock.to_str().unwrap()])
+            .args(extra)
+            .spawn()
+            .expect("serve starts"),
+    );
+    for _ in 0..300 {
+        if sock.exists() {
+            break;
+        }
+        // Test-only: wait for the spawned server process to bind.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(sock.exists(), "server socket never appeared");
+    server
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -41,7 +79,7 @@ fn run(args: &[&str]) -> (String, String, bool) {
 
 #[test]
 fn approx_finds_the_clique() {
-    let path = clique_fixture();
+    let path = clique_fixture("approx_finds_the_clique");
     let (stdout, _, ok) = run(&["approx", path.to_str().unwrap(), "--epsilon", "0.1"]);
     assert!(ok);
     assert!(stdout.contains("density 2.000000 on 5 nodes"), "{stdout}");
@@ -50,7 +88,7 @@ fn approx_finds_the_clique() {
 
 #[test]
 fn exact_matches_approx_here() {
-    let path = clique_fixture();
+    let path = clique_fixture("exact_matches_approx_here");
     let (stdout, _, ok) = run(&["exact", path.to_str().unwrap(), "--quiet"]);
     assert!(ok);
     assert!(
@@ -61,7 +99,7 @@ fn exact_matches_approx_here() {
 
 #[test]
 fn charikar_and_atleast_k() {
-    let path = clique_fixture();
+    let path = clique_fixture("charikar_and_atleast_k");
     let (stdout, _, ok) = run(&["charikar", path.to_str().unwrap(), "--quiet"]);
     assert!(ok);
     assert!(stdout.contains("density 2.000000"), "{stdout}");
@@ -93,7 +131,7 @@ fn directed_mode() {
 
 #[test]
 fn enumerate_mode() {
-    let path = clique_fixture();
+    let path = clique_fixture("enumerate_mode");
     let (stdout, _, ok) = run(&[
         "enumerate",
         path.to_str().unwrap(),
@@ -129,7 +167,7 @@ fn missing_file_is_a_clean_error() {
 
 #[test]
 fn unknown_flag_is_named_in_the_error() {
-    let path = clique_fixture();
+    let path = clique_fixture("unknown_flag_is_named_in_the_error");
     let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag '--frobnicate'"), "{stderr}");
@@ -138,7 +176,7 @@ fn unknown_flag_is_named_in_the_error() {
 
 #[test]
 fn threads_flag_matches_serial_output() {
-    let path = clique_fixture();
+    let path = clique_fixture("threads_flag_matches_serial_output");
     let (serial, _, ok1) = run(&[
         "approx",
         path.to_str().unwrap(),
@@ -162,7 +200,7 @@ fn threads_flag_matches_serial_output() {
 
 #[test]
 fn zero_threads_rejected() {
-    let path = clique_fixture();
+    let path = clique_fixture("zero_threads_rejected");
     let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--threads", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
@@ -170,7 +208,7 @@ fn zero_threads_rejected() {
 
 #[test]
 fn non_finite_epsilon_rejected_by_name() {
-    let path = clique_fixture();
+    let path = clique_fixture("non_finite_epsilon_rejected_by_name");
     for bad in ["nan", "NaN", "inf", "-inf", "-0.5"] {
         let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--epsilon", bad]);
         assert!(!ok, "--epsilon {bad} must be rejected");
@@ -191,7 +229,7 @@ fn non_finite_epsilon_rejected_by_name() {
 
 #[test]
 fn zero_k_and_bad_delta_rejected_by_name() {
-    let path = clique_fixture();
+    let path = clique_fixture("zero_k_and_bad_delta_rejected_by_name");
     let (_, stderr, ok) = run(&["atleast-k", path.to_str().unwrap(), "--k", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--k must be at least 1"), "{stderr}");
@@ -226,7 +264,7 @@ fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn stream_mode_matches_in_memory_byte_for_byte() {
-    let path = clique_fixture();
+    let path = clique_fixture("stream_mode_matches_in_memory_byte_for_byte");
     let p = path.to_str().unwrap();
     let (mem, _, ok1) = run(&["approx", p, "--epsilon", "0.1", "--json"]);
     let (streamed, _, ok2) = run(&["approx", p, "--epsilon", "0.1", "--stream", "--json"]);
@@ -260,7 +298,7 @@ fn stream_mode_matches_in_memory_byte_for_byte() {
 #[test]
 fn stream_mode_atleast_k_binary_matches_in_memory() {
     // Build a binary fixture with the CLI-independent writer.
-    let text = clique_fixture();
+    let text = clique_fixture("stream_mode_atleast_k_binary_matches_in_memory");
     let list = densest_subgraph::graph::io::read_text(
         &text,
         densest_subgraph::graph::GraphKind::Undirected,
@@ -284,7 +322,7 @@ fn stream_mode_atleast_k_binary_matches_in_memory() {
 
 #[test]
 fn stream_mode_rejected_for_in_memory_algorithms() {
-    let path = clique_fixture();
+    let path = clique_fixture("stream_mode_rejected_for_in_memory_algorithms");
     for alg in ["charikar", "exact", "enumerate", "directed"] {
         let (_, stderr, ok) = run(&[alg, path.to_str().unwrap(), "--stream"]);
         assert!(!ok, "{alg} --stream must be rejected");
@@ -302,7 +340,7 @@ fn stream_mode_missing_file_is_a_clean_error() {
 
 #[test]
 fn json_summary_is_one_parseable_line() {
-    let path = clique_fixture();
+    let path = clique_fixture("json_summary_is_one_parseable_line");
     let (stdout, _, ok) = run(&[
         "approx",
         path.to_str().unwrap(),
@@ -365,7 +403,7 @@ fn help_prints_full_usage_and_exits_zero() {
 
 #[test]
 fn flow_backend_flag_selects_solver_and_rejects_bad_values() {
-    let path = clique_fixture();
+    let path = clique_fixture("flow_backend_flag_selects_solver_and_rejects_bad_values");
     let p = path.to_str().unwrap();
     let (dinic, _, ok1) = run(&["exact", p, "--flow-backend", "dinic", "--json"]);
     let (pr, _, ok2) = run(&["exact", p, "--flow-backend", "push-relabel", "--json"]);
@@ -398,7 +436,7 @@ fn flow_backend_flag_selects_solver_and_rejects_bad_values() {
 
 #[test]
 fn planner_flags_choose_backends_and_are_reported() {
-    let path = clique_fixture();
+    let path = clique_fixture("planner_flags_choose_backends_and_are_reported");
     let p = path.to_str().unwrap();
     // Unbounded: in-memory. Tiny budget: the planner streams instead.
     let (mem, _, ok1) = run(&["approx", p, "--epsilon", "0.1", "--json"]);
@@ -440,20 +478,22 @@ fn planner_flags_choose_backends_and_are_reported() {
 
 #[test]
 fn serve_stdin_answers_queries_once_loaded_and_exits_on_eof() {
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::process::Stdio;
 
-    let path = clique_fixture();
+    let path = clique_fixture("serve_stdin_answers_queries_once_loaded_and_exits_on_eof");
     let p = path.to_str().unwrap();
-    let mut child = Command::new(densest_bin())
-        .args(["serve", "--quiet"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve starts");
+    let mut server = KillOnDrop(
+        Command::new(densest_bin())
+            .args(["serve", "--quiet"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve starts"),
+    );
     {
-        let stdin = child.stdin.as_mut().unwrap();
+        let stdin = server.0.stdin.as_mut().unwrap();
         writeln!(
             stdin,
             "{{\"id\":1,\"algorithm\":\"approx\",\"file\":\"{p}\",\"epsilon\":0.1}}"
@@ -470,10 +510,17 @@ fn serve_stdin_answers_queries_once_loaded_and_exits_on_eof() {
         )
         .unwrap();
     }
-    drop(child.stdin.take()); // EOF = SIGTERM-equivalent close
-    let out = child.wait_with_output().expect("serve exits");
-    assert!(out.status.success(), "EOF must be a clean shutdown");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    drop(server.0.stdin.take()); // EOF = SIGTERM-equivalent close
+    let mut stdout = String::new();
+    server
+        .0
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut stdout)
+        .unwrap();
+    let status = server.0.wait().expect("serve exits");
+    assert!(status.success(), "EOF must be a clean shutdown");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 3, "{stdout}");
     for l in &lines {
@@ -493,23 +540,10 @@ fn serve_socket_results_are_byte_identical_to_one_shot_runs() {
     use std::io::Write;
     use std::process::Stdio;
 
-    let path = clique_fixture();
+    let path = clique_fixture("serve_socket_results_are_byte_identical_to_one_shot_runs");
     let p = path.to_str().unwrap();
     let sock = std::env::temp_dir().join(format!("dsg_cli_serve_{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
-    let mut server = Command::new(densest_bin())
-        .args(["serve", "--quiet", "--socket", sock.to_str().unwrap()])
-        .spawn()
-        .expect("serve starts");
-    for _ in 0..300 {
-        if sock.exists() {
-            break;
-        }
-        // Test-only: wait for the spawned server process to bind.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(sock.exists(), "server socket never appeared");
+    let mut server = spawn_socket_server(&sock, &[]);
 
     let queries: Vec<(String, Vec<&str>)> = vec![
         (
@@ -571,7 +605,7 @@ fn serve_socket_results_are_byte_identical_to_one_shot_runs() {
         assert_eq!(nested, expected, "serve vs one-shot mismatch");
     }
     assert!(lines.last().unwrap().contains("\"bye\":true"));
-    let status = server.wait().expect("server exits after shutdown");
+    let status = server.0.wait().expect("server exits after shutdown");
     assert!(status.success());
     assert!(!sock.exists(), "socket removed on clean shutdown");
 }
@@ -581,30 +615,10 @@ fn client_repeat_and_parallel_spread_responses() {
     use std::io::Write;
     use std::process::Stdio;
 
-    let path = clique_fixture();
+    let path = clique_fixture("client_repeat_and_parallel_spread_responses");
     let p = path.to_str().unwrap();
     let sock = std::env::temp_dir().join(format!("dsg_cli_par_{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
-    let mut server = Command::new(densest_bin())
-        .args([
-            "serve",
-            "--quiet",
-            "--workers",
-            "2",
-            "--socket",
-            sock.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("serve starts");
-    for _ in 0..300 {
-        if sock.exists() {
-            break;
-        }
-        // Test-only: wait for the spawned server process to bind.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(sock.exists(), "server socket never appeared");
+    let mut server = spawn_socket_server(&sock, &["--workers", "2"]);
 
     let mut client = Command::new(densest_bin())
         .args([
@@ -674,7 +688,7 @@ fn client_repeat_and_parallel_spread_responses() {
     // Conn 0's second round replays both cached results; the first
     // round on each connection may race the other into the cache.
     assert!(result_hits >= 2, "{stats_line}");
-    let status = server.wait().expect("server exits after shutdown");
+    let status = server.0.wait().expect("server exits after shutdown");
     assert!(status.success());
     assert!(!sock.exists(), "socket removed on clean shutdown");
 }
@@ -767,21 +781,8 @@ fn client_parallel_propagates_connection_failures() {
 fn serve_socket_mutable_session_end_to_end() {
     // Mutable sessions over a real socket: create, query, mutate, query
     // again (version bump, fresh result), stats with per-graph fields.
-    let sock = std::env::temp_dir().join("dsg_cli_tests/session.sock");
-    let _ = std::fs::remove_file(&sock);
-    let mut server = Command::new(densest_bin())
-        .args(["serve", "--quiet", "--socket", sock.to_str().unwrap()])
-        .spawn()
-        .unwrap();
-    for _ in 0..300 {
-        if sock.exists() {
-            break;
-        }
-        // Test-only: wait for the spawned server process to bind.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(sock.exists(), "server socket never appeared");
+    let sock = std::env::temp_dir().join(format!("dsg_cli_session_{}.sock", std::process::id()));
+    let mut server = spawn_socket_server(&sock, &[]);
 
     let mut client = Command::new(densest_bin())
         .args(["client", "--socket", sock.to_str().unwrap()])
@@ -823,6 +824,6 @@ fn serve_socket_mutable_session_end_to_end() {
         "{}",
         lines[4]
     );
-    assert!(server.wait().unwrap().success());
+    assert!(server.0.wait().unwrap().success());
     assert!(!sock.exists());
 }

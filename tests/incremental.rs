@@ -11,9 +11,8 @@
 use std::collections::BTreeSet;
 
 use densest_subgraph::engine::{Algorithm, Engine, Query, ResourcePolicy, Source};
-use densest_subgraph::graph::delta::DeltaGraph;
 use densest_subgraph::graph::rng::SplitMix64;
-use densest_subgraph::graph::{EdgeList, GraphKind};
+use densest_subgraph::graph::GraphKind;
 
 const EPS: f64 = 0.5;
 
@@ -302,53 +301,4 @@ fn oversized_delta_trips_staleness_bound() {
     assert_eq!(a.json_object(false), b.json_object(false));
     let debug = warm.last_incremental().expect("an attempt was recorded");
     assert_eq!(debug.reason, Some("base snapshot too stale"));
-}
-
-/// Weighted mutation sequences at the delta-overlay level: after any
-/// random interleaving of weighted adds and removes, `materialize()`
-/// must be byte-identical to canonicalizing the surviving weighted
-/// edges from scratch. (Named session graphs stay unweighted at the
-/// engine surface; this pins the overlay arithmetic they build on.)
-#[test]
-fn weighted_delta_sequences_materialize_canonically() {
-    for seed in 31..35u64 {
-        let mut rng = SplitMix64::new(seed);
-        let n: u32 = 60;
-        let mut delta = DeltaGraph::new_empty_weighted();
-        let mut mirror: std::collections::BTreeMap<(u32, u32), f64> = Default::default();
-        for _ in 0..200 {
-            let u = rng.range_u32(n);
-            let v = rng.range_u32(n);
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            if rng.bernoulli(0.3) && mirror.contains_key(&key) {
-                delta.remove_edges(&[(u, v)]);
-                mirror.remove(&key);
-            } else {
-                let w = (rng.range_u64(8) + 1) as f64 * 0.5;
-                delta.add_weighted_edges(&[(u, v, w)]).unwrap();
-                // Duplicate weighted edges sum — mirror the running total
-                // in the same op order so the bits match.
-                *mirror.entry(key).or_insert(0.0) += w;
-            }
-        }
-        let got = delta.materialize();
-        let mut scratch = EdgeList::new_undirected(delta.num_nodes());
-        for (&(u, v), &w) in &mirror {
-            scratch.push_weighted(u, v, w);
-        }
-        scratch.canonicalize();
-        assert_eq!(got.num_nodes, scratch.num_nodes, "seed {seed}");
-        assert_eq!(got.edges, scratch.edges, "seed {seed}");
-        assert_eq!(
-            got.weights
-                .map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-            scratch
-                .weights
-                .map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-            "seed {seed}"
-        );
-    }
 }
