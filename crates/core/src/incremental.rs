@@ -34,10 +34,34 @@
 //! fallback reason. On convergence, every frozen node's neighbors are
 //! frozen or affected-with-unchanged-round, so frozen trajectories — and
 //! therefore the whole run — are exact.
+//!
+//! ## What a hit costs
+//!
+//! A successful simulation costs `O(|F|·passes)` plus the adjacency rows
+//! of `F`; outside the bucket scans below, nothing in it is sized by the
+//! node count:
+//!
+//! * The trace it reads is a [`TraceView`]: the last full run's
+//!   [`PeelTrace`] as a shared base, plus a patch holding the rows that
+//!   changed since. Reading a frozen node's round is a patch probe and a
+//!   base lookup, and the simulated run's trace is the same base with the
+//!   patch extended by `F` — chained hits never copy the base.
+//! * The per-pass id buckets of the recorded run are built only when a
+//!   pass needs them — the threshold slow path, or every pass of a
+//!   k-floor run — at one `O(n)` scan per side and simulation, and are
+//!   never stored.
+//! * The old and new rows of affected nodes come from a [`RowCache`]
+//!   that every simulation of one delta shares: all ratios of a directed
+//!   sweep and all restarts fetch each row once.
+//! * The best sides, one bitset per side, are built only for the run
+//!   that is reported ([`SimSuccess::best_sides`]).
 
-use dsg_graph::{density, NodeSet};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
-use crate::kernel::{PeelTrace, TracePass, NEVER_REMOVED};
+use dsg_graph::{density, FxHashMap, FxHashSet, NodeSet};
+
+use crate::kernel::{PeelTrace, TracePass, FRONTIER_LEN, NEVER_REMOVED};
 
 /// The removal rule being simulated — mirrors the arithmetic of the
 /// kernel policies exactly (same operations in the same order).
@@ -74,16 +98,257 @@ impl IncPolicy {
     }
 }
 
+/// One node's trace row: the 1-based pass that removed it (or
+/// [`NEVER_REMOVED`]) and its degree at removal (0 when never removed).
+type Row = (u32, f64);
+
+const UNREMOVED: Row = (NEVER_REMOVED, 0.0);
+
+fn same_row(a: Row, b: Row) -> bool {
+    a.0 == b.0 && a.1.to_bits() == b.1.to_bits()
+}
+
+/// A peel trace kept as a shared base plus a patch — the seed state of
+/// the incremental tier.
+///
+/// The base is the [`PeelTrace`] of the last full run. Each successful
+/// [`simulate`] returns a view over the same base whose patch holds, per
+/// side, the row of every node that changed since that base, and whose
+/// pass records and frontiers are the simulated run's. Base rounds past
+/// the *horizon* — the shortest simulated run since the base — read as
+/// [`NEVER_REMOVED`]: those nodes outlived the shorter run.
+///
+/// Reading a row is a patch probe plus a base lookup; extending the view
+/// costs `O(|patch| + |F|)` and never copies the base.
+#[derive(Clone, Debug)]
+pub struct TraceView {
+    base: Arc<PeelTrace>,
+    /// Node-id capacity of the described run.
+    n: u32,
+    /// Base rounds above this read as [`NEVER_REMOVED`].
+    horizon: u32,
+    /// Per side: the rows that differ from the (horizon-clipped) base.
+    patch: Vec<FxHashMap<u32, Row>>,
+    passes: Vec<TracePass>,
+    frontier: Vec<Vec<(f64, u32)>>,
+    frontier_complete: Vec<bool>,
+}
+
+impl TraceView {
+    /// The view of a full run's trace: nothing patched.
+    pub fn new(trace: PeelTrace) -> Self {
+        TraceView {
+            n: trace.n,
+            horizon: NEVER_REMOVED,
+            patch: vec![FxHashMap::default(); trace.sides()],
+            passes: trace.passes.clone(),
+            frontier: trace.frontier.clone(),
+            frontier_complete: trace.frontier_complete.clone(),
+            base: Arc::new(trace),
+        }
+    }
+
+    /// Node-id capacity of the described run.
+    pub fn n(&self) -> u32 {
+        self.n
+    }
+
+    /// Aggregate pass records of the described run, in pass order.
+    pub fn passes(&self) -> &[TracePass] {
+        &self.passes
+    }
+
+    fn sides(&self) -> usize {
+        self.patch.len()
+    }
+
+    /// Round at which `id` was removed on side `s`, or [`NEVER_REMOVED`].
+    fn round(&self, s: usize, id: u32) -> u32 {
+        match self.patch[s].get(&id) {
+            Some(&(r, _)) => r,
+            None => self.base_round(s, id),
+        }
+    }
+
+    /// Degree `id` had when removed on side `s` (0 if never removed).
+    fn removal_deg(&self, s: usize, id: u32) -> f64 {
+        match self.patch[s].get(&id) {
+            Some(&(_, d)) => d,
+            None => self.base_row(s, id).1,
+        }
+    }
+
+    /// The base's round of `id`, clipped at the horizon.
+    fn base_round(&self, s: usize, id: u32) -> u32 {
+        match self.base.rounds[s].get(id as usize) {
+            Some(&r) if r <= self.horizon => r,
+            _ => NEVER_REMOVED,
+        }
+    }
+
+    /// The base's row for `id`, clipped at the horizon.
+    fn base_row(&self, s: usize, id: u32) -> Row {
+        match self.base_round(s, id) {
+            NEVER_REMOVED => UNREMOVED,
+            r => (r, self.base.removal_deg[s][id as usize]),
+        }
+    }
+
+    /// The densest intermediate sides of the described run, whose best
+    /// state was at the start of pass `best_pass`: every node removed at
+    /// or after it. One `O(n)` bitset per side.
+    fn best_sides(&self, best_pass: u32) -> Vec<NodeSet> {
+        (0..self.sides())
+            .map(|s| {
+                let mut set = NodeSet::from_iter(
+                    self.n as usize,
+                    (0..self.n).filter(|&id| self.base_round(s, id) >= best_pass),
+                );
+                for (&id, &(r, _)) in &self.patch[s] {
+                    if r >= best_pass {
+                        set.insert(id);
+                    } else {
+                        set.remove(id);
+                    }
+                }
+                set
+            })
+            .collect()
+    }
+
+    /// Per-pass id buckets of side `s`: one `O(n)` scan, ids ascending.
+    fn buckets(&self, s: usize) -> Vec<Vec<u32>> {
+        #[cfg(test)]
+        tests::BUCKET_BUILDS.with(|c| c.set(c.get() + 1));
+        let mut out = vec![Vec::new(); self.passes.len() + 1];
+        let mut patched: Vec<(u32, u32)> =
+            self.patch[s].iter().map(|(&id, &(r, _))| (id, r)).collect();
+        patched.sort_unstable();
+        let mut next = patched.iter().peekable();
+        for id in 0..self.n {
+            let r = match next.peek() {
+                Some(&&(pid, r)) if pid == id => {
+                    next.next();
+                    r
+                }
+                _ => self.base_round(s, id),
+            };
+            if r != NEVER_REMOVED {
+                out[r as usize].push(id);
+            }
+        }
+        out
+    }
+
+    /// The view of a simulated run over `n_new` nodes that took `passes`
+    /// passes: every row outside `F` is clipped at `passes` (a node the
+    /// recorded run removed later outlived the simulated one), and `F`'s
+    /// rows are `f_rows[side * |F| + local]`.
+    fn extend(
+        &self,
+        n_new: usize,
+        passes: u32,
+        f_ids: &[u32],
+        f_rows: &[Row],
+        log: PassLog,
+    ) -> TraceView {
+        // Every row this view reads is at most its own pass count, so a
+        // run at least as long clips nothing.
+        let clip = (passes as usize) < self.passes.len();
+        let mut next = TraceView {
+            base: self.base.clone(),
+            n: n_new as u32,
+            horizon: self.horizon.min(passes),
+            patch: Vec::new(),
+            passes: log.passes,
+            frontier: log.frontier,
+            frontier_complete: log.frontier_complete,
+        };
+        for s in 0..self.sides() {
+            let mut patch = self.patch[s].clone();
+            if clip {
+                patch.retain(|&id, row| {
+                    if row.0 != NEVER_REMOVED && row.0 > passes {
+                        *row = UNREMOVED;
+                    }
+                    !same_row(*row, next.base_row(s, id))
+                });
+            }
+            let rows = &f_rows[s * f_ids.len()..(s + 1) * f_ids.len()];
+            for (&id, &row) in f_ids.iter().zip(rows) {
+                if same_row(row, next.base_row(s, id)) {
+                    patch.remove(&id);
+                } else {
+                    patch.insert(id, row);
+                }
+            }
+            next.patch.push(patch);
+        }
+        next
+    }
+}
+
+/// Per-pass records of a simulated run, moved into its [`TraceView`].
+struct PassLog {
+    passes: Vec<TracePass>,
+    frontier: Vec<Vec<(f64, u32)>>,
+    frontier_complete: Vec<bool>,
+}
+
 /// Old/new adjacency of affected nodes, supplied by the caller (the
 /// engine answers from the base CSR plus the mutation journal).
 ///
 /// `dir` selects the arc direction on directed graphs: `0` = out-,
 /// `1` = in-neighbors. Undirected graphs only see `dir = 0`.
 pub trait AffectedAdjacency {
-    /// Neighbors of `u` in the pre-delta graph.
-    fn old_neighbors(&self, u: u32, dir: usize) -> Vec<u32>;
-    /// Neighbors of `u` in the post-delta graph.
-    fn new_neighbors(&self, u: u32, dir: usize) -> Vec<u32>;
+    /// Appends the neighbors of `u` in the pre-delta graph to `out`.
+    fn old_neighbors(&self, u: u32, dir: usize, out: &mut Vec<u32>);
+    /// Appends the neighbors of `u` in the post-delta graph to `out`.
+    fn new_neighbors(&self, u: u32, dir: usize, out: &mut Vec<u32>);
+}
+
+/// The old and new rows of affected nodes, fetched from an
+/// [`AffectedAdjacency`] once and shared by every [`simulate`] call of
+/// one delta — all ratios of a directed sweep, all restarts.
+pub struct RowCache<'a> {
+    adj: &'a dyn AffectedAdjacency,
+    /// `(node, dir)` → arena ranges of the old and the new row. A row the
+    /// delta left alone — most of them — is stored once, both ranges
+    /// equal.
+    index: FxHashMap<(u32, u8), [usize; 4]>,
+    arena: Vec<u32>,
+}
+
+impl<'a> RowCache<'a> {
+    /// An empty cache over `adj`.
+    pub fn new(adj: &'a dyn AffectedAdjacency) -> Self {
+        RowCache {
+            adj,
+            index: FxHashMap::default(),
+            arena: Vec::new(),
+        }
+    }
+
+    fn fetch(&mut self, u: u32, dir: usize) {
+        if let Entry::Vacant(slot) = self.index.entry((u, dir as u8)) {
+            let a = self.arena.len();
+            self.adj.old_neighbors(u, dir, &mut self.arena);
+            let b = self.arena.len();
+            self.adj.new_neighbors(u, dir, &mut self.arena);
+            if self.arena[a..b] == self.arena[b..] {
+                self.arena.truncate(b);
+                slot.insert([a, b, a, b]);
+            } else {
+                slot.insert([a, b, b, self.arena.len()]);
+            }
+        }
+    }
+
+    /// The old and the new row of `u`, and whether they are the same.
+    fn get(&self, u: u32, dir: usize) -> (&[u32], &[u32], bool) {
+        let [a, b, c, d] = self.index[&(u, dir as u8)];
+        (&self.arena[a..b], &self.arena[c..d], (a, b) == (c, d))
+    }
 }
 
 /// Resource limits of one simulation.
@@ -98,13 +363,12 @@ pub struct SimLimits {
 /// A successful simulation: the exact result of the cold run on the
 /// mutated graph, plus the refreshed trace for the next delta.
 pub struct SimSuccess {
-    /// Trace of the simulated run over the mutated graph (per-pass
-    /// aggregate bounds are conservative where exact values would cost a
-    /// frozen scan; conservative means "may cause extra checks later",
-    /// never "unsound").
-    pub trace: PeelTrace,
-    /// The densest intermediate sides.
-    pub best_sides: Vec<NodeSet>,
+    /// Trace of the simulated run over the mutated graph: the input
+    /// view's base with the patch extended by `F` (per-pass aggregate
+    /// bounds are conservative where exact values would cost a frozen
+    /// scan; conservative means "may cause extra checks later", never
+    /// "unsound").
+    pub trace: TraceView,
     /// Density of the best state (bit-identical to the cold run).
     pub best_density: f64,
     /// 1-based pass of the best state.
@@ -115,6 +379,14 @@ pub struct SimSuccess {
     pub affected: usize,
     /// Promote-and-restart rounds taken.
     pub restarts: u32,
+}
+
+impl SimSuccess {
+    /// The densest intermediate sides (bit-identical to the cold run's),
+    /// one `O(n)` bitset per side: build them for the reported run only.
+    pub fn best_sides(&self) -> Vec<NodeSet> {
+        self.trace.best_sides(self.best_pass)
+    }
 }
 
 enum Attempt {
@@ -152,16 +424,28 @@ impl From<&'static str> for SimFallback {
     }
 }
 
+/// Per-pass id buckets of the recorded run, per side, built on first
+/// use and dropped with the simulation.
+struct Buckets(Vec<Option<Vec<Vec<u32>>>>);
+
+impl Buckets {
+    fn pass(&mut self, trace: &TraceView, side: usize, q: usize) -> &[u32] {
+        &self.0[side].get_or_insert_with(|| trace.buckets(side))[q]
+    }
+}
+
 /// Runs the simulation. `seed` must contain every delta-edge endpoint
-/// and every node id in `trace.n..n_new`; `trace` must come from the
-/// same policy on the pre-delta graph. Returns the exact cold-run result
-/// or a fallback carrying the static reason and the probe work spent.
+/// and every node id in `trace.n()..n_new`; `trace` must come from the
+/// same policy on the pre-delta graph, and `rows` must answer for that
+/// graph (old rows) and the mutated one (new rows). Returns the exact
+/// cold-run result or a fallback carrying the static reason and the
+/// probe work spent.
 pub fn simulate(
     policy: IncPolicy,
-    trace: &PeelTrace,
+    trace: &TraceView,
     n_new: usize,
     seed: &[u32],
-    adj: &dyn AffectedAdjacency,
+    rows: &mut RowCache<'_>,
     limits: SimLimits,
 ) -> Result<SimSuccess, SimFallback> {
     let sides = policy.sides();
@@ -172,16 +456,14 @@ pub fn simulate(
         return Err("node count shrank".into());
     }
 
-    // Seed the affected set *before* building the per-pass buckets: a
-    // delta too large for the tier must cost O(cap), not O(n·passes).
-    // The moment `|F|` crosses the cap the probe is doomed — bail with
-    // exactly `max_affected + 1` members, never having looked at the
-    // trace body.
-    let mut in_f = vec![false; n_new];
+    // Seed the affected set before any pass work: a delta too large for
+    // the tier must cost O(cap). The moment `|F|` crosses the cap the
+    // probe is doomed — bail with exactly `max_affected + 1` members,
+    // never having looked at the trace body.
+    let mut in_f: FxHashSet<u32> = FxHashSet::default();
     let mut f_ids: Vec<u32> = Vec::new();
     for &u in seed {
-        if !in_f[u as usize] {
-            in_f[u as usize] = true;
+        if in_f.insert(u) {
             f_ids.push(u);
             if f_ids.len() > limits.max_affected {
                 return Err(SimFallback {
@@ -194,20 +476,10 @@ pub fn simulate(
     }
     f_ids.sort_unstable();
 
-    let p_total = trace.passes.len();
-    // Per-pass id buckets of the recorded run, built once (independent of F).
-    let mut bucket: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); p_total + 1]; sides];
-    for (b, rounds) in bucket.iter_mut().zip(&trace.rounds) {
-        for (id, &r) in rounds.iter().enumerate() {
-            if r != NEVER_REMOVED {
-                b[r as usize].push(id as u32);
-            }
-        }
-    }
-
+    let mut buckets = Buckets(vec![None; sides]);
     let mut restarts = 0u32;
     loop {
-        match attempt(policy, trace, n_new, &f_ids, &in_f, &bucket, adj, restarts) {
+        match attempt(policy, trace, n_new, &f_ids, rows, &mut buckets, restarts) {
             Attempt::Done(s) => return Ok(*s),
             Attempt::Fail(r) => {
                 return Err(SimFallback {
@@ -227,8 +499,7 @@ pub fn simulate(
                 }
                 let mut grew = false;
                 for u in more {
-                    if !in_f[u as usize] {
-                        in_f[u as usize] = true;
+                    if in_f.insert(u) {
                         f_ids.push(u);
                         grew = true;
                         // Early exit: once the cap is crossed no further
@@ -255,6 +526,13 @@ pub fn simulate(
             }
         }
     }
+}
+
+/// The `(degree, id)` order the kernel picks removals in.
+fn pair_cmp(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("degrees are never NaN")
+        .then(a.1.cmp(&b.1))
 }
 
 #[inline]
@@ -303,7 +581,7 @@ impl Bound {
 
 /// Bound on the pairs of recorded pass-`q` non-candidates that the
 /// simulation does not track exactly (those past the recorded frontier).
-fn unlisted_bound(trace: &PeelTrace, q: usize) -> Option<Bound> {
+fn unlisted_bound(trace: &TraceView, q: usize) -> Option<Bound> {
     if trace.frontier_complete[q - 1] {
         None
     } else if let Some(&last) = trace.frontier[q - 1].last() {
@@ -318,24 +596,68 @@ fn unlisted_bound(trace: &PeelTrace, q: usize) -> Option<Bound> {
 /// Bound on the pairs of *frozen* recorded pass-`q` non-candidates:
 /// the first frontier entry still outside the affected set is exact,
 /// anything past the frontier is bounded by [`unlisted_bound`].
-fn noncand_bound(trace: &PeelTrace, q: usize, in_f: &[bool]) -> Option<Bound> {
+fn noncand_bound(trace: &TraceView, q: usize, loc: &FxHashMap<u32, u32>) -> Option<Bound> {
     for &e in &trace.frontier[q - 1] {
-        if !in_f[e.1 as usize] {
+        if !loc.contains_key(&e.1) {
             return Some(Bound::Inclusive(e));
         }
     }
     unlisted_bound(trace, q)
 }
 
+/// Variable-length rows packed into one buffer: row `i` is
+/// `data[off[i]..off[i + 1]]`.
+struct Packed {
+    data: Vec<u32>,
+    off: Vec<usize>,
+}
+
+impl Packed {
+    fn with_rows(rows: usize) -> Self {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0);
+        Packed {
+            data: Vec::new(),
+            off,
+        }
+    }
+
+    /// `(key, value)` pairs with keys below `keys`, grouped by key (a
+    /// counting sort): row `k` lists the values of key `k`.
+    fn grouped(pairs: &[(u32, u32)], keys: usize) -> Self {
+        let mut off = vec![0usize; keys + 1];
+        for &(k, _) in pairs {
+            off[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            off[k + 1] += off[k];
+        }
+        let mut data = vec![0u32; pairs.len()];
+        let mut next = off.clone();
+        for &(k, v) in pairs {
+            data[next[k as usize]] = v;
+            next[k as usize] += 1;
+        }
+        Packed { data, off }
+    }
+
+    fn end_row(&mut self) {
+        self.off.push(self.data.len());
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.data[self.off[i]..self.off[i + 1]]
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn attempt(
     policy: IncPolicy,
-    trace: &PeelTrace,
+    trace: &TraceView,
     n_new: usize,
     f_ids: &[u32],
-    in_f: &[bool],
-    bucket: &[Vec<Vec<u32>>],
-    adj: &dyn AffectedAdjacency,
+    rows: &mut RowCache<'_>,
+    buckets: &mut Buckets,
     restarts: u32,
 ) -> Attempt {
     let sides = policy.sides();
@@ -343,71 +665,78 @@ fn attempt(
     let p_total = trace.passes.len();
     let nf = f_ids.len();
 
-    let mut loc = vec![u32::MAX; n_new];
-    for (i, &id) in f_ids.iter().enumerate() {
-        loc[id as usize] = i as u32;
+    let loc: FxHashMap<u32, u32> = f_ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| (id, i as u32))
+        .collect();
+    for s in 0..sides {
+        for &id in f_ids {
+            rows.fetch(id, s);
+        }
     }
+    let rows = &*rows;
 
-    // Per (side, affected-node) structure. The side-s degree of a node is
-    // over its dir-s neighbors (undirected: dir 0; directed S: out, T: in),
-    // whose liveness is tracked on side `rel = sides - 1 - s` for directed
-    // runs and side 0 otherwise.
-    let mut frozen_rounds: Vec<Vec<Vec<u32>>> = vec![Vec::with_capacity(nf); sides];
-    let mut aa_old: Vec<Vec<Vec<u32>>> = vec![Vec::with_capacity(nf); sides];
-    let mut aa_new: Vec<Vec<Vec<u32>>> = vec![Vec::with_capacity(nf); sides];
+    // Per (side, affected-node) state lives at index `s * nf + f`. The
+    // side-s degree of a node is over its dir-s neighbors (undirected:
+    // dir 0; directed S: out, T: in), whose liveness is tracked on side
+    // `rel = sides - 1 - s` for directed runs and side 0 otherwise.
+    // Frozen neighbors only matter through their count and the pass the
+    // recorded run removes them in, so they are grouped by that pass.
+    let at = |s: usize, f: usize| s * nf + f;
+    let mut fr_alive: Vec<i64> = Vec::with_capacity(sides * nf);
+    let mut fr_deaths: Vec<(u32, u32)> = Vec::new();
+    let mut aa_old = Packed::with_rows(sides * nf);
+    let mut aa_new = Packed::with_rows(sides * nf);
     for s in 0..sides {
         let rel = if sides == 2 { 1 - s } else { 0 };
-        for &id in f_ids {
-            let mut fr: Vec<u32> = Vec::new();
-            let mut an: Vec<u32> = Vec::new();
-            for v in adj.new_neighbors(id, s) {
-                if in_f[v as usize] {
-                    an.push(loc[v as usize]);
-                } else {
-                    if v as usize >= n_old {
-                        return Attempt::Grow(vec![v]);
+        for (f, &id) in f_ids.iter().enumerate() {
+            let (old_row, new_row, unchanged) = rows.get(id, s);
+            let aa_start = aa_new.data.len();
+            let mut frozen = 0i64;
+            for &v in new_row {
+                match loc.get(&v) {
+                    Some(&l) => aa_new.data.push(l),
+                    None => {
+                        if v as usize >= n_old {
+                            return Attempt::Grow(vec![v]);
+                        }
+                        frozen += 1;
+                        let r = trace.round(rel, v);
+                        if r as usize <= p_total {
+                            fr_deaths.push((r, at(s, f) as u32));
+                        }
                     }
-                    fr.push(trace.rounds[rel][v as usize]);
                 }
             }
-            fr.sort_unstable();
-            let mut ao: Vec<u32> = Vec::new();
-            if (id as usize) < n_old {
-                for v in adj.old_neighbors(id, s) {
-                    if in_f[v as usize] {
-                        ao.push(loc[v as usize]);
-                    }
-                    // A frozen old-neighbor is also a frozen new-neighbor
-                    // (delta endpoints are all in F), already in `fr`.
-                }
+            fr_alive.push(frozen);
+            if unchanged {
+                aa_old.data.extend_from_slice(&aa_new.data[aa_start..]);
+            } else if (id as usize) < n_old {
+                // A frozen old-neighbor is also a frozen new-neighbor
+                // (delta endpoints are all in F), already counted.
+                aa_old
+                    .data
+                    .extend(old_row.iter().filter_map(|v| loc.get(v)));
             }
-            frozen_rounds[s].push(fr);
-            aa_old[s].push(ao);
-            aa_new[s].push(an);
+            aa_old.end_row();
+            aa_new.end_row();
         }
     }
+    let fr_deaths = Packed::grouped(&fr_deaths, p_total + 1);
 
     // Exact degree trajectories and liveness, old run and simulated run.
-    let mut ptr: Vec<Vec<usize>> = vec![vec![0; nf]; sides];
-    let mut odeg: Vec<Vec<i64>> = Vec::with_capacity(sides);
-    let mut ndeg: Vec<Vec<i64>> = Vec::with_capacity(sides);
-    let mut oalive: Vec<Vec<bool>> = Vec::with_capacity(sides);
-    let mut nalive: Vec<Vec<bool>> = vec![vec![true; nf]; sides];
-    let mut new_round: Vec<Vec<u32>> = vec![vec![NEVER_REMOVED; nf]; sides];
-    let mut new_rdeg: Vec<Vec<f64>> = vec![vec![0.0; nf]; sides];
-    for s in 0..sides {
-        let mut od = Vec::with_capacity(nf);
-        let mut nd = Vec::with_capacity(nf);
-        let mut oa = Vec::with_capacity(nf);
-        for (f, &id) in f_ids.iter().enumerate() {
-            od.push((frozen_rounds[s][f].len() + aa_old[s][f].len()) as i64);
-            nd.push((frozen_rounds[s][f].len() + aa_new[s][f].len()) as i64);
-            oa.push((id as usize) < n_old);
-        }
-        odeg.push(od);
-        ndeg.push(nd);
-        oalive.push(oa);
-    }
+    let mut odeg: Vec<i64> = (0..sides * nf)
+        .map(|i| fr_alive[i] + aa_old.row(i).len() as i64)
+        .collect();
+    let mut ndeg: Vec<i64> = (0..sides * nf)
+        .map(|i| fr_alive[i] + aa_new.row(i).len() as i64)
+        .collect();
+    let mut oalive: Vec<bool> = (0..sides * nf)
+        .map(|i| (f_ids[i % nf] as usize) < n_old)
+        .collect();
+    let mut nalive: Vec<bool> = vec![true; sides * nf];
+    let mut new_row: Vec<Row> = vec![UNREMOVED; sides * nf];
 
     // Side aggregates. Frozen liveness is shared between the runs (that
     // is the frozen hypothesis); affected liveness diverges.
@@ -418,17 +747,17 @@ fn attempt(
     let mut sum_f_old: Vec<i64> = (0..sides)
         .map(|s| {
             (0..nf)
-                .filter(|&f| oalive[s][f])
-                .map(|f| frozen_rounds[s][f].len() as i64)
+                .filter(|&f| oalive[at(s, f)])
+                .map(|f| fr_alive[at(s, f)])
                 .sum()
         })
         .collect();
     let mut sum_f_new: Vec<i64> = (0..sides)
-        .map(|s| (0..nf).map(|f| frozen_rounds[s][f].len() as i64).sum())
+        .map(|s| (0..nf).map(|f| fr_alive[at(s, f)]).sum())
         .collect();
     let (mut aa_e_old, mut aa_e_new) = {
-        let o: i64 = aa_old[0].iter().map(|v| v.len() as i64).sum();
-        let n: i64 = aa_new[0].iter().map(|v| v.len() as i64).sum();
+        let o = aa_old.off[nf] as i64;
+        let n = aa_new.off[nf] as i64;
         if sides == 2 {
             (o, n)
         } else {
@@ -436,21 +765,21 @@ fn attempt(
         }
     };
 
-    // Recorded rounds of F members: subtracted from bucket sizes, and
-    // replayed as old-run affected deaths.
-    let mut f_round_cnt: Vec<Vec<i64>> = vec![vec![0; p_total + 2]; sides];
-    let mut f_deaths: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); p_total + 2]; sides];
-    for s in 0..sides {
-        for (f, &id) in f_ids.iter().enumerate() {
-            if (id as usize) < n_old {
-                let r = trace.rounds[s][id as usize];
-                if r != NEVER_REMOVED {
-                    f_round_cnt[s][r as usize] += 1;
-                    f_deaths[s][r as usize].push(f as u32);
-                }
-            }
-        }
-    }
+    // Recorded rounds of F members, grouped by pass: subtracted from the
+    // recorded removal counts, and replayed as old-run affected deaths.
+    let f_deaths: Vec<Packed> = (0..sides)
+        .map(|s| {
+            let pairs: Vec<(u32, u32)> = f_ids
+                .iter()
+                .enumerate()
+                .filter(|&(_, &id)| (id as usize) < n_old)
+                .map(|(f, &id)| (trace.round(s, id), f as u32))
+                .filter(|&(r, _)| r as usize <= p_total)
+                .collect();
+            Packed::grouped(&pairs, p_total + 1)
+        })
+        .collect();
+    let f_removed = |s: usize, q: u32| f_deaths[s].row(q as usize).len() as i64;
 
     let mut best_density = 0.0f64;
     let mut best_pass = 0u32;
@@ -526,7 +855,7 @@ fn attempt(
         }
 
         let frozen_removed = match p {
-            Some(p) => i64::from(p.removed) - f_round_cnt[side][qn as usize],
+            Some(p) => i64::from(p.removed) - f_removed(side, qn),
             None => 0,
         };
         let mut max_rm = f64::NEG_INFINITY;
@@ -543,12 +872,12 @@ fn attempt(
             // this pass (all must still be candidates) plus the live
             // affected candidates.
             let mut kpairs: Vec<(f64, u32)> = Vec::new();
-            if let Some(p) = p {
-                for &id in &bucket[side][qn as usize] {
-                    if in_f[id as usize] {
+            if p.is_some() {
+                for &id in buckets.pass(trace, side, qn as usize) {
+                    if loc.contains_key(&id) {
                         continue;
                     }
-                    let d = trace.removal_deg[side][id as usize];
+                    let d = trace.removal_deg(side, id);
                     if d > t {
                         // Lost candidacy: its round changes — promote.
                         expand.push(id);
@@ -560,11 +889,10 @@ fn attempt(
                     return Attempt::Grow(expand);
                 }
                 debug_assert!(frozen_removed >= 0);
-                let _ = p;
             }
             for f in 0..nf {
-                if nalive[side][f] {
-                    let d = ndeg[side][f] as f64;
+                if nalive[at(side, f)] {
+                    let d = ndeg[at(side, f)] as f64;
                     if d <= t {
                         kpairs.push((d, f_ids[f]));
                     } else {
@@ -575,11 +903,7 @@ fn attempt(
                     }
                 }
             }
-            kpairs.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("degrees are never NaN")
-                    .then(a.1.cmp(&b.1))
-            });
+            kpairs.sort_by(pair_cmp);
             // Unseen candidate pairs hide among frozen recorded
             // survivors: surviving candidates sort at or above the
             // recorded successor (strictly above once the successor node
@@ -590,7 +914,7 @@ fn attempt(
             let mut blocking: Vec<Bound> = Vec::new();
             if let Some(sp) = succ {
                 if sp.0 <= t {
-                    blocking.push(if in_f[sp.1 as usize] {
+                    blocking.push(if loc.contains_key(&sp.1) {
                         Bound::Exclusive(sp)
                     } else {
                         Bound::Inclusive(sp)
@@ -598,7 +922,7 @@ fn attempt(
                 }
             }
             if p.is_some() {
-                if let Some(b) = noncand_bound(trace, qn as usize, in_f) {
+                if let Some(b) = noncand_bound(trace, qn as usize, &loc) {
                     if b.pair().0 <= t {
                         blocking.push(b);
                     }
@@ -641,18 +965,18 @@ fn attempt(
             // Selected frozen pairs keep their round; displaced frozen
             // pairs (recorded removed, now surviving the clamp) change —
             // promote them.
-            for &(d, id) in &kpairs[removed_n..] {
-                if !in_f[id as usize] {
-                    expand.push(id);
-                }
-                let _ = d;
-            }
+            expand.extend(
+                kpairs[removed_n..]
+                    .iter()
+                    .map(|&(_, id)| id)
+                    .filter(|id| !loc.contains_key(id)),
+            );
             if !expand.is_empty() {
                 return Attempt::Grow(expand);
             }
             for &(d, id) in &kpairs[..removed_n] {
-                if in_f[id as usize] {
-                    rem.push((loc[id as usize], d));
+                if let Some(&l) = loc.get(&id) {
+                    rem.push((l, d));
                 }
                 if d > max_rm {
                     max_rm = d;
@@ -686,8 +1010,11 @@ fn attempt(
             // fixed side): every node at or below the threshold goes.
             if let Some(p) = p {
                 if frozen_removed > 0 && p.max_removal_deg > t {
-                    for &id in &bucket[side][qn as usize] {
-                        if !in_f[id as usize] && trace.removal_deg[side][id as usize] > t {
+                    // Slow path: some recorded removal may have lost
+                    // candidacy — check the pass's frozen removals one
+                    // by one.
+                    for &id in buckets.pass(trace, side, qn as usize) {
+                        if !loc.contains_key(&id) && trace.removal_deg(side, id) > t {
                             expand.push(id);
                         }
                     }
@@ -699,7 +1026,7 @@ fn attempt(
                 // the frontier names them exactly — promote; beyond the
                 // frontier identities are unknowable.
                 for &(d, id) in &trace.frontier[qn as usize - 1] {
-                    if d <= t && !in_f[id as usize] {
+                    if d <= t && !loc.contains_key(&id) {
                         expand.push(id);
                     }
                 }
@@ -717,8 +1044,8 @@ fn attempt(
                 min_nc = p.min_noncand_deg;
             }
             for f in 0..nf {
-                if nalive[side][f] {
-                    let d = ndeg[side][f] as f64;
+                if nalive[at(side, f)] {
+                    let d = ndeg[at(side, f)] as f64;
                     if d <= t {
                         rem.push((f as u32, d));
                         if d > max_rm {
@@ -745,13 +1072,13 @@ fn attempt(
         // strictly below every pair an unseen survivor could take so the
         // list stays a true prefix of the pass's smallest non-candidates.
         {
-            let mut known = core::mem::take(&mut aff_nc);
+            let mut known = aff_nc;
             let mut bounds: Vec<Bound> = Vec::new();
             let mut complete = true;
             if p.is_some() {
                 let q = qn as usize;
                 for &e in &trace.frontier[q - 1] {
-                    if !in_f[e.1 as usize] && e.0 > t {
+                    if !loc.contains_key(&e.1) && e.0 > t {
                         known.push(e);
                     }
                 }
@@ -764,23 +1091,22 @@ fn attempt(
                 }
             }
             if let Some(sp) = emit_succ {
-                bounds.push(if in_f[sp.1 as usize] {
+                bounds.push(if loc.contains_key(&sp.1) {
                     Bound::Exclusive(sp)
                 } else {
                     Bound::Inclusive(sp)
                 });
                 complete = false;
             }
-            known.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("degrees are never NaN")
-                    .then(a.1.cmp(&b.1))
-            });
+            // The admitted pairs are a prefix of the sorted list; only its
+            // first `FRONTIER_LEN` are kept, so select them before sorting.
             known.retain(|&pr| bounds.iter().all(|b| b.admits(pr)));
-            if known.len() > crate::kernel::FRONTIER_LEN {
-                known.truncate(crate::kernel::FRONTIER_LEN);
+            if known.len() > FRONTIER_LEN {
+                known.select_nth_unstable_by(FRONTIER_LEN, pair_cmp);
+                known.truncate(FRONTIER_LEN);
                 complete = false;
             }
+            known.sort_by(pair_cmp);
             new_frontier.push(known);
             new_frontier_complete.push(complete);
         }
@@ -802,62 +1128,51 @@ fn attempt(
         });
 
         // --- End-of-pass updates ---
-        // 1. Frozen deaths of recorded pass qn decrement both trajectories.
         if let Some(p) = p {
-            for s in 0..sides {
-                for f in 0..nf {
-                    let fr = &frozen_rounds[s][f];
-                    let mut pt = ptr[s][f];
-                    let mut dec = 0i64;
-                    while pt < fr.len() && fr[pt] == qn {
-                        pt += 1;
-                        dec += 1;
-                    }
-                    if dec > 0 {
-                        ptr[s][f] = pt;
-                        odeg[s][f] -= dec;
-                        ndeg[s][f] -= dec;
-                        if oalive[s][f] {
-                            sum_f_old[s] -= dec;
-                        }
-                        if nalive[s][f] {
-                            sum_f_new[s] -= dec;
-                        }
-                    }
+            // 1. Frozen deaths of recorded pass qn decrement both
+            //    trajectories.
+            for &i in fr_deaths.row(qn as usize) {
+                let (i, s) = (i as usize, i as usize / nf);
+                fr_alive[i] -= 1;
+                odeg[i] -= 1;
+                ndeg[i] -= 1;
+                if oalive[i] {
+                    sum_f_old[s] -= 1;
+                }
+                if nalive[i] {
+                    sum_f_new[s] -= 1;
                 }
             }
-            frozen_alive[p.side as usize] -=
-                i64::from(p.removed) - f_round_cnt[p.side as usize][qn as usize];
-            // 2. Old-run affected deaths of pass qn.
             let os = p.side as usize;
-            for &fd in &f_deaths[os][qn as usize] {
-                let f = fd as usize;
-                oalive[os][f] = false;
+            frozen_alive[os] -= i64::from(p.removed) - f_removed(os, qn);
+            // 2. Old-run affected deaths of pass qn.
+            let other = if sides == 2 { 1 - os } else { 0 };
+            for &f in f_deaths[os].row(qn as usize) {
+                let i = at(os, f as usize);
+                oalive[i] = false;
                 o_aff_alive[os] -= 1;
-                sum_f_old[os] -= (frozen_rounds[os][f].len() - ptr[os][f]) as i64;
-                let other = if sides == 2 { 1 - os } else { 0 };
-                for &ga in &aa_old[os][f] {
-                    let g = ga as usize;
-                    odeg[other][g] -= 1;
-                    if oalive[other][g] {
+                sum_f_old[os] -= fr_alive[i];
+                for &g in aa_old.row(i) {
+                    let j = at(other, g as usize);
+                    odeg[j] -= 1;
+                    if oalive[j] {
                         aa_e_old -= 1;
                     }
                 }
             }
         }
         // 3. Simulated affected deaths of pass qn.
-        for &(fa, d) in &rem {
-            let f = fa as usize;
-            nalive[side][f] = false;
-            new_round[side][f] = qn;
-            new_rdeg[side][f] = d;
+        let other = if sides == 2 { 1 - side } else { 0 };
+        for &(f, d) in &rem {
+            let i = at(side, f as usize);
+            nalive[i] = false;
+            new_row[i] = (qn, d);
             n_aff_alive[side] -= 1;
-            sum_f_new[side] -= (frozen_rounds[side][f].len() - ptr[side][f]) as i64;
-            let other = if sides == 2 { 1 - side } else { 0 };
-            for &ga in &aa_new[side][f] {
-                let g = ga as usize;
-                ndeg[other][g] -= 1;
-                if nalive[other][g] {
+            sum_f_new[side] -= fr_alive[i];
+            for &g in aa_new.row(i) {
+                let j = at(other, g as usize);
+                ndeg[j] -= 1;
+                if nalive[j] {
                     aa_e_new -= 1;
                 }
             }
@@ -868,20 +1183,16 @@ fn attempt(
     // simulated horizon invalidates its frozen neighbors' trajectories —
     // promote them and restart.
     let horizon = qn;
-    for (s, nr) in new_round.iter().enumerate() {
+    for s in 0..sides {
         for (f, &id) in f_ids.iter().enumerate() {
             let old_r = if (id as usize) < n_old {
-                trace.rounds[s][id as usize]
+                trace.round(s, id)
             } else {
                 NEVER_REMOVED
             };
-            let new_r = nr[f];
+            let new_r = new_row[at(s, f)].0;
             if old_r != new_r && old_r.min(new_r) <= horizon {
-                for v in adj.new_neighbors(id, s) {
-                    if !in_f[v as usize] {
-                        expand.push(v);
-                    }
-                }
+                expand.extend(rows.get(id, s).1.iter().filter(|v| !loc.contains_key(v)));
             }
         }
     }
@@ -891,43 +1202,13 @@ fn attempt(
         return Attempt::Grow(expand);
     }
 
-    // Assemble the new trace and the best sides.
-    let mut rounds: Vec<Vec<u32>> = vec![vec![NEVER_REMOVED; n_new]; sides];
-    let mut removal_deg: Vec<Vec<f64>> = vec![vec![0.0; n_new]; sides];
-    for s in 0..sides {
-        for id in 0..n_old {
-            if !in_f[id] {
-                let r = trace.rounds[s][id];
-                if r != NEVER_REMOVED && r <= horizon {
-                    rounds[s][id] = r;
-                    removal_deg[s][id] = trace.removal_deg[s][id];
-                }
-            }
-        }
-        for (f, &id) in f_ids.iter().enumerate() {
-            rounds[s][id as usize] = new_round[s][f];
-            removal_deg[s][id as usize] = new_rdeg[s][f];
-        }
-    }
-    let best_sides: Vec<NodeSet> = (0..sides)
-        .map(|s| {
-            NodeSet::from_iter(
-                n_new,
-                (0..n_new as u32).filter(|&id| rounds[s][id as usize] >= best_pass),
-            )
-        })
-        .collect();
-
+    let log = PassLog {
+        passes: new_passes,
+        frontier: new_frontier,
+        frontier_complete: new_frontier_complete,
+    };
     Attempt::Done(Box::new(SimSuccess {
-        trace: PeelTrace {
-            n: n_new as u32,
-            rounds,
-            removal_deg,
-            passes: new_passes,
-            frontier: new_frontier,
-            frontier_complete: new_frontier_complete,
-        },
-        best_sides,
+        trace: trace.extend(n_new, horizon, f_ids, &new_row, log),
         best_density,
         best_pass,
         passes: qn,
@@ -941,10 +1222,21 @@ mod tests {
     use super::*;
     use crate::directed::sweep_c_csr_traced;
     use crate::kernel::{
-        peel_traced, CsrDirectedStore, CsrUndirectedStore, KFloorPolicy, KernelConfig,
-        ThresholdPolicy,
+        peel_traced, CsrDirectedStore, CsrUndirectedStore, DirectedSizesPolicy, KFloorPolicy,
+        KernelConfig, KernelRun, ThresholdPolicy,
     };
     use dsg_graph::{CsrDirected, CsrUndirected, EdgeList, GraphKind, SplitMix64};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bucket builds on this thread (see `TraceView::buckets`).
+        pub(super) static BUCKET_BUILDS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    const LIMITS: SimLimits = SimLimits {
+        max_affected: usize::MAX,
+        max_restarts: 64,
+    };
 
     struct ListAdjacency {
         old_out: Vec<Vec<u32>>,
@@ -982,19 +1274,21 @@ mod tests {
     }
 
     impl AffectedAdjacency for ListAdjacency {
-        fn old_neighbors(&self, u: u32, dir: usize) -> Vec<u32> {
-            if dir == 0 {
-                self.old_out[u as usize].clone()
+        fn old_neighbors(&self, u: u32, dir: usize, out: &mut Vec<u32>) {
+            let rows = if dir == 0 {
+                &self.old_out
             } else {
-                self.old_in[u as usize].clone()
-            }
+                &self.old_in
+            };
+            out.extend_from_slice(&rows[u as usize]);
         }
-        fn new_neighbors(&self, u: u32, dir: usize) -> Vec<u32> {
-            if dir == 0 {
-                self.new_out[u as usize].clone()
+        fn new_neighbors(&self, u: u32, dir: usize, out: &mut Vec<u32>) {
+            let rows = if dir == 0 {
+                &self.new_out
             } else {
-                self.new_in[u as usize].clone()
-            }
+                &self.new_in
+            };
+            out.extend_from_slice(&rows[u as usize]);
         }
     }
 
@@ -1047,173 +1341,226 @@ mod tests {
         (out, touched)
     }
 
-    fn assert_same_trace(a: &PeelTrace, b: &PeelTrace) {
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.passes.len(), b.passes.len());
-        for (x, y) in a.passes.iter().zip(&b.passes) {
+    /// The kernel run of `policy` on `list`, with its trace.
+    fn cold(policy: IncPolicy, list: &EdgeList) -> (KernelRun, PeelTrace) {
+        let cfg = KernelConfig::default();
+        match policy {
+            IncPolicy::Threshold { epsilon } => {
+                let csr = CsrUndirected::from_edge_list(list);
+                let mut store = CsrUndirectedStore::new(&csr);
+                peel_traced(&mut store, &mut ThresholdPolicy::new(epsilon), &cfg)
+            }
+            IncPolicy::KFloor { k, epsilon } => {
+                let csr = CsrUndirected::from_edge_list(list);
+                let mut store = CsrUndirectedStore::new(&csr);
+                peel_traced(&mut store, &mut KFloorPolicy::new(k, epsilon), &cfg)
+            }
+            IncPolicy::DirectedSizes { c, epsilon } => {
+                let csr = CsrDirected::from_edge_list(list);
+                let mut store = CsrDirectedStore::new(&csr);
+                peel_traced(&mut store, &mut DirectedSizesPolicy::new(c, epsilon), &cfg)
+            }
+        }
+    }
+
+    /// Asserts a simulated view describes the cold run's trace: rounds
+    /// and removal degrees exactly, the exact per-pass fields bit for
+    /// bit, and the aggregate bounds and frontiers soundly (a bound may
+    /// be looser than the cold run's, a frontier a prefix of it).
+    fn assert_matches_cold(view: &TraceView, cold: &PeelTrace) {
+        assert_eq!(view.n(), cold.n);
+        for s in 0..cold.sides() {
+            for id in 0..cold.n {
+                let r = cold.rounds[s][id as usize];
+                assert_eq!(view.round(s, id), r, "round of {id} on side {s}");
+                if r != NEVER_REMOVED {
+                    assert_eq!(
+                        view.removal_deg(s, id).to_bits(),
+                        cold.removal_deg[s][id as usize].to_bits(),
+                        "removal degree of {id} on side {s}"
+                    );
+                }
+            }
+        }
+        assert_eq!(view.passes().len(), cold.passes.len());
+        for (q, (x, y)) in view.passes().iter().zip(&cold.passes).enumerate() {
             assert_eq!(x.side, y.side);
             assert_eq!(x.alive, y.alive);
             assert_eq!(x.total_weight.to_bits(), y.total_weight.to_bits());
             assert_eq!(x.density.to_bits(), y.density.to_bits());
             assert_eq!(x.threshold.to_bits(), y.threshold.to_bits());
             assert_eq!(x.removed, y.removed);
+            assert!(x.max_removal_deg >= y.max_removal_deg, "pass {q}");
+            assert!(x.min_noncand_deg <= y.min_noncand_deg, "pass {q}");
+            if let Some(b) = y.successor {
+                let a = x.successor.expect("a cold successor is bounded");
+                assert!(!pair_lt(b, a), "pass {q}: successor {a:?} above {b:?}");
+            }
+            let (fx, fy) = (&view.frontier[q], &cold.frontier[q]);
+            assert!(
+                fy.starts_with(fx),
+                "pass {q}: {fx:?} is no prefix of {fy:?}"
+            );
+            if view.frontier_complete[q] {
+                assert!(cold.frontier_complete[q], "pass {q}");
+                assert_eq!(fx, fy, "pass {q}");
+            }
         }
     }
 
-    #[test]
-    fn undirected_simulation_matches_cold() {
-        let limits = SimLimits {
-            max_affected: usize::MAX,
-            max_restarts: 64,
-        };
-        let (mut hits, mut total) = (0, 0);
-        for seed in 0..12u64 {
-            let old = random_list(60, 150, GraphKind::Undirected, 100 + seed);
-            let (new, touched) = mutate(&old, 3, 200 + seed);
-            let csr_old = CsrUndirected::from_edge_list(&old);
-            let csr_new = CsrUndirected::from_edge_list(&new);
-            for eps in [0.25, 0.5, 1.0] {
-                let (_, trace) = {
-                    let mut store = CsrUndirectedStore::new(&csr_old);
-                    let mut policy = ThresholdPolicy::new(eps);
-                    peel_traced(&mut store, &mut policy, &KernelConfig::default())
-                };
-                let (cold, cold_trace) = {
-                    let mut store = CsrUndirectedStore::new(&csr_new);
-                    let mut policy = ThresholdPolicy::new(eps);
-                    peel_traced(&mut store, &mut policy, &KernelConfig::default())
-                };
-                let adj = ListAdjacency::build(&old, &new, old.num_nodes as usize);
-                total += 1;
-                if let Ok(sim) = simulate(
-                    IncPolicy::Threshold { epsilon: eps },
-                    &trace,
-                    old.num_nodes as usize,
-                    &touched,
-                    &adj,
-                    limits,
-                ) {
-                    hits += 1;
-                    assert_eq!(sim.best_density.to_bits(), cold.best_density.to_bits());
-                    assert_eq!(sim.best_pass, cold.best_pass);
-                    assert_eq!(sim.passes, cold.passes);
-                    assert_eq!(sim.best_sides[0].to_vec(), cold.best_sides[0].to_vec());
-                    assert_same_trace(&sim.trace, &cold_trace);
+    /// What one chain of deltas did.
+    #[derive(Default)]
+    struct Chain {
+        attempts: usize,
+        hits: usize,
+        /// Longest run of consecutive hits, each simulated from the
+        /// previous hit's view.
+        longest: usize,
+    }
+
+    impl Chain {
+        fn add(&mut self, other: Chain) {
+            self.attempts += other.attempts;
+            self.hits += other.hits;
+            self.longest = self.longest.max(other.longest);
+        }
+    }
+
+    /// Applies `steps` deltas of `flips` edge flips to `list`, starting
+    /// from `view` (a trace of `list`). Each step simulates from the
+    /// previous success's view — re-based on the cold trace only after a
+    /// fallback — and every hit is checked against `peel_traced` on the
+    /// current graph.
+    fn chain(
+        policy: IncPolicy,
+        mut list: EdgeList,
+        mut view: TraceView,
+        steps: u64,
+        flips: usize,
+        seed: u64,
+    ) -> Chain {
+        let n = list.num_nodes as usize;
+        let mut out = Chain::default();
+        let mut depth = 0;
+        for step in 0..steps {
+            let (new, touched) = mutate(&list, flips, seed * 1000 + step);
+            let (run, trace) = cold(policy, &new);
+            let adj = ListAdjacency::build(&list, &new, n);
+            let mut rows = RowCache::new(&adj);
+            out.attempts += 1;
+            match simulate(policy, &view, n, &touched, &mut rows, LIMITS) {
+                Ok(sim) => {
+                    out.hits += 1;
+                    depth += 1;
+                    out.longest = out.longest.max(depth);
+                    let at = format!("{policy:?} seed {seed} step {step}");
+                    assert_eq!(
+                        sim.best_density.to_bits(),
+                        run.best_density.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(sim.best_pass, run.best_pass, "{at}");
+                    assert_eq!(sim.passes, run.passes, "{at}");
+                    for (a, b) in sim.best_sides().iter().zip(&run.best_sides) {
+                        assert_eq!(a.to_vec(), b.to_vec(), "{at}");
+                    }
+                    assert_matches_cold(&sim.trace, &trace);
+                    view = sim.trace;
                 }
                 // A fallback (threshold drift past a recorded survivor)
-                // is legitimate: the engine re-peels then. Exactness is
-                // asserted on every hit; the hit rate below guards
-                // against the simulation degenerating to always-fallback.
+                // is legitimate: the engine re-peels then, and so does
+                // the chain.
+                Err(_) => {
+                    depth = 0;
+                    view = TraceView::new(trace);
+                }
+            }
+            list = new;
+        }
+        out
+    }
+
+    /// Steps per chain: every chain runs this many deltas.
+    const STEPS: u64 = 10;
+
+    #[test]
+    fn undirected_simulation_matches_cold() {
+        BUCKET_BUILDS.with(|c| c.set(0));
+        let mut total = Chain::default();
+        for seed in 0..12u64 {
+            for epsilon in [0.25, 0.5, 1.0] {
+                let list = random_list(60, 150, GraphKind::Undirected, 100 + seed);
+                let policy = IncPolicy::Threshold { epsilon };
+                let view = TraceView::new(cold(policy, &list).1);
+                total.add(chain(policy, list, view, STEPS, 3, 200 + seed));
             }
         }
         assert!(
-            hits * 3 >= total,
-            "incremental hit rate collapsed: {hits}/{total}"
+            total.hits * 3 >= total.attempts,
+            "incremental hit rate collapsed: {}/{}",
+            total.hits,
+            total.attempts
         );
+        assert!(total.longest >= 8, "longest chain {}", total.longest);
+        // The threshold slow path (a recorded removal above the shifted
+        // threshold) builds buckets; the fast path never does.
+        assert!(BUCKET_BUILDS.with(Cell::get) > 0, "slow path never ran");
     }
 
     #[test]
     fn k_floor_simulation_matches_cold() {
-        let limits = SimLimits {
-            max_affected: usize::MAX,
-            max_restarts: 64,
-        };
-        let (mut hits, mut total) = (0, 0);
+        BUCKET_BUILDS.with(|c| c.set(0));
+        let mut total = Chain::default();
         for seed in 0..10u64 {
-            let old = random_list(50, 120, GraphKind::Undirected, 300 + seed);
-            let (new, touched) = mutate(&old, 2, 400 + seed);
-            let csr_old = CsrUndirected::from_edge_list(&old);
-            let csr_new = CsrUndirected::from_edge_list(&new);
             for k in [4usize, 12] {
-                let eps = 0.5;
-                let (_, trace) = {
-                    let mut store = CsrUndirectedStore::new(&csr_old);
-                    let mut policy = KFloorPolicy::new(k, eps);
-                    peel_traced(&mut store, &mut policy, &KernelConfig::default())
-                };
-                let (cold, cold_trace) = {
-                    let mut store = CsrUndirectedStore::new(&csr_new);
-                    let mut policy = KFloorPolicy::new(k, eps);
-                    peel_traced(&mut store, &mut policy, &KernelConfig::default())
-                };
-                let adj = ListAdjacency::build(&old, &new, old.num_nodes as usize);
-                total += 1;
-                if let Ok(sim) = simulate(
-                    IncPolicy::KFloor { k, epsilon: eps },
-                    &trace,
-                    old.num_nodes as usize,
-                    &touched,
-                    &adj,
-                    limits,
-                ) {
-                    hits += 1;
-                    assert_eq!(sim.best_density.to_bits(), cold.best_density.to_bits());
-                    assert_eq!(sim.passes, cold.passes);
-                    assert_eq!(sim.best_sides[0].to_vec(), cold.best_sides[0].to_vec());
-                    assert_same_trace(&sim.trace, &cold_trace);
-                }
+                let list = random_list(50, 120, GraphKind::Undirected, 300 + seed);
+                let policy = IncPolicy::KFloor { k, epsilon: 0.5 };
+                let view = TraceView::new(cold(policy, &list).1);
+                total.add(chain(policy, list, view, STEPS, 2, 400 + seed));
             }
         }
         assert!(
-            hits * 3 >= total,
-            "incremental hit rate collapsed: {hits}/{total}"
+            total.hits * 3 >= total.attempts,
+            "incremental hit rate collapsed: {}/{}",
+            total.hits,
+            total.attempts
+        );
+        // A k-floor hit records its successor as a conservative bound
+        // without a witness, so the next delta simulated from it falls
+        // back ("k-floor clamp crosses unseen candidates") and the chain
+        // re-bases: k-floor chains end after one hit.
+        assert!(total.longest >= 1, "no k-floor hit");
+        assert!(
+            BUCKET_BUILDS.with(Cell::get) > 0,
+            "k-floor never built buckets"
         );
     }
 
     #[test]
     fn directed_simulation_matches_cold_per_ratio() {
-        let limits = SimLimits {
-            max_affected: usize::MAX,
-            max_restarts: 64,
-        };
-        let (mut hits, mut total) = (0, 0);
-        for seed in 0..8u64 {
-            let old = random_list(40, 160, GraphKind::Directed, 500 + seed);
-            let (new, touched) = mutate(&old, 2, 600 + seed);
-            let csr_old = CsrDirected::from_edge_list(&old);
-            let csr_new = CsrDirected::from_edge_list(&new);
-            let (_, traces) = sweep_c_csr_traced(&csr_old, 2.0, 0.5);
-            let adj = ListAdjacency::build(&old, &new, old.num_nodes as usize);
-            for (c, trace) in &traces {
-                let cold = {
-                    let mut store = CsrDirectedStore::new(&csr_new);
-                    let mut policy = crate::kernel::DirectedSizesPolicy::new(*c, 0.5);
-                    peel_traced(&mut store, &mut policy, &KernelConfig::default())
-                };
-                total += 1;
-                if let Ok(sim) = simulate(
-                    IncPolicy::DirectedSizes {
-                        c: *c,
-                        epsilon: 0.5,
-                    },
-                    trace,
-                    old.num_nodes as usize,
-                    &touched,
-                    &adj,
-                    limits,
-                ) {
-                    hits += 1;
-                    assert_eq!(sim.best_density.to_bits(), cold.0.best_density.to_bits());
-                    assert_eq!(sim.passes, cold.0.passes);
-                    assert_eq!(sim.best_sides[0].to_vec(), cold.0.best_sides[0].to_vec());
-                    assert_eq!(sim.best_sides[1].to_vec(), cold.0.best_sides[1].to_vec());
-                    assert_same_trace(&sim.trace, &cold.1);
-                }
+        let mut total = Chain::default();
+        // Longer chains than the undirected tests: a node patched by
+        // one hit must be clipped when a later, shorter run outlives it.
+        for seed in 0..16u64 {
+            let list = random_list(40, 160, GraphKind::Directed, 500 + seed);
+            let (_, traces) = sweep_c_csr_traced(&CsrDirected::from_edge_list(&list), 2.0, 0.5);
+            for (c, trace) in traces {
+                let policy = IncPolicy::DirectedSizes { c, epsilon: 0.5 };
+                let view = TraceView::new(trace);
+                total.add(chain(policy, list.clone(), view, 2 * STEPS, 2, 600 + seed));
             }
         }
         assert!(
-            hits * 4 >= total,
-            "incremental hit rate collapsed: {hits}/{total}"
+            total.hits * 4 >= total.attempts,
+            "incremental hit rate collapsed: {}/{}",
+            total.hits,
+            total.attempts
         );
+        assert!(total.longest >= 8, "longest chain {}", total.longest);
     }
 
     #[test]
     fn node_growth_is_supported_undirected() {
-        let limits = SimLimits {
-            max_affected: usize::MAX,
-            max_restarts: 64,
-        };
         let old = random_list(30, 80, GraphKind::Undirected, 900);
         let mut new = old.clone();
         // Attach two fresh nodes to the graph.
@@ -1222,50 +1569,31 @@ mod tests {
         new.push(5, 31);
         new.num_nodes = 32;
         new.canonicalize();
-        let csr_old = CsrUndirected::from_edge_list(&old);
-        let csr_new = CsrUndirected::from_edge_list(&new);
-        let (_, trace) = {
-            let mut store = CsrUndirectedStore::new(&csr_old);
-            let mut policy = ThresholdPolicy::new(0.5);
-            peel_traced(&mut store, &mut policy, &KernelConfig::default())
-        };
-        let cold = {
-            let mut store = CsrUndirectedStore::new(&csr_new);
-            let mut policy = ThresholdPolicy::new(0.5);
-            peel_traced(&mut store, &mut policy, &KernelConfig::default())
-        };
+        let policy = IncPolicy::Threshold { epsilon: 0.5 };
+        let view = TraceView::new(cold(policy, &old).1);
+        let (run, trace) = cold(policy, &new);
         let adj = ListAdjacency::build(&old, &new, 32);
-        let sim = simulate(
-            IncPolicy::Threshold { epsilon: 0.5 },
-            &trace,
-            32,
-            &[2, 5, 30, 31],
-            &adj,
-            limits,
-        )
-        .expect("growth simulation succeeds");
-        assert_eq!(sim.best_density.to_bits(), cold.0.best_density.to_bits());
-        assert_eq!(sim.best_sides[0].to_vec(), cold.0.best_sides[0].to_vec());
-        assert_same_trace(&sim.trace, &cold.1);
+        let mut rows = RowCache::new(&adj);
+        let sim = simulate(policy, &view, 32, &[2, 5, 30, 31], &mut rows, LIMITS)
+            .expect("growth simulation succeeds");
+        assert_eq!(sim.best_density.to_bits(), run.best_density.to_bits());
+        assert_eq!(sim.best_sides()[0].to_vec(), run.best_sides[0].to_vec());
+        assert_matches_cold(&sim.trace, &trace);
     }
 
     #[test]
     fn affected_cap_forces_fallback() {
         let old = random_list(40, 100, GraphKind::Undirected, 77);
         let (new, touched) = mutate(&old, 5, 78);
-        let csr_old = CsrUndirected::from_edge_list(&old);
-        let (_, trace) = {
-            let mut store = CsrUndirectedStore::new(&csr_old);
-            let mut policy = ThresholdPolicy::new(0.5);
-            peel_traced(&mut store, &mut policy, &KernelConfig::default())
-        };
+        let policy = IncPolicy::Threshold { epsilon: 0.5 };
+        let view = TraceView::new(cold(policy, &old).1);
         let adj = ListAdjacency::build(&old, &new, old.num_nodes as usize);
         let res = simulate(
-            IncPolicy::Threshold { epsilon: 0.5 },
-            &trace,
+            policy,
+            &view,
             old.num_nodes as usize,
             &touched,
-            &adj,
+            &mut RowCache::new(&adj),
             SimLimits {
                 max_affected: 0,
                 max_restarts: 8,
@@ -1290,20 +1618,16 @@ mod tests {
         let old = random_list(400, 1600, GraphKind::Undirected, 21);
         let (new, touched) = mutate(&old, 120, 22);
         assert!(touched.len() > 9, "delta must overflow the cap");
-        let csr_old = CsrUndirected::from_edge_list(&old);
-        let (_, trace) = {
-            let mut store = CsrUndirectedStore::new(&csr_old);
-            let mut policy = ThresholdPolicy::new(0.5);
-            peel_traced(&mut store, &mut policy, &KernelConfig::default())
-        };
+        let policy = IncPolicy::Threshold { epsilon: 0.5 };
+        let view = TraceView::new(cold(policy, &old).1);
         let adj = ListAdjacency::build(&old, &new, old.num_nodes as usize);
         for cap in [0usize, 3, 8] {
             let fb = match simulate(
-                IncPolicy::Threshold { epsilon: 0.5 },
-                &trace,
+                policy,
+                &view,
                 old.num_nodes as usize,
                 &touched,
-                &adj,
+                &mut RowCache::new(&adj),
                 SimLimits {
                     max_affected: cap,
                     max_restarts: 8,

@@ -60,7 +60,8 @@ pub use directed::{
 };
 pub use enumerate::{enumerate_dense_subgraphs, Community, EnumerateOptions};
 pub use incremental::{
-    simulate, AffectedAdjacency, IncPolicy, SimFallback, SimLimits, SimSuccess, THRESHOLD_REASON,
+    simulate, AffectedAdjacency, IncPolicy, RowCache, SimFallback, SimLimits, SimSuccess,
+    TraceView, THRESHOLD_REASON,
 };
 pub use kernel::{DegreeStore, PeelTrace, PeelingKernel, RemovalPolicy, TracePass};
 pub use large::{

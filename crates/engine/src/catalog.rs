@@ -219,11 +219,7 @@ pub struct NamedGraph {
     state: Mutex<DeltaGraph>,
     snapshot: RwLock<Arc<CatalogEntry>>,
     last_used: AtomicU64,
-    /// Total delta edges ever applied — the engine's warm-restart ratio
-    /// is computed from the growth of this counter between versions.
-    cum_delta: AtomicU64,
     warm_hits: AtomicU64,
-    warm_fallbacks: AtomicU64,
     /// Mutation journal (see [`Journal`]). Lock order: taken while
     /// holding `state` (a leaf — never held across another
     /// acquisition).
@@ -261,19 +257,9 @@ impl NamedGraph {
             .clone()
     }
 
-    /// Total delta edges ever applied to this graph.
-    pub fn cum_delta(&self) -> u64 {
-        self.cum_delta.load(Ordering::Relaxed)
-    }
-
     /// Records a warm-restart replay/re-peel on this graph.
     pub fn record_warm_hit(&self) {
         self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a warm-restart fallback (delta ratio too high).
-    pub fn record_warm_fallback(&self) {
-        self.warm_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a query answered by the incremental tier.
@@ -322,7 +308,7 @@ impl NamedGraph {
             delta_edges,
             compactions,
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_fallbacks: self.warm_fallbacks.load(Ordering::Relaxed),
+            warm_fallbacks: 0,
             incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
             incremental_fallbacks: self.incremental_fallbacks.load(Ordering::Relaxed),
             wal_bytes: wal.wal_bytes,
@@ -351,11 +337,12 @@ pub struct NamedGraphStats {
     pub compactions: u64,
     /// Warm-restart replays/re-peels served on this graph.
     pub warm_hits: u64,
-    /// Warm-restart fallbacks (delta ratio too high) on this graph.
+    /// Always 0: every seeded re-peel counts as a warm hit. Kept so the
+    /// `stats` schema stays put.
     pub warm_fallbacks: u64,
     /// Queries answered by the incremental tier on this graph.
     pub incremental_hits: u64,
-    /// Incremental attempts that fell back to warm/cold on this graph.
+    /// Incremental attempts that fell back to a re-peel on this graph.
     pub incremental_fallbacks: u64,
     /// Bytes currently in the graph's WAL (0 when not durable).
     pub wal_bytes: u64,
@@ -952,9 +939,7 @@ impl GraphCatalog {
             state: Mutex::new(delta),
             snapshot: RwLock::new(snapshot),
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed) + 1),
-            cum_delta: AtomicU64::new(applied),
             warm_hits: AtomicU64::new(0),
-            warm_fallbacks: AtomicU64::new(0),
             journal: Mutex::new(Journal {
                 epoch: 1,
                 ops: Vec::new(),
@@ -1077,7 +1062,6 @@ impl GraphCatalog {
             }
             let snapshot = Self::named_snapshot(graph.fingerprint, version, &state, journal_mark);
             *graph.snapshot.write().expect("named graph lock poisoned") = snapshot.clone();
-            graph.cum_delta.fetch_add(applied, Ordering::Relaxed);
             self.mutations.fetch_add(1, Ordering::Relaxed);
             snapshot
         } else {
@@ -1155,9 +1139,7 @@ impl GraphCatalog {
                     state: Mutex::new(g.state),
                     snapshot: RwLock::new(snapshot),
                     last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed) + 1),
-                    cum_delta: AtomicU64::new(0),
                     warm_hits: AtomicU64::new(0),
-                    warm_fallbacks: AtomicU64::new(0),
                     journal: Mutex::new(Journal {
                         epoch: 1,
                         ops: Vec::new(),

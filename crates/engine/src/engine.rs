@@ -42,18 +42,19 @@
 //!   density recomputed from the CSR and compared) and the stored
 //!   report is replayed. Byte-identical to recomputing by construction —
 //!   the graph is the same graph.
-//! * **Warm re-peel** — if the content changed but the delta since the
-//!   seed stays under [`Engine::set_warm_threshold`] (as a fraction of
-//!   the current edge count), the kernel re-peels the already-
-//!   materialized snapshot (counted as a warm hit: versus the file
-//!   world, the session skipped the rewrite → reload → re-canonicalize
-//!   → re-fingerprint pipeline; the re-peel itself is bounded by the
-//!   same `O(log n)` pass bound as a cold run and executes the
-//!   *identical* kernel over the *identical* materialized graph, so
-//!   density/set/passes stay byte-identical to cold recompute —
-//!   asserted by the parity suite and the `repro mutate` experiment).
-//! * **Fallback** — a delta ratio above the threshold is counted as a
-//!   warm fallback and runs the plain cold path.
+//! * **Incremental re-peel** — if the content changed, the seed's peel
+//!   traces replay the journaled delta through the trace simulator
+//!   ([`crate::incremental`]): a hit costs the affected region's share
+//!   of the passes, not a pass over the graph, and is re-scored against
+//!   the snapshot before it is answered.
+//! * **Full re-peel** — when the incremental tier falls back (or is
+//!   disabled), the kernel re-peels the already-materialized snapshot
+//!   and the run re-bases the seed. It counts as a warm hit: versus the
+//!   file world, the session skipped the rewrite → reload →
+//!   re-canonicalize → re-fingerprint pipeline, and the re-peel
+//!   executes the *identical* kernel over the *identical* materialized
+//!   graph, so density/set/passes stay byte-identical to cold recompute
+//!   — asserted by the parity suite and the `repro mutate` experiment.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,37 +76,32 @@ use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
 use crate::report::{Outcome, Report, ShuffleStats};
 use crate::result_cache::{CacheKey, GraphId, ResultCache};
 
-/// Default warm-restart fallback threshold: delta edges since the seed,
-/// as a fraction of the current edge count.
-pub const DEFAULT_WARM_THRESHOLD: f64 = 0.25;
-
 /// Default incremental-tier fallback threshold: the affected set may
 /// grow to this fraction of the node count before the simulation gives
-/// up and the query falls through to the warm/cold paths.
+/// up and the query falls through to a full re-peel.
 pub const DEFAULT_INCREMENTAL_THRESHOLD: f64 = 0.05;
 
 /// Upper bound on retained warm seeds (the map is cleared wholesale
 /// beyond it — seeds are an optimization, not state).
 const MAX_WARM_SEEDS: usize = 256;
 
-/// A recovered mutation-journal window: the `(add, u, v)` ops from the
-/// seed's base position to the current snapshot, plus the offset of the
-/// trace's position within them.
-type JournalWindow = (Vec<(bool, u32, u32)>, usize);
-
-/// Warm-restart counters (also kept per graph — see the `stats` op).
+/// Hit/fallback counters of a seeded tier (also kept per graph — see
+/// the `stats` op).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Queries served via verified replay or warm re-peel.
+    /// [`Engine::warm_stats`]: queries served by verified replay or by a
+    /// full re-peel of a seeded query. [`Engine::incremental_stats`]:
+    /// queries the incremental tier answered.
     pub hits: u64,
-    /// Queries with a seed whose delta ratio forced a cold run.
+    /// [`Engine::incremental_stats`]: incremental attempts that fell
+    /// back. Always 0 for [`Engine::warm_stats`] — every seeded re-peel
+    /// counts as a hit — and kept so the `stats` schema stays put.
     pub fallbacks: u64,
 }
 
 /// The last computed report for one `(graph, query)` pair, kept so the
 /// next version of the graph can warm-restart from it.
 struct WarmSeed {
-    cum_delta: u64,
     content_hash: u64,
     report: Arc<Report>,
     /// Incremental-tier state: the base snapshot, journal position, and
@@ -145,8 +141,6 @@ pub struct Engine {
     results: ResultCache,
     seeds: Mutex<HashMap<CacheKey, WarmSeed>>,
     warm_hits: AtomicU64,
-    warm_fallbacks: AtomicU64,
-    warm_threshold_bits: AtomicU64,
     incremental_hits: AtomicU64,
     incremental_fallbacks: AtomicU64,
     incremental_threshold_bits: AtomicU64,
@@ -166,8 +160,6 @@ impl Default for Engine {
             results: ResultCache::default(),
             seeds: Mutex::new(HashMap::new()),
             warm_hits: AtomicU64::new(0),
-            warm_fallbacks: AtomicU64::new(0),
-            warm_threshold_bits: AtomicU64::new(DEFAULT_WARM_THRESHOLD.to_bits()),
             incremental_hits: AtomicU64::new(0),
             incremental_fallbacks: AtomicU64::new(0),
             incremental_threshold_bits: AtomicU64::new(DEFAULT_INCREMENTAL_THRESHOLD.to_bits()),
@@ -199,26 +191,12 @@ impl Engine {
         &self.results
     }
 
-    /// Warm-restart counters so far.
+    /// Warm-restart counters so far (`fallbacks` is always 0).
     pub fn warm_stats(&self) -> WarmStats {
         WarmStats {
             hits: self.warm_hits.load(Ordering::Relaxed),
-            fallbacks: self.warm_fallbacks.load(Ordering::Relaxed),
+            fallbacks: 0,
         }
-    }
-
-    /// Re-bounds the warm-restart fallback: a query whose graph changed
-    /// by more than `threshold × current edges` since its seed runs
-    /// cold. 0 disables warm re-peels (verified replays of *unchanged*
-    /// content still apply).
-    pub fn set_warm_threshold(&self, threshold: f64) {
-        self.warm_threshold_bits
-            .store(threshold.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// The configured warm-restart fallback threshold.
-    pub fn warm_threshold(&self) -> f64 {
-        f64::from_bits(self.warm_threshold_bits.load(Ordering::Relaxed))
     }
 
     /// Incremental-tier counters so far.
@@ -230,8 +208,8 @@ impl Engine {
     }
 
     /// Re-bounds the incremental tier: the simulated affected set may
-    /// grow to `threshold × nodes` before the tier falls back to the
-    /// warm/cold paths. 0 disables the tier entirely (no trace capture,
+    /// grow to `threshold × nodes` before the tier falls back to a full
+    /// re-peel. 0 disables the tier entirely (no trace capture,
     /// no attempts).
     pub fn set_incremental_threshold(&self, threshold: f64) {
         self.incremental_threshold_bits
@@ -587,7 +565,7 @@ impl Engine {
                         // previous version of this exact query.
                         let warm_ctx = if warm_eligible(query, &plan) {
                             let seed_key = key.versionless();
-                            let (decision, inc) = self.warm_decision(&seed_key, &graph, &entry);
+                            let decision = self.warm_decision(&seed_key, &entry);
                             if let WarmDecision::Replay(stored) = decision {
                                 graph.record_warm_hit();
                                 self.warm_hits.fetch_add(1, Ordering::Relaxed);
@@ -608,30 +586,24 @@ impl Engine {
                                 report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
                                 return Ok(report);
                             }
-                            // Incremental tier — between verified replay
-                            // and warm re-peel: replay the journal delta
-                            // through the trace simulator and answer
-                            // from the affected region only.
-                            if let Some(inc) = inc {
-                                if let Some(report) = self.try_incremental(
-                                    &inc, &graph, &entry, &seed_key, &key, source, query, policy,
-                                    &plan, started,
-                                ) {
-                                    return Ok(report);
+                            if let WarmDecision::Repeel(inc) = decision {
+                                // Incremental tier — between verified
+                                // replay and the full re-peel: replay the
+                                // journal delta through the trace
+                                // simulator and answer from the affected
+                                // region only.
+                                if let Some(inc) = inc {
+                                    if let Some(report) = self.try_incremental(
+                                        &inc, &graph, &entry, &seed_key, &key, source, query,
+                                        policy, &plan, started,
+                                    ) {
+                                        return Ok(report);
+                                    }
                                 }
+                                graph.record_warm_hit();
+                                self.warm_hits.fetch_add(1, Ordering::Relaxed);
                             }
-                            match decision {
-                                WarmDecision::Warm => {
-                                    graph.record_warm_hit();
-                                    self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                WarmDecision::Fallback => {
-                                    graph.record_warm_fallback();
-                                    self.warm_fallbacks.fetch_add(1, Ordering::Relaxed);
-                                }
-                                WarmDecision::Cold | WarmDecision::Replay(_) => {}
-                            }
-                            Some((graph, seed_key))
+                            Some(seed_key)
                         } else {
                             None
                         };
@@ -663,17 +635,11 @@ impl Engine {
                     if entry.cacheable && meta == entry.stored_meta {
                         self.results.insert(key, &report);
                     }
-                    if let Some((graph, seed_key)) = warm_ctx {
+                    if let Some(seed_key) = warm_ctx {
                         // A fresh full run re-bases the incremental
                         // seed: this snapshot becomes the base.
-                        let inc = traces.map(|t| {
-                            Arc::new(IncSeed {
-                                base: entry.clone(),
-                                cur_pos: entry.journal_pos,
-                                traces: t,
-                            })
-                        });
-                        self.store_seed(seed_key, &graph, &entry, &report, inc);
+                        let inc = traces.map(|t| Arc::new(IncSeed::fresh(entry.clone(), t)));
+                        self.store_seed(seed_key, &entry, &report, inc);
                     }
                     return Ok(report);
                 }
@@ -686,30 +652,21 @@ impl Engine {
     }
 
     /// Decides how a named-graph query relates to its warm seed — see
-    /// the module docs for the three-way contract. The seed lock is
-    /// held only for the map lookup (a few clones of `Copy` fields and
-    /// an `Arc`); the candidate re-verification — which may build the
-    /// snapshot's CSR — runs after it is released, so concurrent
-    /// named-graph queries never serialize on a CSR build.
-    /// The second value is the incremental-tier seed to try *before*
-    /// acting on a `Warm`/`Fallback` decision (`None` on replay/cold —
-    /// replay already answered, cold has nothing to simulate from).
-    fn warm_decision(
-        &self,
-        seed_key: &CacheKey,
-        graph: &NamedGraph,
-        entry: &CatalogEntry,
-    ) -> (WarmDecision, Option<Arc<IncSeed>>) {
+    /// the module docs for the contract. The seed lock is held only for
+    /// the map lookup (a few clones of `Copy` fields and an `Arc`); the
+    /// candidate re-verification — which may build the snapshot's CSR —
+    /// runs after it is released, so concurrent named-graph queries
+    /// never serialize on a CSR build.
+    fn warm_decision(&self, seed_key: &CacheKey, entry: &CatalogEntry) -> WarmDecision {
         let seed = {
             let seeds = self.seeds.lock().expect("warm seed lock poisoned");
             match seeds.get(seed_key) {
                 Some(seed) => WarmSeed {
-                    cum_delta: seed.cum_delta,
                     content_hash: seed.content_hash,
                     report: seed.report.clone(),
                     inc: seed.inc.clone(),
                 },
-                None => return (WarmDecision::Cold, None),
+                None => return WarmDecision::Cold,
             }
         };
         if seed.content_hash == entry.content_hash {
@@ -719,18 +676,11 @@ impl Engine {
             // collision, in practice unreachable) falls through to a
             // cold run rather than ever replaying an unverified result.
             if verify_candidate(&seed.report, entry) {
-                return (WarmDecision::Replay(seed.report), None);
+                return WarmDecision::Replay(seed.report);
             }
-            return (WarmDecision::Cold, None);
+            return WarmDecision::Cold;
         }
-        let delta = graph.cum_delta().saturating_sub(seed.cum_delta);
-        let ratio = delta as f64 / entry.meta.edges.max(1) as f64;
-        let decision = if ratio <= self.warm_threshold() {
-            WarmDecision::Warm
-        } else {
-            WarmDecision::Fallback
-        };
-        (decision, seed.inc)
+        WarmDecision::Repeel(seed.inc)
     }
 
     /// Stores the completed report as the warm seed of its
@@ -740,7 +690,6 @@ impl Engine {
     fn store_seed(
         &self,
         seed_key: CacheKey,
-        graph: &NamedGraph,
         entry: &CatalogEntry,
         report: &Report,
         inc: Option<Arc<IncSeed>>,
@@ -756,7 +705,6 @@ impl Engine {
         seeds.insert(
             seed_key,
             WarmSeed {
-                cum_delta: graph.cum_delta(),
                 content_hash: entry.content_hash,
                 report: stored,
                 inc,
@@ -764,15 +712,15 @@ impl Engine {
         );
     }
 
-    /// Recovers the journal window `base.journal_pos..entry.journal_pos`
-    /// plus the offset of the trace's position within it, or the reason
-    /// the seed's window is unusable.
+    /// Recovers the journal ops `inc.cur_pos..entry.journal_pos` — the
+    /// delta since the traces' position — or the reason the seed's
+    /// window is unusable.
     fn incremental_ops(
         &self,
         inc: &IncSeed,
         graph: &NamedGraph,
         entry: &CatalogEntry,
-    ) -> std::result::Result<JournalWindow, &'static str> {
+    ) -> std::result::Result<Vec<(bool, u32, u32)>, &'static str> {
         if entry.journal_epoch != inc.base.journal_epoch {
             return Err("journal epoch changed since the base snapshot");
         }
@@ -780,17 +728,16 @@ impl Engine {
         if inc.cur_pos < base_pos || entry.journal_pos < inc.cur_pos {
             return Err("journal window is not monotone");
         }
-        // Stitching cost grows with the whole window back to the base;
-        // past this bound a warm re-peel (which stores a fresh base) is
-        // the better deal.
+        // The edge window and the patch grow with the whole window back
+        // to the base; past this bound a full re-peel (which stores a
+        // fresh base) is the better deal.
         let total = (entry.journal_pos - base_pos) as usize;
         if total > 64.max(entry.meta.edges as usize / 2) {
             return Err("base snapshot too stale");
         }
-        let ops = graph
-            .journal_ops(inc.base.journal_epoch, base_pos, entry.journal_pos)
-            .ok_or("journal moved past the base snapshot")?;
-        Ok((ops, (inc.cur_pos - base_pos) as usize))
+        graph
+            .journal_ops(inc.base.journal_epoch, inc.cur_pos, entry.journal_pos)
+            .ok_or("journal moved past the base snapshot")
     }
 
     /// The incremental tier: journal replay → trace simulation →
@@ -820,9 +767,7 @@ impl Engine {
         let result = self
             .incremental_ops(inc, graph, entry)
             .map_err(dsg_core::incremental::SimFallback::from)
-            .and_then(|(ops, cur_off)| {
-                crate::incremental::attempt(inc, &ops, cur_off, entry, query, threshold)
-            });
+            .and_then(|ops| crate::incremental::attempt(inc, &ops, entry, query, threshold));
         match result {
             Ok(out) => {
                 graph.record_incremental_hit();
@@ -846,16 +791,16 @@ impl Engine {
                     assemble_report(source, query, policy, plan, out.outcome, exec, started);
                 self.results.insert(key.clone(), &report);
                 // Advance the seed in place: same base, new journal
-                // position, the refreshed traces.
+                // position, the refreshed traces and edge window.
                 self.store_seed(
                     seed_key.clone(),
-                    graph,
                     entry,
                     &report,
                     Some(Arc::new(IncSeed {
                         base: inc.base.clone(),
                         cur_pos: entry.journal_pos,
                         traces: out.traces,
+                        window: Arc::new(out.window),
                     })),
                 );
                 Some(report)
@@ -986,7 +931,7 @@ impl Engine {
                     &entry.csr_undirected(),
                     epsilon,
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::Undirected(trace))));
+                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
             }
             (
                 Algorithm::Approx {
@@ -1000,7 +945,7 @@ impl Engine {
                     epsilon,
                     threads,
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::Undirected(trace))));
+                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
             }
             (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) if want_trace => {
                 let (run, trace) = dsg_core::large::approx_densest_at_least_k_csr_traced(
@@ -1008,7 +953,7 @@ impl Engine {
                     k,
                     epsilon.max(1e-6),
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::Undirected(trace))));
+                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
             }
             (Algorithm::AtLeastK { k, epsilon }, Backend::ParallelCsr { threads })
                 if want_trace =>
@@ -1019,12 +964,12 @@ impl Engine {
                     epsilon.max(1e-6),
                     threads,
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::Undirected(trace))));
+                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
             }
             (Algorithm::Directed { delta, epsilon }, Backend::InMemorySerial) if want_trace => {
                 let (sweep, traces) =
                     dsg_core::directed::sweep_c_csr_traced(&entry.csr_directed(), delta, epsilon);
-                return Ok((Outcome::Sweep(sweep), Some(TraceSet::Directed(traces))));
+                return Ok((Outcome::Sweep(sweep), Some(TraceSet::directed(traces))));
             }
             (Algorithm::Directed { delta, epsilon }, Backend::ParallelCsr { threads })
                 if want_trace =>
@@ -1035,7 +980,7 @@ impl Engine {
                     epsilon,
                     threads,
                 );
-                return Ok((Outcome::Sweep(sweep), Some(TraceSet::Directed(traces))));
+                return Ok((Outcome::Sweep(sweep), Some(TraceSet::directed(traces))));
             }
             (Algorithm::Approx { epsilon, .. }, Backend::InMemorySerial) => Ok(Outcome::Run(
                 dsg_core::undirected::approx_densest_csr(&entry.csr_undirected(), epsilon),
@@ -1140,10 +1085,9 @@ impl Engine {
 enum WarmDecision {
     /// Content unchanged and the candidate re-verified: replay the seed.
     Replay(Arc<Report>),
-    /// Small delta: warm re-peel (counted as a hit).
-    Warm,
-    /// Delta ratio above the threshold: cold run (counted).
-    Fallback,
+    /// Content changed: try the incremental tier from the seed's traces
+    /// (when it kept any), else re-peel the snapshot (counted as a hit).
+    Repeel(Option<Arc<IncSeed>>),
     /// No usable seed: plain cold run (not counted).
     Cold,
 }

@@ -83,10 +83,7 @@ pub use catalog::{
     CatalogEntry, CatalogStats, GraphCatalog, MutateOp, MutationOutcome, NamedGraph,
     NamedGraphStats,
 };
-pub use engine::{
-    mr_edge_splits, Engine, ServeReport, WarmStats, DEFAULT_INCREMENTAL_THRESHOLD,
-    DEFAULT_WARM_THRESHOLD,
-};
+pub use engine::{mr_edge_splits, Engine, ServeReport, WarmStats, DEFAULT_INCREMENTAL_THRESHOLD};
 pub use error::{EngineError, Result};
 pub use incremental::IncrementalDebug;
 pub use persistence::{RecoveryStats, WalStats, DEFAULT_FSYNC_EVERY, DEFAULT_SNAPSHOT_EVERY};

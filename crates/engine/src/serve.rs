@@ -269,7 +269,7 @@ pub struct ServeSummary {
     /// Named-graph queries answered by the incremental tier (delta
     /// re-peel verified against the published snapshot).
     pub incremental_hits: u64,
-    /// Incremental attempts that fell back to the warm/cold paths.
+    /// Incremental attempts that fell back to a full re-peel.
     pub incremental_fallbacks: u64,
 }
 

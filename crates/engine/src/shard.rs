@@ -305,7 +305,6 @@ fn shard_engine(
         .catalog()
         .set_compact_ratio(template.catalog().compact_ratio());
     engine.results().set_budget(template.results().budget());
-    engine.set_warm_threshold(template.warm_threshold());
     engine.set_incremental_threshold(template.incremental_threshold());
     engine.set_mapreduce_spill(template.mapreduce_spill());
     if let Some(dir) = &options.data_dir {

@@ -46,6 +46,10 @@ pub use csr::{CsrDirected, CsrUndirected};
 pub use delta::DeltaGraph;
 pub use edgelist::{EdgeList, GraphKind};
 pub use rng::SplitMix64;
+/// The Fx hash containers the graph crates share: deterministic and fast
+/// on small integer keys. Re-exported so crates built on this one use
+/// the same hasher without a dependency of their own.
+pub use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Node identifier. Graphs are addressed by dense ids `0..num_nodes`.
 pub type NodeId = u32;

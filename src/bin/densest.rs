@@ -29,8 +29,8 @@ const USAGE: &str =
      [--flow-backend dinic|push-relabel] [--json] [--quiet]\n\
        densest serve [--socket <path>] [--workers n] [--max-connections n] [--shards n] \
      [--shard-spill edges] [--threads n] [--memory-budget bytes] [--max-graphs n] \
-     [--result-cache bytes] [--warm-threshold f] [--incremental-threshold f] \
-     [--compact-ratio f] [--data-dir <path>] [--fsync-every n] [--snapshot-every n] [--quiet]\n\
+     [--result-cache bytes] [--incremental-threshold f] [--compact-ratio f] \
+     [--data-dir <path>] [--fsync-every n] [--snapshot-every n] [--quiet]\n\
        densest client --socket <path> [--repeat n] [--parallel n] [--graph-per-conn] \
      [--binary] [--pipeline n]\n\
        densest --help";
@@ -136,11 +136,10 @@ mutable graph sessions (serve mode):
   re-peeled, verified against the published snapshot before answering
   (--incremental-threshold bounds the affected set at that fraction of
   the nodes, default 0.05; 0 disables the tier). Past that, a warm
-  restart re-peels from the previous version's result where the delta is
-  small (--warm-threshold, default 0.25; delta logs auto-compact past
-  --compact-ratio x base edges, default 1). The stats op reports
-  per-graph version/delta_edges/compactions plus warm and incremental
-  hit/fallback counters.
+  restart re-peels the already-materialized snapshot (delta logs
+  auto-compact past --compact-ratio x base edges, default 1). The stats
+  op reports per-graph version/delta_edges/compactions plus warm and
+  incremental hit/fallback counters.
 
 durable sessions (serve mode):
   --data-dir <path> makes named graphs survive restarts: every session
@@ -597,7 +596,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let mut options = ServeOptions::default();
     let mut max_graphs = densest_subgraph::engine::catalog::DEFAULT_MAX_ENTRIES;
     let mut result_cache_bytes = densest_subgraph::engine::result_cache::DEFAULT_RESULT_CACHE_BYTES;
-    let mut warm_threshold: Option<f64> = None;
     let mut incremental_threshold: Option<f64> = None;
     let mut compact_ratio: Option<f64> = None;
     let mut shard_spill: Option<u64> = None;
@@ -670,14 +668,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
             "--result-cache" => {
                 result_cache_bytes = parse_budget("--result-cache", &value("--result-cache"));
             }
-            "--warm-threshold" => {
-                let t: f64 = parse_value("--warm-threshold", &value("--warm-threshold"));
-                if !t.is_finite() || t < 0.0 {
-                    eprintln!("--warm-threshold must be a finite number >= 0 (got {t})");
-                    exit(2);
-                }
-                warm_threshold = Some(t);
-            }
             "--incremental-threshold" => {
                 let t: f64 =
                     parse_value("--incremental-threshold", &value("--incremental-threshold"));
@@ -705,9 +695,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let engine = Engine::new();
     engine.catalog().set_max_entries(max_graphs);
     engine.results().set_budget(result_cache_bytes);
-    if let Some(t) = warm_threshold {
-        engine.set_warm_threshold(t);
-    }
     if let Some(t) = incremental_threshold {
         engine.set_incremental_threshold(t);
     }
@@ -796,7 +783,7 @@ fn run_serve(args: impl Iterator<Item = String>) {
         eprintln!(
             "served {} queries and {} mutations ({} errors) over {} connections (peak {} \
              concurrent): {} graph loads, {} cache hits, {} result-cache hits, {} incremental \
-             re-peels ({} fallbacks), {} warm restarts ({} fallbacks); {}",
+             re-peels ({} fallbacks), {} warm restarts; {}",
             summary.queries,
             summary.mutations,
             summary.errors,
@@ -808,7 +795,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
             summary.incremental_hits,
             summary.incremental_fallbacks,
             warm.hits,
-            warm.fallbacks,
             if summary.shutdown {
                 "shutdown requested"
             } else {

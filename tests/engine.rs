@@ -813,7 +813,7 @@ fn content_roundtrip_replays_via_verified_warm_seed() {
 }
 
 #[test]
-fn warm_fallback_when_delta_ratio_is_too_high() {
+fn large_delta_re_peels_as_a_warm_hit() {
     let engine = Engine::new();
     let policy = ResourcePolicy::default();
     let query = Query::new(Algorithm::Approx {
@@ -827,8 +827,10 @@ fn warm_fallback_when_delta_ratio_is_too_high() {
     engine
         .execute(&Source::named("g"), &query, &policy)
         .unwrap();
-    // A delta much larger than the default 0.25 x edges threshold
-    // (gnp(100, 0.08) has ~400 edges; these 200 are all new).
+    // A delta far past the incremental tier's affected-set budget
+    // (gnp(100, 0.08) has ~400 edges; these 200 are all new and bring
+    // 200 new nodes): the seeded query re-peels the snapshot, which
+    // counts as a warm hit — warm fallbacks no longer exist.
     let adds: Vec<(u32, u32)> = (0..200).map(|i| (i, i + 101)).collect();
     engine.add_edges("g", &adds).unwrap();
     let warm_before = engine.warm_stats();
@@ -836,9 +838,13 @@ fn warm_fallback_when_delta_ratio_is_too_high() {
         .execute(&Source::named("g"), &query, &policy)
         .unwrap();
     let warm_after = engine.warm_stats();
-    assert_eq!(warm_after.fallbacks, warm_before.fallbacks + 1);
-    assert_eq!(warm_after.hits, warm_before.hits);
-    // The fallback still computes the correct cold answer.
+    assert_eq!(warm_after.hits, warm_before.hits + 1);
+    assert_eq!(warm_after.fallbacks, 0);
+    assert_eq!(
+        engine.last_incremental().and_then(|d| d.reason),
+        Some(dsg_core::THRESHOLD_REASON)
+    );
+    // The re-peel computes the correct cold answer.
     let cold = cold_reference(&materialized(&engine, "g"), "g", &query, &policy);
     assert_eq!(report.json_object(false), cold.json_object(false));
 }

@@ -1,6 +1,6 @@
 //! Incremental-maintenance property suite: for random mutation
 //! sequences over named session graphs, a warm engine (verified replay →
-//! incremental re-peel → warm re-peel → cold) must answer **byte-
+//! incremental re-peel → full re-peel) must answer **byte-
 //! identically** to a control engine that recomputes cold on the same
 //! snapshot at every step. The incremental tier re-scores its candidate
 //! against the published snapshot before answering, so this holds even
@@ -81,7 +81,6 @@ fn run_sequence(
     let warm = Engine::new();
     let cold = Engine::new();
     // The control answers every query from scratch on the same snapshot.
-    cold.set_warm_threshold(0.0);
     cold.set_incremental_threshold(0.0);
 
     warm.create_graph("g", kind, &init).unwrap();
@@ -218,7 +217,6 @@ fn disabled_tier_stays_correct_and_silent() {
     let warm = Engine::new();
     warm.set_incremental_threshold(0.0);
     let cold = Engine::new();
-    cold.set_warm_threshold(0.0);
     cold.set_incremental_threshold(0.0);
     warm.create_graph("g", GraphKind::Undirected, &init)
         .unwrap();
@@ -250,7 +248,6 @@ fn tiny_threshold_forces_fallback_but_stays_correct() {
     let warm = Engine::new();
     warm.set_incremental_threshold(1e-12);
     let cold = Engine::new();
-    cold.set_warm_threshold(0.0);
     cold.set_incremental_threshold(0.0);
     warm.create_graph("g", GraphKind::Undirected, &init)
         .unwrap();
@@ -282,7 +279,6 @@ fn oversized_delta_trips_staleness_bound() {
     let init = random_batch(&mut rng, n, 200);
     let warm = Engine::new();
     let cold = Engine::new();
-    cold.set_warm_threshold(0.0);
     cold.set_incremental_threshold(0.0);
     warm.create_graph("g", GraphKind::Undirected, &init)
         .unwrap();
