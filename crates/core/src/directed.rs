@@ -19,14 +19,15 @@
 //! [`DirectedSizesPolicy`] (or the
 //! naive [`DirectedNaivePolicy`]
 //! ablation) over a streaming, decremental-CSR, or parallel-CSR
-//! [`DegreeStore`](crate::kernel::DegreeStore).
+//! [`DegreeStore`](crate::kernel::DegreeStore). In memory,
+//! [`sweep_c_csr_with`] is the one entry point (serial store init `O(n)`).
 
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::NodeSet;
 
 use crate::kernel::{
-    CsrDirectedStore, DirectedNaivePolicy, DirectedSizesPolicy, KernelRun,
-    ParallelCsrDirectedStore, PeelingKernel, StreamingDirectedStore,
+    CsrStore, DirectedNaivePolicy, DirectedSizesPolicy, KernelRun, PeelTrace, PeelingKernel,
+    StreamingDirectedStore,
 };
 use crate::result::DirectedPassStats;
 
@@ -106,6 +107,19 @@ pub fn approx_densest_directed_naive<S: EdgeStream + ?Sized>(
     DirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy), c)
 }
 
+/// Algorithm 3 at ratio `c` over a directed CSR snapshot on `store`.
+fn directed_csr(
+    g: &dsg_graph::CsrDirected,
+    c: f64,
+    epsilon: f64,
+    store: CsrStore,
+    capture: bool,
+) -> (DirectedRun, Option<PeelTrace>) {
+    let mut policy = DirectedSizesPolicy::new(c, epsilon);
+    let (run, trace) = store.peel_directed(g, &mut policy, capture);
+    (DirectedRun::from_kernel(run, c), trace)
+}
+
 /// In-memory Algorithm 3 over a directed CSR snapshot with decremental
 /// degree maintenance — produces exactly the same run as
 /// [`approx_densest_directed`] on a stream of the same graph, in
@@ -115,9 +129,7 @@ pub fn approx_densest_directed_csr(
     c: f64,
     epsilon: f64,
 ) -> DirectedRun {
-    let mut policy = DirectedSizesPolicy::new(c, epsilon);
-    let mut store = CsrDirectedStore::new(g);
-    DirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy), c)
+    directed_csr(g, c, epsilon, CsrStore::Serial, false).0
 }
 
 /// Multi-threaded in-memory Algorithm 3 with `threads` workers per pass.
@@ -131,9 +143,7 @@ pub fn approx_densest_directed_csr_parallel(
     epsilon: f64,
     threads: usize,
 ) -> DirectedRun {
-    let mut policy = DirectedSizesPolicy::new(c, epsilon);
-    let mut store = ParallelCsrDirectedStore::new(g, threads);
-    DirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy), c)
+    directed_csr(g, c, epsilon, CsrStore::Parallel(threads), false).0
 }
 
 /// Two-level sweep (extension beyond the paper): a coarse δ grid followed
@@ -161,11 +171,28 @@ pub fn sweep_c_refined_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64)
     SweepResult { best, per_c }
 }
 
+/// In-memory [`sweep_c`] on the serial or the parallel store (the two
+/// are bit-identical); `capture` adds one [`PeelTrace`] per ratio, the
+/// seed of incremental re-peeling, as `(c, trace)` pairs in grid order.
+pub fn sweep_c_csr_with(
+    g: &dsg_graph::CsrDirected,
+    delta: f64,
+    epsilon: f64,
+    store: CsrStore,
+    capture: bool,
+) -> (SweepResult, Option<Vec<(f64, PeelTrace)>>) {
+    let mut traces = Vec::new();
+    let sweep = sweep_grid(g.num_nodes(), delta, |c| {
+        let (run, trace) = directed_csr(g, c, epsilon, store, capture);
+        traces.extend(trace.map(|t| (c, t)));
+        run
+    });
+    (sweep, capture.then_some(traces))
+}
+
 /// CSR version of [`sweep_c`].
 pub fn sweep_c_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64) -> SweepResult {
-    sweep_grid(g.num_nodes(), delta, |c| {
-        approx_densest_directed_csr(g, c, epsilon)
-    })
+    sweep_c_csr_with(g, delta, epsilon, CsrStore::Serial, false).0
 }
 
 /// Multi-threaded CSR sweep: every per-`c` run uses the parallel backend.
@@ -176,48 +203,18 @@ pub fn sweep_c_csr_parallel(
     epsilon: f64,
     threads: usize,
 ) -> SweepResult {
-    sweep_grid(g.num_nodes(), delta, |c| {
-        approx_densest_directed_csr_parallel(g, c, epsilon, threads)
-    })
+    sweep_c_csr_with(g, delta, epsilon, CsrStore::Parallel(threads), false).0
 }
 
-/// [`sweep_c_csr`] with a per-ratio
-/// [`PeelTrace`](crate::kernel::PeelTrace) capture — the seed state of
-/// incremental re-peeling ([`crate::incremental`]). Returns the sweep
-/// plus `(c, trace)` pairs in grid order.
+/// [`sweep_c_csr`] with a per-ratio [`PeelTrace`] capture, as `(c,
+/// trace)` pairs in grid order.
 pub fn sweep_c_csr_traced(
     g: &dsg_graph::CsrDirected,
     delta: f64,
     epsilon: f64,
-) -> (SweepResult, Vec<(f64, crate::kernel::PeelTrace)>) {
-    let mut traces = Vec::new();
-    let sweep = sweep_grid(g.num_nodes(), delta, |c| {
-        let mut store = CsrDirectedStore::new(g);
-        let mut policy = DirectedSizesPolicy::new(c, epsilon);
-        let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-        traces.push((c, trace));
-        DirectedRun::from_kernel(run, c)
-    });
-    (sweep, traces)
-}
-
-/// [`sweep_c_csr_parallel`] with a per-ratio
-/// [`PeelTrace`](crate::kernel::PeelTrace) capture.
-pub fn sweep_c_csr_parallel_traced(
-    g: &dsg_graph::CsrDirected,
-    delta: f64,
-    epsilon: f64,
-    threads: usize,
-) -> (SweepResult, Vec<(f64, crate::kernel::PeelTrace)>) {
-    let mut traces = Vec::new();
-    let sweep = sweep_grid(g.num_nodes(), delta, |c| {
-        let mut store = ParallelCsrDirectedStore::new(g, threads);
-        let mut policy = DirectedSizesPolicy::new(c, epsilon);
-        let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-        traces.push((c, trace));
-        DirectedRun::from_kernel(run, c)
-    });
-    (sweep, traces)
+) -> (SweepResult, Vec<(f64, PeelTrace)>) {
+    let (sweep, traces) = sweep_c_csr_with(g, delta, epsilon, CsrStore::Serial, true);
+    (sweep, traces.unwrap_or_default())
 }
 
 /// The outcome of a sweep over `c`.

@@ -1221,10 +1221,7 @@ fn attempt(
 mod tests {
     use super::*;
     use crate::directed::sweep_c_csr_traced;
-    use crate::kernel::{
-        peel_traced, CsrDirectedStore, CsrUndirectedStore, DirectedSizesPolicy, KFloorPolicy,
-        KernelConfig, KernelRun, ThresholdPolicy,
-    };
+    use crate::kernel::{CsrStore, DirectedSizesPolicy, KFloorPolicy, KernelRun, ThresholdPolicy};
     use dsg_graph::{CsrDirected, CsrUndirected, EdgeList, GraphKind, SplitMix64};
     use std::cell::Cell;
 
@@ -1343,24 +1340,22 @@ mod tests {
 
     /// The kernel run of `policy` on `list`, with its trace.
     fn cold(policy: IncPolicy, list: &EdgeList) -> (KernelRun, PeelTrace) {
-        let cfg = KernelConfig::default();
-        match policy {
+        let (run, trace) = match policy {
             IncPolicy::Threshold { epsilon } => {
                 let csr = CsrUndirected::from_edge_list(list);
-                let mut store = CsrUndirectedStore::new(&csr);
-                peel_traced(&mut store, &mut ThresholdPolicy::new(epsilon), &cfg)
+                CsrStore::Serial.peel_undirected(&csr, &mut ThresholdPolicy::new(epsilon), true)
             }
             IncPolicy::KFloor { k, epsilon } => {
                 let csr = CsrUndirected::from_edge_list(list);
-                let mut store = CsrUndirectedStore::new(&csr);
-                peel_traced(&mut store, &mut KFloorPolicy::new(k, epsilon), &cfg)
+                CsrStore::Serial.peel_undirected(&csr, &mut KFloorPolicy::new(k, epsilon), true)
             }
             IncPolicy::DirectedSizes { c, epsilon } => {
                 let csr = CsrDirected::from_edge_list(list);
-                let mut store = CsrDirectedStore::new(&csr);
-                peel_traced(&mut store, &mut DirectedSizesPolicy::new(c, epsilon), &cfg)
+                let mut policy = DirectedSizesPolicy::new(c, epsilon);
+                CsrStore::Serial.peel_directed(&csr, &mut policy, true)
             }
-        }
+        };
+        (run, trace.expect("capture was requested"))
     }
 
     /// Asserts a simulated view describes the cold run's trace: rounds
@@ -1429,8 +1424,8 @@ mod tests {
     /// Applies `steps` deltas of `flips` edge flips to `list`, starting
     /// from `view` (a trace of `list`). Each step simulates from the
     /// previous success's view — re-based on the cold trace only after a
-    /// fallback — and every hit is checked against `peel_traced` on the
-    /// current graph.
+    /// fallback — and every hit is checked against a cold traced peel of
+    /// the current graph.
     fn chain(
         policy: IncPolicy,
         mut list: EdgeList,

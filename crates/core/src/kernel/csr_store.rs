@@ -1,11 +1,17 @@
 //! Serial in-memory degree stores over CSR snapshots, with decremental
 //! degree maintenance — `O(m + n·passes)` total instead of one full edge
-//! scan per pass, producing exactly the same run as the streaming
-//! backends on the same graph.
+//! scan per pass, producing the same run as the streaming backends on
+//! the same graph (bit for bit on unweighted graphs).
+//!
+//! The undirected store's init is `O(n)` on unweighted graphs; a weighted
+//! graph adds one in-order sum of its weights, and only a graph with
+//! self-loops (recorded at CSR build) scans every neighbor.
+
+use std::iter;
 
 use dsg_graph::{CsrDirected, CsrUndirected};
 
-use super::{DegreeStore, KernelState};
+use super::{DegreeStore, KernelState, SideState};
 
 /// Undirected decremental CSR backend.
 pub struct CsrUndirectedStore<'g> {
@@ -21,29 +27,57 @@ impl<'g> CsrUndirectedStore<'g> {
             in_removal: vec![false; g.num_nodes()],
         }
     }
+
+    /// Unlinks removed node `u` from its live neighbors: one loop body
+    /// for unit weights and for a weight slice, in adjacency order.
+    fn unlink<W: Iterator<Item = f64>>(&self, u: u32, w: W, side: &mut SideState, total: &mut f64) {
+        for (&v, w) in self.g.neighbors(u).iter().zip(w) {
+            if v != u && side.alive.contains(v) {
+                if self.in_removal[v as usize] {
+                    // Intra-batch edge: visited from both sides.
+                    *total -= w * 0.5;
+                } else {
+                    *total -= w;
+                    side.deg[v as usize] -= w;
+                }
+            }
+        }
+    }
 }
 
 impl DegreeStore for CsrUndirectedStore<'_> {
     fn init(&mut self) -> KernelState {
-        let n = self.g.num_nodes();
+        let g = self.g;
+        let n = g.num_nodes();
         let mut state = KernelState::full(n, 1);
         let side = &mut state.sides[0];
         for u in 0..n as u32 {
-            side.deg[u as usize] = self.g.weighted_degree(u);
+            side.deg[u as usize] = g.weighted_degree(u);
         }
-        // Self-loops are excluded from the induced-degree semantics of
-        // the streaming variant; subtract them up front.
-        let mut total_w = 0.0f64;
-        for u in 0..n as u32 {
-            for (v, w) in self.g.neighbors_weighted(u) {
-                if v == u {
-                    side.deg[u as usize] -= w;
-                } else {
-                    total_w += w;
+        // Twice the live edge weight, summed in adjacency order.
+        let twice = if g.has_self_loops() {
+            // Self-loops are excluded from the induced-degree semantics
+            // of the streaming variant; subtract them up front.
+            let mut total_w = 0.0f64;
+            for u in 0..n as u32 {
+                for (v, w) in g.neighbors_weighted(u) {
+                    if v == u {
+                        side.deg[u as usize] -= w;
+                    } else {
+                        total_w += w;
+                    }
                 }
             }
-        }
-        state.total_weight = total_w / 2.0;
+            total_w
+        } else if g.is_weighted() {
+            (0..n as u32)
+                .flat_map(|u| g.neighbor_weights(u))
+                .flatten()
+                .fold(0.0, |total, &w| total + w)
+        } else {
+            2.0 * g.num_edges() as f64
+        };
+        state.total_weight = twice / 2.0;
         state
     }
 
@@ -77,17 +111,11 @@ impl DegreeStore for CsrUndirectedStore<'_> {
             self.in_removal[u as usize] = true;
         }
         // Decrement neighbor degrees and the live edge weight.
+        let total = &mut state.total_weight;
         for &u in removed {
-            for (v, w) in self.g.neighbors_weighted(u) {
-                if v != u && side.alive.contains(v) {
-                    if self.in_removal[v as usize] {
-                        // Intra-batch edge: visited from both sides.
-                        state.total_weight -= w * 0.5;
-                    } else {
-                        state.total_weight -= w;
-                        side.deg[v as usize] -= w;
-                    }
-                }
+            match self.g.neighbor_weights(u) {
+                None => self.unlink(u, iter::repeat(1.0), side, total),
+                Some(w) => self.unlink(u, w.iter().copied(), side, total),
             }
         }
         for &u in removed {
@@ -156,6 +184,37 @@ impl DegreeStore for CsrDirectedStore<'_> {
                 }
                 t_side.deg[v as usize] = 0.0;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsg_graph::gen;
+
+    #[test]
+    fn init_equals_adjacency_order_sums() {
+        let weighted = CsrUndirected::from_edge_list(&gen::weighted_powerlaw(90, 0.5, 700.0));
+        let unweighted = CsrUndirected::from_edge_list(&gen::gnp(90, 0.1, 3));
+        for g in [&weighted, &unweighted] {
+            assert!(!g.has_self_loops());
+            let state = CsrUndirectedStore::new(g).init();
+            let mut twice = 0.0f64;
+            for u in 0..g.num_nodes() as u32 {
+                let mut d = 0.0f64;
+                for (_, w) in g.neighbors_weighted(u) {
+                    d += w;
+                    twice += w;
+                }
+                let got = state.sides[0].deg[u as usize];
+                if g.degree(u) == 0 {
+                    assert_eq!(got, 0.0, "node {u}");
+                } else {
+                    assert_eq!(got.to_bits(), d.to_bits(), "node {u}");
+                }
+            }
+            assert_eq!(state.total_weight.to_bits(), (twice / 2.0).to_bits());
         }
     }
 }

@@ -30,7 +30,10 @@
 //!
 //! Any store composes with any policy of the same side-arity, so the
 //! sketched oracle of `dsg-sketch`, the parallel backend, and every
-//! algorithm frontend share one driver: [`peel`].
+//! algorithm frontend share one driver: [`peel`]. In memory, each
+//! algorithm has one entry point that takes the CSR snapshot, a
+//! [`CsrStore`] (serial decremental, or parallel with `n` threads) and a
+//! [`PeelTrace`] capture flag.
 //!
 //! ## Determinism
 //!
@@ -58,7 +61,52 @@ pub use policies::{
 pub use stream_store::{StreamingDirectedStore, StreamingUndirectedStore};
 pub use trace::{PeelTrace, TracePass, FRONTIER_LEN, NEVER_REMOVED};
 
-use dsg_graph::NodeSet;
+use dsg_graph::{CsrDirected, CsrUndirected, NodeSet};
+
+/// Which in-memory store a CSR peel runs on: the store argument of the
+/// one in-memory entry point of each algorithm (`*_csr_with`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CsrStore {
+    /// [`CsrUndirectedStore`] / [`CsrDirectedStore`]: serial, decremental.
+    Serial,
+    /// [`ParallelCsrUndirectedStore`] / [`ParallelCsrDirectedStore`]
+    /// with this many threads per pass.
+    Parallel(usize),
+}
+
+impl CsrStore {
+    /// Runs `policy` over `g` on this store ([`peel`]), capturing a
+    /// [`PeelTrace`] when `capture` is set: the per-node round, the
+    /// per-node removal degree and the per-pass aggregate bounds that
+    /// the incremental re-peeling path (`incremental` module) replays a
+    /// delta against, at one extra `O(alive)` scan per pass.
+    pub(crate) fn peel_undirected<P: RemovalPolicy + ?Sized>(
+        self,
+        g: &CsrUndirected,
+        policy: &mut P,
+        capture: bool,
+    ) -> (KernelRun, Option<PeelTrace>) {
+        let mut store: Box<dyn DegreeStore + '_> = match self {
+            CsrStore::Serial => Box::new(CsrUndirectedStore::new(g)),
+            CsrStore::Parallel(threads) => Box::new(ParallelCsrUndirectedStore::new(g, threads)),
+        };
+        peel_impl(&mut *store, policy, &KernelConfig::default(), capture)
+    }
+
+    /// [`Self::peel_undirected`] over a directed snapshot.
+    pub(crate) fn peel_directed<P: RemovalPolicy + ?Sized>(
+        self,
+        g: &CsrDirected,
+        policy: &mut P,
+        capture: bool,
+    ) -> (KernelRun, Option<PeelTrace>) {
+        let mut store: Box<dyn DegreeStore + '_> = match self {
+            CsrStore::Serial => Box::new(CsrDirectedStore::new(g)),
+            CsrStore::Parallel(threads) => Box::new(ParallelCsrDirectedStore::new(g, threads)),
+        };
+        peel_impl(&mut *store, policy, &KernelConfig::default(), capture)
+    }
+}
 
 /// One peeling side: the live node set and its current degree view.
 ///
@@ -295,23 +343,6 @@ where
     P: RemovalPolicy + ?Sized,
 {
     peel_impl(store, policy, config, false).0
-}
-
-/// [`peel`], additionally capturing a [`PeelTrace`] — the per-node round
-/// membership, per-node removal degree, and per-pass aggregate bounds
-/// that the incremental re-peeling path (`incremental` module) replays a
-/// delta against. Costs one extra `O(alive)` scan per pass.
-pub fn peel_traced<S, P>(
-    store: &mut S,
-    policy: &mut P,
-    config: &KernelConfig,
-) -> (KernelRun, PeelTrace)
-where
-    S: DegreeStore + ?Sized,
-    P: RemovalPolicy + ?Sized,
-{
-    let (run, trace) = peel_impl(store, policy, config, true);
-    (run, trace.expect("capture was requested"))
 }
 
 fn peel_impl<S, P>(

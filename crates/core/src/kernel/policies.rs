@@ -5,6 +5,19 @@ use dsg_graph::density;
 
 use super::{DegreeStore, KernelState, RemovalPolicy, Selection};
 
+/// The kernel's one `(degree, id)` order as an integer key: ascending
+/// degree as `partial_cmp` orders it (`-0.0 == 0.0`), ties by ascending
+/// id. Degrees are never NaN; the id is the key's low 32 bits.
+#[inline]
+pub(crate) fn order_key(deg: f64, id: u32) -> u128 {
+    // `+ 0.0` folds -0.0 into 0.0. Flipping the sign bit of a
+    // non-negative and every bit of a negative makes the IEEE bits
+    // ascend with the value.
+    let bits = (deg + 0.0).to_bits();
+    let ordered = bits ^ (((bits as i64 >> 63) as u64) | 1 << 63);
+    (u128::from(ordered) << 32) | u128::from(id)
+}
+
 /// Algorithm 1's rule: remove every node whose induced degree is at most
 /// `2(1+ε)·ρ(S)`.
 ///
@@ -59,20 +72,16 @@ impl RemovalPolicy for ThresholdPolicy {
         buf: &mut Vec<u32>,
     ) {
         let side = &state.sides[0];
-        let mut by_estimate: Vec<(f64, u32)> = side
+        let mut by_estimate: Vec<u128> = side
             .alive
             .iter()
-            .map(|u| (side.deg[u as usize], u))
+            .map(|u| order_key(side.deg[u as usize], u))
             .collect();
-        by_estimate.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("degree estimates are never NaN")
-                .then(a.1.cmp(&b.1))
-        });
+        by_estimate.sort_unstable();
         let target =
             ((self.epsilon / (1.0 + self.epsilon)) * side.alive.len() as f64).ceil() as usize;
         let target = target.clamp(1, side.alive.len());
-        buf.extend(by_estimate[..target].iter().map(|&(_, u)| u));
+        buf.extend(by_estimate[..target].iter().map(|&key| key as u32));
     }
 }
 
@@ -83,7 +92,8 @@ impl RemovalPolicy for ThresholdPolicy {
 pub struct KFloorPolicy {
     k: usize,
     epsilon: f64,
-    candidates: Vec<(f64, u32)>,
+    /// [`order_key`]s of this pass's candidates.
+    candidates: Vec<u128>,
 }
 
 impl KFloorPolicy {
@@ -119,7 +129,7 @@ impl RemovalPolicy for KFloorPolicy {
         for u in side.alive.iter() {
             let d = side.deg[u as usize];
             if d <= threshold {
-                self.candidates.push((d, u));
+                self.candidates.push(order_key(d, u));
             }
         }
         // |A(S)| = ε/(1+ε)·|S|, rounded up so progress is guaranteed.
@@ -128,18 +138,22 @@ impl RemovalPolicy for KFloorPolicy {
         let target =
             ((self.epsilon / (1.0 + self.epsilon)) * side.alive.len() as f64).ceil() as usize;
         let target = target.clamp(1, self.candidates.len().max(1));
-        self.candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("degrees are never NaN")
-                .then(a.1.cmp(&b.1))
-        });
         let removed = target.min(self.candidates.len());
-        buf.extend(self.candidates[..removed].iter().map(|&(_, u)| u));
+        // Only the removed prefix needs sorting; the selection leaves
+        // the smallest survivor right after it.
+        if removed < self.candidates.len() {
+            self.candidates.select_nth_unstable(removed);
+        }
+        let (prefix, survivors) = self.candidates.split_at_mut(removed);
+        prefix.sort_unstable();
+        buf.extend(prefix.iter().map(|&key| key as u32));
         Selection {
             side: 0,
             density: rho,
             threshold,
-            successor: self.candidates.get(removed).copied(),
+            successor: survivors
+                .first()
+                .map(|&key| (side.deg[key as u32 as usize], key as u32)),
         }
     }
 }
@@ -309,6 +323,133 @@ impl RemovalPolicy for DirectedNaivePolicy {
                 threshold: t_threshold,
                 successor: None,
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::CsrStore;
+    use dsg_graph::{gen, CsrUndirected, EdgeList};
+    use proptest::prelude::*;
+
+    #[test]
+    fn order_key_matches_partial_cmp_then_id() {
+        let degrees = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -3.0,
+            -1e-12,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1e-12,
+            1.0,
+            2.0,
+            3.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let ids = [0, 1, 7, u32::MAX];
+        let pairs: Vec<(f64, u32)> = degrees
+            .iter()
+            .flat_map(|&d| ids.iter().map(move |&id| (d, id)))
+            .collect();
+        for &(da, ia) in &pairs {
+            assert_eq!(order_key(da, ia) as u32, ia);
+            for &(db, ib) in &pairs {
+                let want = da.partial_cmp(&db).unwrap().then(ia.cmp(&ib));
+                let got = order_key(da, ia).cmp(&order_key(db, ib));
+                assert_eq!(got, want, "({da:e}, {ia}) vs ({db:e}, {ib})");
+            }
+        }
+    }
+
+    /// Algorithm 2's rule as a full `sort_by(partial_cmp)` of every
+    /// candidate — the reference the keyed selection must reproduce.
+    struct SortByReference {
+        k: usize,
+        epsilon: f64,
+    }
+
+    impl RemovalPolicy for SortByReference {
+        fn finished(&self, state: &KernelState) -> bool {
+            state.sides[0].alive.len() < self.k
+        }
+
+        fn select<S: DegreeStore + ?Sized>(
+            &mut self,
+            _store: &mut S,
+            state: &KernelState,
+            buf: &mut Vec<u32>,
+        ) -> Selection {
+            let side = &state.sides[0];
+            let rho = density::undirected(state.total_weight, side.alive.len());
+            let threshold = density::undirected_threshold(rho, self.epsilon);
+            let mut candidates: Vec<(f64, u32)> = side
+                .alive
+                .iter()
+                .map(|u| (side.deg[u as usize], u))
+                .filter(|&(d, _)| d <= threshold)
+                .collect();
+            let target =
+                ((self.epsilon / (1.0 + self.epsilon)) * side.alive.len() as f64).ceil() as usize;
+            let target = target.clamp(1, candidates.len().max(1));
+            candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            let removed = target.min(candidates.len());
+            buf.extend(candidates[..removed].iter().map(|&(_, u)| u));
+            Selection {
+                side: 0,
+                density: rho,
+                threshold,
+                successor: candidates.get(removed).copied(),
+            }
+        }
+    }
+
+    /// A sparse random graph; weighted ones draw from three weights, so
+    /// degree ties stay as common as on unweighted graphs.
+    fn tied_graph(n: u32, p: f64, seed: u64, weighted: bool) -> EdgeList {
+        let mut g = gen::gnp(n, p, seed);
+        if weighted {
+            let weights =
+                (0..g.edges.len() as u64).map(|i| [0.5, 1.0, 2.0][((i * 7 + seed) % 3) as usize]);
+            g.weights = Some(weights.collect());
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The keyed selection removes the same nodes in the same order,
+        /// records the same passes and the same `PeelTrace` (successor
+        /// included) as the full sort.
+        #[test]
+        fn k_floor_selection_matches_sort_by_reference(
+            n in 8u32..90,
+            p in 0.02f64..0.3,
+            seed in 0u64..1 << 32,
+            weighted in any::<bool>(),
+            k_share in 0.0f64..1.0,
+            eps_idx in 0usize..4,
+        ) {
+            let csr = CsrUndirected::from_edge_list(&tied_graph(n, p, seed, weighted));
+            let k = 1 + ((n - 1) as f64 * k_share) as usize;
+            let epsilon = [0.05, 0.3, 1.0, 2.5][eps_idx];
+            let mut policy = KFloorPolicy::new(k, epsilon);
+            let (run, trace) = CsrStore::Serial.peel_undirected(&csr, &mut policy, true);
+            let mut reference = SortByReference { k, epsilon };
+            let (want, want_trace) = CsrStore::Serial.peel_undirected(&csr, &mut reference, true);
+            prop_assert_eq!(run.removal_log, want.removal_log);
+            prop_assert_eq!(run.trace, want.trace);
+            // Debug output spells every f64 exactly, -0.0 included.
+            prop_assert_eq!(format!("{trace:?}"), format!("{want_trace:?}"));
         }
     }
 }

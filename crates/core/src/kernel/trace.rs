@@ -9,7 +9,7 @@
 //! ("frozen") node keeps its recorded round, and the per-node data gives
 //! the exact fallback scan when an aggregate proof fails.
 //!
-//! Capture is optional (see [`super::peel_traced`]) and costs one extra
+//! Capture is optional (see [`super::CsrStore`]) and costs one extra
 //! scan of the live side per pass plus `O(n)` memory per side.
 
 use super::{KernelState, Selection};

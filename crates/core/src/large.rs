@@ -12,14 +12,14 @@
 //! In kernel terms this is Algorithm 1 with the
 //! [`KFloorPolicy`] removal rule in place of
 //! the plain threshold; the degree-store backends are shared unchanged.
+//! In memory, [`approx_densest_at_least_k_csr_with`] is the one entry
+//! point: `O(n)` init, then the removed nodes' edges plus a selection
+//! over the candidates per pass.
 
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;
 
-use crate::kernel::{
-    CsrUndirectedStore, KFloorPolicy, ParallelCsrUndirectedStore, PeelingKernel,
-    StreamingUndirectedStore,
-};
+use crate::kernel::{CsrStore, KFloorPolicy, PeelTrace, PeelingKernel, StreamingUndirectedStore};
 use crate::oracle::ExactDegreeOracle;
 use crate::result::UndirectedRun;
 
@@ -62,14 +62,30 @@ pub fn try_approx_densest_at_least_k<S: EdgeStream + ?Sized>(
     }
 }
 
-/// In-memory Algorithm 2 over a CSR snapshot with decremental degree
-/// maintenance — same sequence of sets as [`approx_densest_at_least_k`]
-/// on a stream of the same graph.
-pub fn approx_densest_at_least_k_csr(g: &CsrUndirected, k: usize, epsilon: f64) -> UndirectedRun {
+/// In-memory Algorithm 2 over a CSR snapshot — the one in-memory entry
+/// point. `store` picks the serial decremental or the parallel store;
+/// `capture` adds a [`PeelTrace`], the seed state of incremental
+/// re-peeling ([`crate::incremental`]). The run itself is the same with
+/// or without the capture.
+pub fn approx_densest_at_least_k_csr_with(
+    g: &CsrUndirected,
+    k: usize,
+    epsilon: f64,
+    store: CsrStore,
+    capture: bool,
+) -> (UndirectedRun, Option<PeelTrace>) {
     let mut policy = KFloorPolicy::new(k, epsilon);
     check_k(k, g.num_nodes());
-    let mut store = CsrUndirectedStore::new(g);
-    UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
+    let (run, trace) = store.peel_undirected(g, &mut policy, capture);
+    (UndirectedRun::from_kernel(run), trace)
+}
+
+/// In-memory Algorithm 2 over a CSR snapshot with decremental degree
+/// maintenance. Same sequence of sets as [`approx_densest_at_least_k`]
+/// on a stream of the same graph: bit for bit on unweighted graphs, up
+/// to floating-point rounding on weighted ones.
+pub fn approx_densest_at_least_k_csr(g: &CsrUndirected, k: usize, epsilon: f64) -> UndirectedRun {
+    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Serial, false).0
 }
 
 /// Multi-threaded in-memory Algorithm 2 with `threads` workers per pass —
@@ -81,41 +97,7 @@ pub fn approx_densest_at_least_k_csr_parallel(
     epsilon: f64,
     threads: usize,
 ) -> UndirectedRun {
-    let mut policy = KFloorPolicy::new(k, epsilon);
-    check_k(k, g.num_nodes());
-    let mut store = ParallelCsrUndirectedStore::new(g, threads);
-    UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
-}
-
-/// [`approx_densest_at_least_k_csr`] with a
-/// [`PeelTrace`](crate::kernel::PeelTrace) capture — the seed state of
-/// incremental re-peeling ([`crate::incremental`]). Same set sequence
-/// as the streaming form on the same graph.
-pub fn approx_densest_at_least_k_csr_traced(
-    g: &CsrUndirected,
-    k: usize,
-    epsilon: f64,
-) -> (UndirectedRun, crate::kernel::PeelTrace) {
-    let mut policy = KFloorPolicy::new(k, epsilon);
-    check_k(k, g.num_nodes());
-    let mut store = CsrUndirectedStore::new(g);
-    let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-    (UndirectedRun::from_kernel(run), trace)
-}
-
-/// [`approx_densest_at_least_k_csr_parallel`] with a
-/// [`PeelTrace`](crate::kernel::PeelTrace) capture.
-pub fn approx_densest_at_least_k_csr_parallel_traced(
-    g: &CsrUndirected,
-    k: usize,
-    epsilon: f64,
-    threads: usize,
-) -> (UndirectedRun, crate::kernel::PeelTrace) {
-    let mut policy = KFloorPolicy::new(k, epsilon);
-    check_k(k, g.num_nodes());
-    let mut store = ParallelCsrUndirectedStore::new(g, threads);
-    let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-    (UndirectedRun::from_kernel(run), trace)
+    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Parallel(threads), false).0
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@
 //!   recompute, decremental CSR, parallel CSR, priority structures) and a
 //!   [`kernel::RemovalPolicy`] (threshold, k-floor, min-node, directed
 //!   one-side sweep). Every algorithm module above is a thin
-//!   instantiation of it.
+//!   instantiation of it, with one in-memory entry point per algorithm
+//!   over a [`kernel::CsrStore`].
 //! * [`charikar`] — Charikar's exact greedy peeling (the baseline the
 //!   paper builds on), implemented with an O(m + n) bucket queue.
 //! * [`cores`] — d-core decomposition (Definition 8), used by Algorithm

@@ -21,13 +21,17 @@
 //!
 //! * [`approx_densest`] / [`approx_densest_with_oracle`] — the streaming
 //!   form: one pass per iteration recomputes live degrees from scratch.
-//! * [`approx_densest_csr`] — the in-memory form: degrees are maintained
-//!   decrementally while peeling, which is asymptotically cheaper
-//!   (`O(m + n)` total) and produces the **identical** sequence of sets.
-//! * [`approx_densest_csr_parallel`] — the multi-threaded in-memory form:
-//!   chunked degree recomputation and removal-frontier application,
-//!   deterministic at every thread count and bit-identical to the serial
-//!   backends on unweighted graphs.
+//! * [`approx_densest_csr_with`] — the one in-memory entry point, over a
+//!   [`CsrStore`] and an optional [`PeelTrace`] capture:
+//!   * the serial store maintains degrees decrementally while peeling,
+//!     `O(m + n)` total after an `O(n)` init on unweighted graphs, and
+//!     produces the **identical** sequence of sets (bit for bit on
+//!     unweighted graphs, up to floating-point rounding on weighted
+//!     ones) — [`approx_densest_csr`];
+//!   * the parallel store recomputes degrees and applies removal
+//!     frontiers in chunks, deterministic at every thread count and
+//!     bit-identical to the serial backends on unweighted graphs —
+//!     [`approx_densest_csr_parallel`].
 //!
 //! Note on `ε = 0`: the paper remarks termination is not guaranteed; with
 //! our (paper-faithful) non-strict `≤` comparison the minimum-degree node
@@ -41,8 +45,7 @@ use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;
 
 use crate::kernel::{
-    CsrUndirectedStore, ParallelCsrUndirectedStore, PeelingKernel, StreamingUndirectedStore,
-    ThresholdPolicy,
+    CsrStore, PeelTrace, PeelingKernel, StreamingUndirectedStore, ThresholdPolicy,
 };
 use crate::oracle::{DegreeOracle, ExactDegreeOracle};
 use crate::result::UndirectedRun;
@@ -124,16 +127,30 @@ where
     UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
 }
 
+/// Runs Algorithm 1 on an in-memory CSR graph — the one in-memory entry
+/// point. `store` picks the serial decremental or the parallel store;
+/// `capture` adds a [`PeelTrace`], the seed state of incremental
+/// re-peeling ([`crate::incremental`]), at one extra live scan per pass.
+/// The run itself is the same with or without the capture.
+pub fn approx_densest_csr_with(
+    g: &CsrUndirected,
+    epsilon: f64,
+    store: CsrStore,
+    capture: bool,
+) -> (UndirectedRun, Option<PeelTrace>) {
+    let (run, trace) = store.peel_undirected(g, &mut ThresholdPolicy::new(epsilon), capture);
+    (UndirectedRun::from_kernel(run), trace)
+}
+
 /// Runs Algorithm 1 on an in-memory CSR graph with decremental degree
-/// maintenance.
+/// maintenance, in `O(m + n)` total work instead of one full edge scan
+/// per pass.
 ///
-/// Produces exactly the same sequence of sets (hence the same result and
-/// trace) as [`approx_densest`] on a stream of the same graph, but in
-/// `O(m + n)` total work instead of one full edge scan per pass.
+/// Produces the same sequence of sets, result and trace as
+/// [`approx_densest`] on a stream of the same graph: bit for bit on
+/// unweighted graphs, up to floating-point rounding on weighted ones.
 pub fn approx_densest_csr(g: &CsrUndirected, epsilon: f64) -> UndirectedRun {
-    let mut store = CsrUndirectedStore::new(g);
-    let mut policy = ThresholdPolicy::new(epsilon);
-    UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
+    approx_densest_csr_with(g, epsilon, CsrStore::Serial, false).0
 }
 
 /// Runs Algorithm 1 on an in-memory CSR graph with `threads` worker
@@ -148,37 +165,7 @@ pub fn approx_densest_csr_parallel(
     epsilon: f64,
     threads: usize,
 ) -> UndirectedRun {
-    let mut store = ParallelCsrUndirectedStore::new(g, threads);
-    let mut policy = ThresholdPolicy::new(epsilon);
-    UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
-}
-
-/// [`approx_densest_csr`] with a [`PeelTrace`](crate::kernel::PeelTrace)
-/// capture — the seed state of incremental re-peeling
-/// ([`crate::incremental`]).
-pub fn approx_densest_csr_traced(
-    g: &CsrUndirected,
-    epsilon: f64,
-) -> (UndirectedRun, crate::kernel::PeelTrace) {
-    let mut store = CsrUndirectedStore::new(g);
-    let mut policy = ThresholdPolicy::new(epsilon);
-    let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-    (UndirectedRun::from_kernel(run), trace)
-}
-
-/// [`approx_densest_csr_parallel`] with a
-/// [`PeelTrace`](crate::kernel::PeelTrace) capture. The trace is
-/// bit-identical to the serial one on unweighted graphs, like the run
-/// itself.
-pub fn approx_densest_csr_parallel_traced(
-    g: &CsrUndirected,
-    epsilon: f64,
-    threads: usize,
-) -> (UndirectedRun, crate::kernel::PeelTrace) {
-    let mut store = ParallelCsrUndirectedStore::new(g, threads);
-    let mut policy = ThresholdPolicy::new(epsilon);
-    let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-    (UndirectedRun::from_kernel(run), trace)
+    approx_densest_csr_with(g, epsilon, CsrStore::Parallel(threads), false).0
 }
 
 #[cfg(test)]
@@ -339,6 +326,18 @@ mod tests {
         assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
         // The self-loop contributes nothing to ρ(V) = 1/3.
         assert!((a.trace[0].density - 1.0 / 3.0).abs() < 1e-12);
+        // Both CSR stores take the looped list's slow init path and
+        // match the stream run.
+        let csr = CsrUndirected::from_edge_list(&with_loop);
+        assert!(csr.has_self_loops());
+        let serial = approx_densest_csr(&csr, 0.5);
+        let parallel = approx_densest_csr_parallel(&csr, 0.5, 2);
+        for run in [&serial, &parallel] {
+            assert_eq!(run.passes, a.passes);
+            assert_eq!(run.best_density.to_bits(), a.best_density.to_bits());
+            assert_eq!(run.best_set.to_vec(), a.best_set.to_vec());
+            assert_eq!(run.trace, a.trace);
+        }
     }
 
     #[test]

@@ -62,6 +62,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dsg_core::enumerate::EnumerateOptions;
+use dsg_core::kernel::CsrStore;
 use dsg_core::result::streaming_state_bytes;
 use dsg_graph::stream::{BinaryFileStream, EdgeStream, MemoryStream, TextFileStream};
 use dsg_graph::{EdgeList, GraphKind, NodeSet};
@@ -903,10 +904,11 @@ impl Engine {
 
     /// Dispatches a materialized run over an already-acquired catalog
     /// entry (or a temporary entry for memory sources) on the planned
-    /// backend. With `want_trace`, the peeling backends capture a
-    /// [`PeelTrace`](dsg_core::kernel::PeelTrace) per run — the seed
-    /// state of the incremental tier — at a small bookkeeping cost;
-    /// the run itself is bit-identical either way.
+    /// backend. The three peeling algorithms run through their one CSR
+    /// entry point on the serial or parallel store. With `want_trace`,
+    /// they capture a [`PeelTrace`](dsg_core::kernel::PeelTrace) per
+    /// run — the seed state of the incremental tier — at a small
+    /// bookkeeping cost; the run itself is bit-identical either way.
     fn run_on_entry(
         &self,
         entry: &CatalogEntry,
@@ -919,85 +921,48 @@ impl Engine {
         exec.graph_nodes = list.num_nodes as u64;
         exec.graph_edges = list.num_edges() as u64;
 
-        let outcome = match (query.algorithm, plan.backend) {
-            (
-                Algorithm::Approx {
-                    epsilon,
-                    sketch: None,
-                },
-                Backend::InMemorySerial,
-            ) if want_trace => {
-                let (run, trace) = dsg_core::undirected::approx_densest_csr_traced(
+        let store = match plan.backend {
+            Backend::InMemorySerial => Some(CsrStore::Serial),
+            Backend::ParallelCsr { threads } => Some(CsrStore::Parallel(threads)),
+            _ => None,
+        };
+        let outcome = match (query.algorithm, plan.backend, store) {
+            (Algorithm::Approx { epsilon, .. }, _, Some(store)) => {
+                let (run, trace) = dsg_core::undirected::approx_densest_csr_with(
                     &entry.csr_undirected(),
                     epsilon,
+                    store,
+                    want_trace,
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
+                return Ok((Outcome::Run(run), trace.map(TraceSet::undirected)));
             }
-            (
-                Algorithm::Approx {
-                    epsilon,
-                    sketch: None,
-                },
-                Backend::ParallelCsr { threads },
-            ) if want_trace => {
-                let (run, trace) = dsg_core::undirected::approx_densest_csr_parallel_traced(
-                    &entry.csr_undirected(),
-                    epsilon,
-                    threads,
-                );
-                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
-            }
-            (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) if want_trace => {
-                let (run, trace) = dsg_core::large::approx_densest_at_least_k_csr_traced(
+            (Algorithm::AtLeastK { k, epsilon }, _, Some(store)) => {
+                let (run, trace) = dsg_core::large::approx_densest_at_least_k_csr_with(
                     &entry.csr_undirected(),
                     k,
                     epsilon.max(1e-6),
+                    store,
+                    want_trace,
                 );
-                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
+                return Ok((Outcome::Run(run), trace.map(TraceSet::undirected)));
             }
-            (Algorithm::AtLeastK { k, epsilon }, Backend::ParallelCsr { threads })
-                if want_trace =>
-            {
-                let (run, trace) = dsg_core::large::approx_densest_at_least_k_csr_parallel_traced(
-                    &entry.csr_undirected(),
-                    k,
-                    epsilon.max(1e-6),
-                    threads,
-                );
-                return Ok((Outcome::Run(run), Some(TraceSet::undirected(trace))));
-            }
-            (Algorithm::Directed { delta, epsilon }, Backend::InMemorySerial) if want_trace => {
-                let (sweep, traces) =
-                    dsg_core::directed::sweep_c_csr_traced(&entry.csr_directed(), delta, epsilon);
-                return Ok((Outcome::Sweep(sweep), Some(TraceSet::directed(traces))));
-            }
-            (Algorithm::Directed { delta, epsilon }, Backend::ParallelCsr { threads })
-                if want_trace =>
-            {
-                let (sweep, traces) = dsg_core::directed::sweep_c_csr_parallel_traced(
+            (Algorithm::Directed { delta, epsilon }, _, Some(store)) => {
+                let (sweep, traces) = dsg_core::directed::sweep_c_csr_with(
                     &entry.csr_directed(),
                     delta,
                     epsilon,
-                    threads,
+                    store,
+                    want_trace,
                 );
-                return Ok((Outcome::Sweep(sweep), Some(TraceSet::directed(traces))));
+                return Ok((Outcome::Sweep(sweep), traces.map(TraceSet::directed)));
             }
-            (Algorithm::Approx { epsilon, .. }, Backend::InMemorySerial) => Ok(Outcome::Run(
-                dsg_core::undirected::approx_densest_csr(&entry.csr_undirected(), epsilon),
-            )),
-            (Algorithm::Approx { epsilon, .. }, Backend::ParallelCsr { threads }) => Ok(
-                Outcome::Run(dsg_core::undirected::approx_densest_csr_parallel(
-                    &entry.csr_undirected(),
-                    epsilon,
-                    threads,
-                )),
-            ),
             (
                 Algorithm::Approx { epsilon, .. },
                 Backend::Sketched {
                     width,
                     streamed: false,
                 },
+                _,
             ) => {
                 let mut stream = MemoryStream::new(list.clone());
                 let sk =
@@ -1005,7 +970,7 @@ impl Engine {
                 exec.sketch_words = Some((sk.sketch_words as u64, sk.exact_words as u64));
                 Ok(Outcome::Run(sk.run))
             }
-            (Algorithm::Approx { epsilon, .. }, Backend::MapReduce { workers, shuffle }) => {
+            (Algorithm::Approx { epsilon, .. }, Backend::MapReduce { workers, shuffle }, _) => {
                 let config = MapReduceConfig {
                     num_workers: workers,
                     num_reducers: workers * 4,
@@ -1017,41 +982,10 @@ impl Engine {
                 exec.shuffle = Some(shuffle_stats(&result));
                 Ok(Outcome::MapReduce(result))
             }
-            (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) => {
-                let mut stream = MemoryStream::new(list.clone());
-                Ok(Outcome::Run(dsg_core::large::approx_densest_at_least_k(
-                    &mut stream,
-                    k,
-                    epsilon.max(1e-6),
-                )))
-            }
-            (Algorithm::AtLeastK { k, epsilon }, Backend::ParallelCsr { threads }) => Ok(
-                Outcome::Run(dsg_core::large::approx_densest_at_least_k_csr_parallel(
-                    &entry.csr_undirected(),
-                    k,
-                    epsilon.max(1e-6),
-                    threads,
-                )),
-            ),
-            (Algorithm::Directed { delta, epsilon }, Backend::InMemorySerial) => {
-                Ok(Outcome::Sweep(dsg_core::directed::sweep_c_csr(
-                    &entry.csr_directed(),
-                    delta,
-                    epsilon,
-                )))
-            }
-            (Algorithm::Directed { delta, epsilon }, Backend::ParallelCsr { threads }) => {
-                Ok(Outcome::Sweep(dsg_core::directed::sweep_c_csr_parallel(
-                    &entry.csr_directed(),
-                    delta,
-                    epsilon,
-                    threads,
-                )))
-            }
-            (Algorithm::Charikar, _) => Ok(Outcome::Charikar(dsg_core::charikar::charikar_peel(
-                &entry.csr_undirected(),
-            ))),
-            (Algorithm::Exact { flow }, _) => Ok(Outcome::Exact(dsg_flow::exact_densest_with(
+            (Algorithm::Charikar, _, _) => Ok(Outcome::Charikar(
+                dsg_core::charikar::charikar_peel(&entry.csr_undirected()),
+            )),
+            (Algorithm::Exact { flow }, _, _) => Ok(Outcome::Exact(dsg_flow::exact_densest_with(
                 &entry.csr_undirected(),
                 flow,
             ))),
@@ -1061,6 +995,7 @@ impl Engine {
                     min_density,
                     max_communities,
                 },
+                _,
                 _,
             ) => Ok(Outcome::Communities(
                 dsg_core::enumerate::enumerate_dense_subgraphs(
@@ -1072,7 +1007,7 @@ impl Engine {
                     },
                 ),
             )),
-            (alg, backend) => Err(EngineError::Unsupported(format!(
+            (alg, backend, _) => Err(EngineError::Unsupported(format!(
                 "planner bug: {backend:?} cannot run '{}'",
                 alg.name()
             ))),

@@ -99,8 +99,7 @@ pub const STREAM_SEMANTICS_NOTE: &str =
 /// The execution backend a plan selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Serial peeling over an in-memory CSR (or `MemoryStream` for
-    /// Algorithm 2, matching the direct API).
+    /// Serial decremental peeling over the in-memory CSR.
     InMemorySerial,
     /// The deterministic parallel CSR peeling backend.
     ParallelCsr {

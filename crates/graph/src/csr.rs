@@ -20,6 +20,7 @@ pub struct CsrUndirected {
     weights: Option<Vec<f64>>,
     num_edges: usize,
     total_weight: f64,
+    has_self_loops: bool,
 }
 
 impl CsrUndirected {
@@ -52,9 +53,11 @@ impl CsrUndirected {
             Vec::new()
         };
         let mut total_weight = 0.0;
+        let mut has_self_loops = false;
         for (i, &(u, v)) in list.edges.iter().enumerate() {
             let w = list.weight(i);
             total_weight += w;
+            has_self_loops |= u == v;
             let cu = cursor[u as usize];
             neighbors[cu] = v;
             cursor[u as usize] += 1;
@@ -72,6 +75,7 @@ impl CsrUndirected {
             weights: if weighted { Some(weights) } else { None },
             num_edges: list.edges.len(),
             total_weight,
+            has_self_loops,
         }
     }
 
@@ -99,10 +103,25 @@ impl CsrUndirected {
         self.weights.is_some()
     }
 
+    /// `true` if some edge is a self-loop `(u, u)`, which appears twice
+    /// in `neighbors(u)`. Canonical edge lists have none.
+    #[inline]
+    pub fn has_self_loops(&self) -> bool {
+        self.has_self_loops
+    }
+
     /// Neighbor slice of `u`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
         &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
+    /// Edge weights parallel to [`Self::neighbors`]`(u)`; `None` if
+    /// unweighted.
+    #[inline]
+    pub fn neighbor_weights(&self, u: NodeId) -> Option<&[f64]> {
+        let range = self.offsets[u as usize]..self.offsets[u as usize + 1];
+        self.weights.as_ref().map(|w| &w[range])
     }
 
     /// Iterates `(neighbor, weight)` pairs of `u` (weight 1 if unweighted).
@@ -125,12 +144,8 @@ impl CsrUndirected {
 
     /// Weighted degree of `u` (sum of incident edge weights).
     pub fn weighted_degree(&self, u: NodeId) -> f64 {
-        match &self.weights {
-            None => self.degree(u) as f64,
-            Some(w) => w[self.offsets[u as usize]..self.offsets[u as usize + 1]]
-                .iter()
-                .sum(),
-        }
+        self.neighbor_weights(u)
+            .map_or(self.degree(u) as f64, |w| w.iter().sum())
     }
 
     /// Total weight of edges with **both** endpoints in `set`.

@@ -219,11 +219,38 @@ fn atleast_k_parity_across_backends() {
     let query = Query::new(Algorithm::AtLeastK { k, epsilon: EPS });
     let eps_used = EPS.max(1e-6);
 
-    // Serial goes through MemoryStream, exactly like the direct call.
+    // Serial runs the decremental CSR peel. On this unweighted graph it
+    // equals the MemoryStream recount bit for bit, so both are
+    // references: the stream run checks the cross-path parity, the CSR
+    // run the call the engine makes.
     let mut mem = MemoryStream::new(canonical.clone());
     let direct = dsg_core::large::approx_densest_at_least_k(&mut mem, k, eps_used);
     let report = run_engine(&engine, &source, query, ResourcePolicy::default(), "memory");
     assert_run_parity(&report, &direct, "serial");
+    let direct_csr = dsg_core::large::approx_densest_at_least_k_csr(&csr, k, eps_used);
+    assert_run_parity(&report, &direct_csr, "serial csr");
+
+    // A weighted file takes the same CSR peel, bit for bit (the stream
+    // recount agrees with it only up to floating-point rounding).
+    let weighted = write_fixture(
+        "atleastk_weighted.txt",
+        &gen::weighted_powerlaw(120, 0.5, 900.0),
+    );
+    let weighted_csr =
+        CsrUndirected::from_edge_list(&load_canonical(&weighted, GraphKind::Undirected));
+    let direct_weighted =
+        dsg_core::large::approx_densest_at_least_k_csr(&weighted_csr, 10, eps_used);
+    let report = run_engine(
+        &engine,
+        &file_source(&weighted),
+        Query::new(Algorithm::AtLeastK {
+            k: 10,
+            epsilon: EPS,
+        }),
+        ResourcePolicy::default(),
+        "memory",
+    );
+    assert_run_parity(&report, &direct_weighted, "serial weighted");
 
     let direct_par = dsg_core::large::approx_densest_at_least_k_csr_parallel(&csr, k, eps_used, 4);
     let report = run_engine(

@@ -105,6 +105,29 @@ fn streamed_weighted_graph_matches_in_memory() {
 }
 
 #[test]
+fn streamed_weighted_atleast_k_matches_in_memory() {
+    // The stream recounts degrees every pass while the CSR peel keeps
+    // them decrementally, so on weighted graphs the two agree up to
+    // floating-point rounding, not bit for bit.
+    let list = gen::weighted_powerlaw(80, 0.5, 500.0);
+    let (text, bin) = on_disk(&list, "weighted_atleastk");
+    let csr = CsrUndirected::from_edge_list(&list);
+    for (k, eps) in [(1usize, 0.5), (10, 0.3), (40, 1.0)] {
+        let reference = approx_densest_at_least_k_csr(&csr, k, eps);
+
+        let mut ts = TextFileStream::open_auto(&text).unwrap();
+        let from_text = try_approx_densest_at_least_k(&mut ts, k, eps).unwrap();
+        let mut bs = BinaryFileStream::open(&bin).unwrap();
+        let from_bin = try_approx_densest_at_least_k(&mut bs, k, eps).unwrap();
+        for run in [&from_text, &from_bin] {
+            assert_eq!(run.passes, reference.passes, "k {k} eps {eps}");
+            assert_eq!(run.best_set.to_vec(), reference.best_set.to_vec());
+            assert!((run.best_density - reference.best_density).abs() < 1e-9);
+        }
+    }
+}
+
+#[test]
 fn file_modified_mid_run_surfaces_an_error_not_a_panic() {
     // A stream whose file is swapped after the first pass: the run must
     // come back as Err (and must not panic), because the passes after
