@@ -3,9 +3,9 @@
 //! scan per pass, producing the same run as the streaming backends on
 //! the same graph (bit for bit on unweighted graphs).
 //!
-//! The undirected store's init is `O(n)` on unweighted graphs; a weighted
-//! graph adds one in-order sum of its weights, and only a graph with
-//! self-loops (recorded at CSR build) scans every neighbor.
+//! The undirected store's init is `O(n)` on unweighted loop-free graphs
+//! (self-loops are recorded at CSR build); a weighted graph or one with
+//! self-loops scans every neighbor once, in adjacency order.
 
 use std::iter;
 
@@ -55,7 +55,7 @@ impl DegreeStore for CsrUndirectedStore<'_> {
             side.deg[u as usize] = g.weighted_degree(u);
         }
         // Twice the live edge weight, summed in adjacency order.
-        let twice = if g.has_self_loops() {
+        let twice = if g.has_self_loops() || g.is_weighted() {
             // Self-loops are excluded from the induced-degree semantics
             // of the streaming variant; subtract them up front.
             let mut total_w = 0.0f64;
@@ -69,11 +69,6 @@ impl DegreeStore for CsrUndirectedStore<'_> {
                 }
             }
             total_w
-        } else if g.is_weighted() {
-            (0..n as u32)
-                .flat_map(|u| g.neighbor_weights(u))
-                .flatten()
-                .fold(0.0, |total, &w| total + w)
         } else {
             2.0 * g.num_edges() as f64
         };

@@ -7,7 +7,8 @@ use super::{DegreeStore, KernelState, RemovalPolicy, Selection};
 
 /// The kernel's one `(degree, id)` order as an integer key: ascending
 /// degree as `partial_cmp` orders it (`-0.0 == 0.0`), ties by ascending
-/// id. Degrees are never NaN; the id is the key's low 32 bits.
+/// id. `deg` must not be NaN (a NaN sorts past ±∞); the id is the key's
+/// low 32 bits.
 #[inline]
 pub(crate) fn order_key(deg: f64, id: u32) -> u128 {
     // `+ 0.0` folds -0.0 into 0.0. Flipping the sign bit of a
@@ -75,7 +76,11 @@ impl RemovalPolicy for ThresholdPolicy {
         let mut by_estimate: Vec<u128> = side
             .alive
             .iter()
-            .map(|u| order_key(side.deg[u as usize], u))
+            .map(|u| {
+                let d = side.deg[u as usize];
+                assert!(!d.is_nan(), "degree estimates are never NaN");
+                order_key(d, u)
+            })
             .collect();
         by_estimate.sort_unstable();
         let target =
@@ -368,6 +373,19 @@ mod tests {
                 assert_eq!(got, want, "({da:e}, {ia}) vs ({db:e}, {ib})");
             }
         }
+    }
+
+    /// A NaN weight leaves no node under the threshold; the fallback
+    /// refuses to rank NaN degrees rather than peel to a meaningless end.
+    #[test]
+    #[should_panic(expected = "degree estimates are never NaN")]
+    fn fallback_rejects_nan_degrees() {
+        let mut g = gen::gnp(20, 0.3, 5);
+        let mut weights = vec![1.0; g.edges.len()];
+        weights[0] = f64::NAN;
+        g.weights = Some(weights);
+        let csr = CsrUndirected::from_edge_list(&g);
+        CsrStore::Serial.peel_undirected(&csr, &mut ThresholdPolicy::new(0.5), false);
     }
 
     /// Algorithm 2's rule as a full `sort_by(partial_cmp)` of every

@@ -13,8 +13,8 @@
 //! [`KFloorPolicy`] removal rule in place of
 //! the plain threshold; the degree-store backends are shared unchanged.
 //! In memory, [`approx_densest_at_least_k_csr_with`] is the one entry
-//! point: `O(n)` init, then the removed nodes' edges plus a selection
-//! over the candidates per pass.
+//! point: `O(n)` init on unweighted loop-free graphs, then the removed
+//! nodes' edges plus a selection over the candidates per pass.
 
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;

@@ -24,10 +24,10 @@
 //! * [`approx_densest_csr_with`] — the one in-memory entry point, over a
 //!   [`CsrStore`] and an optional [`PeelTrace`] capture:
 //!   * the serial store maintains degrees decrementally while peeling,
-//!     `O(m + n)` total after an `O(n)` init on unweighted graphs, and
-//!     produces the **identical** sequence of sets (bit for bit on
-//!     unweighted graphs, up to floating-point rounding on weighted
-//!     ones) — [`approx_densest_csr`];
+//!     `O(m + n)` total after an `O(n)` init on unweighted loop-free
+//!     graphs, and produces the **identical** sequence of sets (bit for
+//!     bit on unweighted graphs, up to floating-point rounding on
+//!     weighted ones) — [`approx_densest_csr`];
 //!   * the parallel store recomputes degrees and applies removal
 //!     frontiers in chunks, deterministic at every thread count and
 //!     bit-identical to the serial backends on unweighted graphs —
