@@ -399,7 +399,7 @@ pub struct ShardRow {
     /// `qps / qps(reference row)` — scaling vs the first shard count.
     pub speedup: f64,
     /// Per-shard `routed` counters, `/`-joined (`-` on a 1-shard row,
-    /// which runs the classic single-engine pool with no router).
+    /// which runs every request inline, with no shard queue).
     pub routed: String,
     /// Whether every response was byte-identical to the reference
     /// shard count's transcript (asserted — a row only exists if so).

@@ -73,7 +73,7 @@ use crate::catalog::{CatalogEntry, GraphCatalog, MutateOp, MutationOutcome, Name
 use crate::error::{EngineError, Result};
 use crate::incremental::{IncSeed, IncrementalDebug, TraceSet};
 use crate::planner::{self, Backend, GraphMeta, Plan};
-use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
+use crate::query::{Algorithm, Query, ResourcePolicy, Source};
 use crate::report::{Outcome, Report, ShuffleStats};
 use crate::result_cache::{CacheKey, GraphId, ResultCache};
 
@@ -148,10 +148,6 @@ pub struct Engine {
     /// Debug record of the most recent incremental attempt (a leaf
     /// lock, held only for the copy in/out).
     last_incremental: Mutex<Option<IncrementalDebug>>,
-    /// Shard-spill threshold: an unforced `approx` query over at least
-    /// this many edges is promoted onto the §5.2 MapReduce substrate,
-    /// partitioning its peeling passes across worker threads. 0 = off.
-    mapreduce_spill_edges: AtomicU64,
 }
 
 impl Default for Engine {
@@ -165,15 +161,8 @@ impl Default for Engine {
             incremental_fallbacks: AtomicU64::new(0),
             incremental_threshold_bits: AtomicU64::new(DEFAULT_INCREMENTAL_THRESHOLD.to_bits()),
             last_incremental: Mutex::new(None),
-            mapreduce_spill_edges: AtomicU64::new(0),
         }
     }
-}
-
-/// The reason string recorded on plans produced by the shard-spill
-/// promotion (in place of the planner's "forced MapReduce").
-fn spill_reason(edges: u64, threshold: u64) -> String {
-    format!("edges {edges} >= shard-spill threshold {threshold} -> MapReduce substrate")
 }
 
 impl Engine {
@@ -220,55 +209,6 @@ impl Engine {
     /// The configured incremental fallback threshold.
     pub fn incremental_threshold(&self) -> f64 {
         f64::from_bits(self.incremental_threshold_bits.load(Ordering::Relaxed))
-    }
-
-    /// Sets the shard-spill threshold: an `approx` query with no forced
-    /// backend over an unweighted undirected graph of at least `edges`
-    /// edges is promoted onto the MapReduce substrate, so its peeling
-    /// passes run partitioned across the policy's worker threads.
-    /// `None` (the default) disables the promotion. The rule is a pure
-    /// function of `(query, graph meta, threshold)`, so every engine
-    /// configured with the same threshold plans the same backend —
-    /// shard counts never change plans or bytes.
-    pub fn set_mapreduce_spill(&self, edges: Option<u64>) {
-        self.mapreduce_spill_edges
-            .store(edges.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// The configured shard-spill threshold (`None` = promotion off).
-    pub fn mapreduce_spill(&self) -> Option<u64> {
-        match self.mapreduce_spill_edges.load(Ordering::Relaxed) {
-            0 => None,
-            v => Some(v),
-        }
-    }
-
-    /// Applies the shard-spill promotion rule: rewrites an eligible
-    /// query's backend to MapReduce. Returns the (possibly rewritten)
-    /// query plus the fired threshold, which entry points splice into
-    /// the plan's reasons in place of "forced MapReduce". Costs one
-    /// (stamp-cached) `stat` only when the threshold is set.
-    fn spill_query(&self, source: &Source, query: &Query) -> Result<(Query, Option<u64>)> {
-        let Some(threshold) = self.mapreduce_spill() else {
-            return Ok((*query, None));
-        };
-        if query.backend.is_some()
-            || !query.algorithm.mapreducible()
-            || source.kind_for(&query.algorithm) != GraphKind::Undirected
-        {
-            return Ok((*query, None));
-        }
-        let meta = self.stat(source)?;
-        if meta.weighted || meta.edges < threshold {
-            return Ok((*query, None));
-        }
-        Ok((
-            Query {
-                algorithm: query.algorithm,
-                backend: Some(BackendRequest::MapReduce),
-            },
-            Some(threshold),
-        ))
     }
 
     /// Debug record of the most recent incremental attempt (`None`
@@ -355,13 +295,8 @@ impl Engine {
 
     /// Plans `query` over `source` under `policy` without executing.
     pub fn plan(&self, source: &Source, query: &Query, policy: &ResourcePolicy) -> Result<Plan> {
-        let (query, promoted) = self.spill_query(source, query)?;
         let meta = self.stat(source)?;
-        let mut plan = planner::plan(&query, &meta, policy)?;
-        if let Some(threshold) = promoted {
-            plan.reasons[0] = spill_reason(meta.edges, threshold);
-        }
-        Ok(plan)
+        planner::plan(query, &meta, policy)
     }
 
     /// Plans and executes `query`, returning the unified [`Report`].
@@ -385,8 +320,6 @@ impl Engine {
         policy: &ResourcePolicy,
     ) -> Result<Report> {
         let started = Instant::now();
-        let (query, promoted) = self.spill_query(source, query)?;
-        let query = &query;
         let kind = source.kind_for(&query.algorithm);
         // Replay fast path: when the file's graph is already resident
         // and fresh and the result cache holds this exact
@@ -412,15 +345,7 @@ impl Engine {
                 replay_checked = true;
             }
         }
-        self.execute_slow(
-            source,
-            query,
-            policy,
-            started,
-            kind,
-            replay_checked,
-            promoted,
-        )
+        self.execute_slow(source, query, policy, started, kind, replay_checked)
     }
 
     /// Serve-loop variant of [`execute`](Self::execute): on the replay
@@ -440,8 +365,6 @@ impl Engine {
         policy: &ResourcePolicy,
     ) -> Result<ServeReport> {
         let started = Instant::now();
-        let (query, promoted) = self.spill_query(source, query)?;
-        let query = &query;
         let kind = source.kind_for(&query.algorithm);
         if let Source::File { path, binary, .. } = source {
             if let Some(entry) = self.catalog.peek(path, *binary, kind) {
@@ -465,20 +388,18 @@ impl Engine {
                 }
                 // Definitive miss — don't re-count it below.
                 return self
-                    .execute_slow(source, query, policy, started, kind, true, promoted)
+                    .execute_slow(source, query, policy, started, kind, true)
                     .map(|r| ServeReport::Owned(Box::new(r)));
             }
         }
-        self.execute_slow(source, query, policy, started, kind, false, promoted)
+        self.execute_slow(source, query, policy, started, kind, false)
             .map(|r| ServeReport::Owned(Box::new(r)))
     }
 
     /// The general execution path — everything past the replay fast
     /// path. `replay_checked` records whether the caller already took a
     /// definitive result-cache miss for this request (so it is not
-    /// counted twice); `promoted` carries the fired shard-spill
-    /// threshold when the caller rewrote the query's backend.
-    #[allow(clippy::too_many_arguments)]
+    /// counted twice).
     fn execute_slow(
         &self,
         source: &Source,
@@ -487,7 +408,6 @@ impl Engine {
         started: Instant,
         kind: GraphKind,
         replay_checked: bool,
-        promoted: Option<u64>,
     ) -> Result<Report> {
         // A named source resolves its snapshot exactly once, up front:
         // the plan, the cache key, and the execution then all describe
@@ -514,11 +434,7 @@ impl Engine {
             Some((_, entry)) => entry.meta,
             None => self.stat(source)?,
         };
-        let mut plan = planner::plan(query, &meta, policy)?;
-        if let Some(threshold) = promoted {
-            plan.reasons[0] = spill_reason(meta.edges, threshold);
-        }
-        let plan = plan;
+        let plan = planner::plan(query, &meta, policy)?;
 
         let mut exec = Execution::default();
         let outcome = match plan.backend {
@@ -1187,55 +1103,5 @@ mod tests {
             report.result_cache_hit, None,
             "memory sources bypass the result cache"
         );
-    }
-
-    #[test]
-    fn shard_spill_promotes_oversized_approx_to_mapreduce() {
-        let engine = Engine::new();
-        let list = dsg_graph::gen::clique(10); // 45 edges
-        let source = Source::Memory {
-            list: list.clone(),
-            label: "k10".into(),
-        };
-        let query = Query::new(Algorithm::Approx {
-            epsilon: 0.5,
-            sketch: None,
-        });
-        let policy = ResourcePolicy::default();
-        let baseline = engine.execute(&source, &query, &policy).unwrap();
-
-        engine.set_mapreduce_spill(Some(40));
-        let plan = engine.plan(&source, &query, &policy).unwrap();
-        assert!(
-            matches!(plan.backend, Backend::MapReduce { .. }),
-            "45 edges >= threshold 40 must promote: {plan:?}"
-        );
-        assert!(
-            plan.reasons[0].contains("shard-spill threshold 40"),
-            "promotion must be recorded in the plan's reasons: {:?}",
-            plan.reasons
-        );
-        let promoted = engine.execute(&source, &query, &policy).unwrap();
-        assert_eq!(promoted.plan, plan);
-        assert_eq!(
-            promoted.density(),
-            baseline.density(),
-            "the MapReduce substrate answers with the same density"
-        );
-
-        // Under the threshold, or with a forced backend, nothing changes.
-        engine.set_mapreduce_spill(Some(46));
-        let plan = engine.plan(&source, &query, &policy).unwrap();
-        assert!(!matches!(plan.backend, Backend::MapReduce { .. }));
-        engine.set_mapreduce_spill(Some(40));
-        let forced = Query {
-            algorithm: query.algorithm,
-            backend: Some(BackendRequest::InMemory),
-        };
-        let plan = engine.plan(&source, &forced, &policy).unwrap();
-        assert!(!matches!(plan.backend, Backend::MapReduce { .. }));
-        engine.set_mapreduce_spill(None);
-        let plan = engine.plan(&source, &query, &policy).unwrap();
-        assert!(!matches!(plan.backend, Backend::MapReduce { .. }));
     }
 }

@@ -56,8 +56,9 @@
 //! (default 1; 0 disables explicit fsync). A `kill -9` keeps the page
 //! cache, so crash-recovery holds at any setting; the fsync cadence is
 //! the power-loss durability bound. fsync happens on catalog mutation
-//! paths only — executor/worker threads — never on the router event
-//! loop, which dsg-lint's hot-path rule enforces structurally.
+//! paths only — a shard's executor, or at one shard the I/O worker that
+//! runs the mutation inline — and dsg-lint's hot-path rule keeps the
+//! serve code itself from ever calling it.
 //!
 //! ## Crash-injection hook
 //!

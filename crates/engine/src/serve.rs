@@ -12,24 +12,28 @@
 //!
 //! ## Concurrency
 //!
-//! Socket mode runs an **accept thread plus `workers` event loops**
-//! ([`ServeOptions`]): each accepted connection is assigned round-robin
-//! to a worker, and every worker multiplexes its connection set with
-//! readiness-based nonblocking I/O (`poll(2)` via [`crate::readiness`],
-//! infinite timeout). Idle connections cost **zero wakeups** — nobody
-//! spins on read-timeout ticks — and cross-thread signals (a new
-//! connection handed over, the shutdown latch) arrive through a
-//! self-pipe waker, so graceful shutdown completes as soon as in-flight
-//! requests drain instead of waiting out a timeout tick per parked
-//! connection. `max_connections` bounds the *live* connections across
-//! all workers; at the cap the accept thread parks until one closes,
-//! which is the backpressure (clients queue in the socket backlog
-//! instead of overwhelming the server). All workers share one
-//! [`Engine`] (`&Engine` — the engine is internally synchronized). A
-//! `shutdown` op latches the shutdown flag, wakes every event loop, and
-//! removes the socket file. The socket file is removed by an RAII
-//! guard, so it disappears even when the serve loop exits through an
-//! error path or a panic.
+//! Socket mode runs an **accept thread plus `workers` I/O event loops**
+//! ([`ServeOptions`]), the same loop for every shard count: each
+//! accepted connection is assigned round-robin to a worker, and every
+//! worker multiplexes its connection set with readiness-based
+//! nonblocking I/O (`poll(2)` via [`crate::readiness`], infinite
+//! timeout). Idle connections cost **zero wakeups** — nobody spins on
+//! read-timeout ticks — and cross-thread signals (a new connection
+//! handed over, a finished shard job, the shutdown latch) arrive
+//! through a self-pipe waker, so graceful shutdown completes as soon as
+//! in-flight requests drain instead of waiting out a timeout tick per
+//! parked connection. `max_connections` bounds the *live* connections
+//! across all workers; at the cap the accept thread parks until one
+//! closes, which is the backpressure (clients queue in the socket
+//! backlog instead of overwhelming the server). The loop answers
+//! `stats` and `shutdown` itself. Every other request runs on its
+//! shard's engine: with one shard (the default) **inline on the I/O
+//! worker**, against the caller's [`Engine`] (`&Engine` — the engine is
+//! internally synchronized); with `shards > 1` it is queued to that
+//! shard's executors (see [`crate::shard`]). A `shutdown` op latches the
+//! shutdown flag, wakes every event loop, and removes the socket file.
+//! The socket file is removed by an RAII guard, so it disappears even
+//! when the serve loop exits through an error path or a panic.
 //!
 //! ## Wire formats
 //!
@@ -43,10 +47,14 @@
 //! layout, and the parity tests below which assert it). Binary
 //! connections may also **pipeline**: a batch frame carries N requests
 //! and the server answers each with its own reply frame, in order,
-//! without waiting for the client to read between them. Per-connection
-//! read/write/parse scratch buffers are reused across requests, so
-//! steady-state request decoding performs no per-request allocation
-//! (response rendering still builds one `String` per reply).
+//! without waiting for the client to read between them. One decoder
+//! serves both formats; per-connection read/write buffers and the
+//! per-worker parse arena are reused across requests, so steady-state
+//! request decoding performs no per-request allocation (response
+//! rendering still builds one `String` per reply). A request longer
+//! than [`crate::frame::DEFAULT_MAX_FRAME`] bytes — a frame payload, or
+//! a JSONL line with no newline by then — gets one typed error reply,
+//! and the connection closes.
 //!
 //! ## Protocol
 //!
@@ -105,7 +113,8 @@
 //! `incremental_fallbacks`), and a `named` array with one object per
 //! session graph (`name`, `version`, `nodes`, `edges`, `delta_edges`,
 //! `compactions`, `warm_hits`, `warm_fallbacks`, `incremental_hits`,
-//! `incremental_fallbacks`).
+//! `incremental_fallbacks`). A server with `shards > 1` sums the
+//! counters over its shards and appends a `shards` array.
 //!
 //! Errors never kill the loop: `{"id":…,"ok":false,"error":"…"}` and the
 //! next line is read. The loop ends cleanly on EOF (stdin mode: client
@@ -119,25 +128,25 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dsg_flow::FlowBackend;
 
 use crate::engine::Engine;
-use crate::minijson::{self, Value};
+use crate::minijson::{self, FieldScratch, Value};
 use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
 use crate::report::JsonBuilder;
 
 /// Worker-pool sizing and durability wiring of the socket serve mode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Worker threads serving connections concurrently (clamped ≥ 1).
-    /// With `shards > 1` this sizes both the router's I/O workers and
-    /// each shard's executor pool.
+    /// I/O worker threads serving connections concurrently (clamped
+    /// ≥ 1). With `shards > 1` this also sizes each shard's executor
+    /// pool.
     pub workers: usize,
-    /// Bound of the pending-connection queue between the accept thread
-    /// and the workers (clamped ≥ 1). A full queue blocks the accept
-    /// thread — that is the backpressure.
+    /// Most connections open at once across all workers (clamped ≥ 1).
+    /// At the cap the accept thread waits until one closes, so further
+    /// clients wait in the socket backlog — that is the backpressure.
     pub max_connections: usize,
-    /// Engine shards (clamped ≥ 1). At 1 the classic single-engine pool
-    /// runs; above 1 a front router owns all connection I/O and hash-
-    /// routes each request to one of `shards` independent engines over
-    /// bounded per-shard queues — see [`crate::shard`].
+    /// Engine shards (clamped ≥ 1). At 1 every request runs inline on
+    /// the I/O worker that read it; above 1 each request is hash-routed
+    /// to one of `shards` independent engines over bounded per-shard
+    /// queues — see [`crate::shard`].
     pub shards: usize,
     /// Root of the durable-session store (`None` = in-memory sessions).
     /// Each shard opens `<data_dir>/shard-<i>` — its own WAL + snapshot
@@ -208,19 +217,20 @@ impl ServeMetrics {
         self.peak_connections.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn connection_opened(&self) {
+    #[cfg(unix)]
+    fn connection_opened(&self) {
         self.total_connections.fetch_add(1, Ordering::Relaxed);
         let now = self.active_connections.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_connections.fetch_max(now, Ordering::Relaxed);
     }
 
-    pub(crate) fn connection_closed(&self) {
+    #[cfg(unix)]
+    fn connection_closed(&self) {
         self.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// `(queries, mutations, errors)` so far — the shard layer sums
-    /// these across per-shard metrics for merged stats and summaries.
-    pub(crate) fn op_counts(&self) -> (u64, u64, u64) {
+    /// `(queries, mutations, errors)` so far.
+    fn op_counts(&self) -> (u64, u64, u64) {
         (
             self.queries.load(Ordering::Relaxed),
             self.mutations.load(Ordering::Relaxed),
@@ -228,26 +238,49 @@ impl ServeMetrics {
         )
     }
 
-    /// Counts one request answered with an error object (router-side
-    /// parse/framing errors that never reach a shard).
-    pub(crate) fn record_error(&self) {
+    /// Counts one request answered with an error object.
+    fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn summary(&self) -> ServeSummary {
-        ServeSummary {
-            queries: self.queries.load(Ordering::Relaxed),
-            mutations: self.mutations.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+    /// The server's summary: connection accounting and op counts from
+    /// these metrics (every op at one shard, decode errors at n), plus
+    /// the op counts of `shards` and the incremental-tier counters of
+    /// `engines`.
+    #[cfg(unix)]
+    fn summary(&self, engines: &[Engine], shards: &[ShardCounters]) -> ServeSummary {
+        let (mut queries, mut mutations, mut errors) = self.op_counts();
+        for shard in shards {
+            let (q, m, e) = shard.metrics.op_counts();
+            queries += q;
+            mutations += m;
+            errors += e;
+        }
+        let mut summary = ServeSummary {
+            queries,
+            mutations,
+            errors,
             shutdown: self.shutdown_requested(),
             connections: self.total_connections.load(Ordering::Relaxed),
             peak_connections: self.peak_connections(),
-            // Engine-level counters; the serve entry points overwrite
-            // these from the engine they actually ran.
-            incremental_hits: 0,
-            incremental_fallbacks: 0,
+            ..ServeSummary::default()
+        };
+        for engine in engines {
+            let inc = engine.incremental_stats();
+            summary.incremental_hits += inc.hits;
+            summary.incremental_fallbacks += inc.fallbacks;
         }
+        summary
     }
+}
+
+/// One shard's counters beside its engine's own, for the `stats`
+/// breakdown of an n-shard server: the requests routed to the shard,
+/// and the queries, mutations and errors its executors answered.
+#[derive(Debug, Default)]
+pub(crate) struct ShardCounters {
+    pub(crate) metrics: ServeMetrics,
+    pub(crate) routed: AtomicU64,
 }
 
 /// What a serve loop did, for logging and tests.
@@ -275,12 +308,13 @@ pub struct ServeSummary {
 
 /// Runs the JSONL loop over arbitrary reader/writer pairs until EOF or a
 /// `shutdown` op, updating `metrics` as it goes. This is the stdio serve
-/// mode and the per-connection protocol of the socket mode (which adds
-/// shutdown-aware reads on top — see `serve_connection`).
+/// mode; lines are decoded by the same rule as socket JSONL lines (see
+/// [`serve_unix`]), so invalid UTF-8 gets an error reply rather than
+/// ending the loop.
 pub fn serve_loop<R: BufRead, W: Write>(
     engine: &Engine,
     default_policy: &ResourcePolicy,
-    reader: R,
+    mut reader: R,
     writer: &mut W,
     metrics: &ServeMetrics,
 ) -> std::io::Result<ServeSummary> {
@@ -289,12 +323,28 @@ pub fn serve_loop<R: BufRead, W: Write>(
         peak_connections: 1,
         ..ServeSummary::default()
     };
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let engines = std::slice::from_ref(engine);
+    let mut scratch = FieldScratch::new();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        let (response, outcome) = handle_line(engine, default_policy, metrics, &line);
+        let raw = line.strip_suffix(b"\n").unwrap_or(&line);
+        let (response, outcome) = match decode_line(raw, &mut scratch) {
+            None => continue,
+            Some(Ok(())) => {
+                let fields = scratch.fields();
+                let op = op_name(None, fields);
+                answer_control(op, fields, engines, &[], metrics)
+                    .unwrap_or_else(|| execute(engine, default_policy, metrics, fields, op))
+            }
+            Some(Err(message)) => {
+                metrics.record_error();
+                (error_response("null", &message), LineOutcome::Error)
+            }
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -315,7 +365,7 @@ pub fn serve_loop<R: BufRead, W: Write>(
     Ok(summary)
 }
 
-/// How one request line was disposed of (drives the summary counters:
+/// How one request was disposed of (drives the summary counters:
 /// `stats`/`shutdown` ops are answered but are not *queries*; graph
 /// mutations are counted on their own).
 pub(crate) enum LineOutcome {
@@ -326,163 +376,248 @@ pub(crate) enum LineOutcome {
     Shutdown,
 }
 
-/// Handles one request line; returns the response and its disposition.
-/// Also updates the shared metrics (so concurrent workers aggregate
-/// into one set of counters).
-fn handle_line(
-    engine: &Engine,
-    default_policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    line: &str,
-) -> (String, LineOutcome) {
-    let fields = match minijson::parse_object(line) {
-        Ok(f) => f,
-        Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return (error_response("null", &e.to_string()), LineOutcome::Error);
+/// The JSONL line rule of both transports: invalid UTF-8 is decoded
+/// lossily (the parser then answers with its typed error), and a blank
+/// line is skipped (`None`). The parsed fields land in `scratch`.
+fn decode_line(raw: &[u8], scratch: &mut FieldScratch) -> Option<Result<(), String>> {
+    let lossy;
+    let text = match std::str::from_utf8(raw) {
+        Ok(text) => text,
+        Err(_) => {
+            lossy = String::from_utf8_lossy(raw);
+            &lossy
         }
     };
-    handle_fields(engine, default_policy, metrics, &fields, None)
+    if text.trim().is_empty() {
+        return None;
+    }
+    Some(minijson::parse_object_into(text, scratch).map_err(|e| e.to_string()))
 }
 
-/// Handles one parsed request — the shared semantic core of both wire
-/// formats. The JSONL path parses a line and passes the fields with no
-/// override; the binary path decodes a frame payload and passes the
-/// frame's opcode as `op_override` (binary requests carry the op in the
-/// header, not as a field). Everything downstream of here is identical,
-/// which is what makes binary replies byte-identical in content to
-/// JSONL response lines.
-pub(crate) fn handle_fields(
-    engine: &Engine,
-    default_policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    fields: &[(String, Value)],
-    op_override: Option<&str>,
-) -> (String, LineOutcome) {
-    let op = op_override.unwrap_or_else(|| {
+/// A request's op: the binary opcode's, else its `op` field, else
+/// `query`.
+pub(crate) fn op_name<'f>(opcode: Option<&'static str>, fields: &'f [(String, Value)]) -> &'f str {
+    opcode.unwrap_or_else(|| {
         minijson::get(fields, "op")
             .and_then(Value::as_str)
             .unwrap_or("query")
-    });
-    // The success envelope starts identically for every op; the id is
-    // echoed straight from the parsed value (no intermediate string).
-    // Error paths are cold and re-derive the id themselves.
+    })
+}
+
+/// Starts a response with the request's `id` echoed straight from the
+/// parsed value (no intermediate string).
+fn envelope(fields: &[(String, Value)]) -> JsonBuilder {
     let mut j = JsonBuilder::new();
     match minijson::get(fields, "id") {
         Some(v) => j.value_field("id", v),
         None => j.raw_field("id", "null"),
     }
-    let id = || minijson::get(fields, "id").map_or("null".to_string(), Value::to_json);
+    j
+}
+
+/// `shutdown` and `stats` concern the whole server, so the serve loop
+/// answers them itself; every other op gets `None` and runs on its
+/// shard's engine ([`execute`]).
+fn answer_control(
+    op: &str,
+    fields: &[(String, Value)],
+    engines: &[Engine],
+    shards: &[ShardCounters],
+    metrics: &ServeMetrics,
+) -> Option<(String, LineOutcome)> {
     match op {
         "shutdown" => {
             metrics.request_shutdown();
+            let mut j = envelope(fields);
             j.raw_field("ok", "true");
             j.raw_field("bye", "true");
-            (j.finish(), LineOutcome::Shutdown)
+            Some((j.finish(), LineOutcome::Shutdown))
         }
-        "stats" => {
-            let stats = engine.catalog().stats();
-            let results = engine.results().stats();
-            let warm = engine.warm_stats();
-            j.raw_field("ok", "true");
-            j.num_field("loads", stats.loads as f64);
-            j.num_field("hits", stats.hits as f64);
-            j.num_field("stat_scans", stats.stat_scans as f64);
-            j.num_field("evictions", stats.evictions as f64);
-            j.num_field("graphs", engine.catalog().len() as f64);
-            j.num_field("result_hits", results.hits as f64);
-            j.num_field("result_misses", results.misses as f64);
-            j.num_field("result_insertions", results.insertions as f64);
-            j.num_field("result_evictions", results.evictions as f64);
-            j.num_field("result_entries", results.entries as f64);
-            j.num_field("result_bytes", results.bytes as f64);
+        "stats" => Some((
+            render_stats(fields, engines, shards, metrics),
+            LineOutcome::OpOk,
+        )),
+        _ => None,
+    }
+}
+
+/// Every engine counter `stats` reports, in reply order; the two
+/// connection counters go in before `mutations`.
+const ENGINE_COUNTERS: [&str; 19] = [
+    "loads",
+    "hits",
+    "stat_scans",
+    "evictions",
+    "graphs",
+    "result_hits",
+    "result_misses",
+    "result_insertions",
+    "result_evictions",
+    "result_entries",
+    "result_bytes",
+    "mutations",
+    "graphs_named",
+    "warm_hits",
+    "warm_fallbacks",
+    "incremental_hits",
+    "incremental_fallbacks",
+    // Startup-recovery counters (zero on a non-durable server): the
+    // crash-recovery CI lane asserts on these structured fields instead
+    // of grepping server logs.
+    "replayed_ops",
+    "dropped_tail_records",
+];
+
+/// One engine's values of [`ENGINE_COUNTERS`].
+fn engine_counters(engine: &Engine) -> [u64; 19] {
+    let catalog = engine.catalog();
+    let stats = catalog.stats();
+    let results = engine.results().stats();
+    let warm = engine.warm_stats();
+    let inc = engine.incremental_stats();
+    let (replayed, dropped) = catalog.recovery_counters();
+    [
+        stats.loads,
+        stats.hits,
+        stats.stat_scans,
+        stats.evictions,
+        catalog.len() as u64,
+        results.hits,
+        results.misses,
+        results.insertions,
+        results.evictions,
+        results.entries,
+        results.bytes,
+        catalog.mutations(),
+        catalog.named_len() as u64,
+        warm.hits,
+        warm.fallbacks,
+        inc.hits,
+        inc.fallbacks,
+        replayed,
+        dropped,
+    ]
+}
+
+/// The one `stats` renderer. Each counter is summed over `engines`, and
+/// the `named` arrays are concatenated in shard order. The per-graph
+/// `named` array comes last among the flat fields so they stay trivially
+/// greppable, and only when a session graph exists, so a session-less
+/// one-shard reply stays a flat object that the minijson request parser
+/// itself can read (the throughput experiment and older clients rely on
+/// that). An n-shard server (`shards` non-empty) appends its per-shard
+/// breakdown: the observable proof of isolation, as each shard's
+/// counters move only when requests are routed to it.
+fn render_stats(
+    fields: &[(String, Value)],
+    engines: &[Engine],
+    shards: &[ShardCounters],
+    metrics: &ServeMetrics,
+) -> String {
+    let counters: Vec<[u64; 19]> = engines.iter().map(engine_counters).collect();
+    let mut j = envelope(fields);
+    j.raw_field("ok", "true");
+    for (i, name) in ENGINE_COUNTERS.iter().enumerate() {
+        if *name == "mutations" {
             j.num_field("conn_active", metrics.active_connections() as f64);
             j.num_field("conn_peak", metrics.peak_connections() as f64);
-            j.num_field("mutations", engine.catalog().mutations() as f64);
-            j.num_field("graphs_named", engine.catalog().named_len() as f64);
-            j.num_field("warm_hits", warm.hits as f64);
-            j.num_field("warm_fallbacks", warm.fallbacks as f64);
-            let inc = engine.incremental_stats();
-            j.num_field("incremental_hits", inc.hits as f64);
-            j.num_field("incremental_fallbacks", inc.fallbacks as f64);
-            // Startup-recovery counters (zero on a non-durable server):
-            // the crash-recovery CI lane asserts on these structured
-            // fields instead of grepping server logs.
-            let (replayed, dropped) = engine.catalog().recovery_counters();
-            j.num_field("replayed_ops", replayed as f64);
-            j.num_field("dropped_tail_records", dropped as f64);
-            // Per-session-graph accounting, last so the flat fields
-            // above stay trivially greppable — and only when at least
-            // one session graph exists, so the response of a
-            // session-less server stays a flat object that the minijson
-            // request parser itself could read (the throughput
-            // experiment and older clients rely on that).
-            let named: Vec<String> = engine
-                .catalog()
-                .named_stats()
-                .iter()
-                .map(|g| {
-                    let mut item = JsonBuilder::new();
-                    item.str_field("name", &g.name);
-                    item.num_field("version", g.version as f64);
-                    item.num_field("nodes", g.nodes as f64);
-                    item.num_field("edges", g.edges as f64);
-                    item.num_field("delta_edges", g.delta_edges as f64);
-                    item.num_field("compactions", g.compactions as f64);
-                    item.num_field("warm_hits", g.warm_hits as f64);
-                    item.num_field("warm_fallbacks", g.warm_fallbacks as f64);
-                    item.num_field("incremental_hits", g.incremental_hits as f64);
-                    item.num_field("incremental_fallbacks", g.incremental_fallbacks as f64);
-                    item.num_field("wal_bytes", g.wal_bytes as f64);
-                    item.num_field("snapshot_version", g.snapshot_version as f64);
-                    item.num_field("last_fsync", g.last_fsync as f64);
-                    item.num_field("replayed_ops", g.replayed_ops as f64);
-                    item.num_field("dropped_tail_records", g.dropped_tail_records as f64);
-                    item.finish()
-                })
-                .collect();
-            if !named.is_empty() {
-                j.raw_field("named", &format!("[{}]", named.join(",")));
-            }
-            (j.finish(), LineOutcome::OpOk)
         }
+        j.num_field(name, counters.iter().map(|c| c[i]).sum::<u64>() as f64);
+    }
+    let named: Vec<String> = engines
+        .iter()
+        .flat_map(|engine| engine.catalog().named_stats())
+        .map(|g| {
+            let mut item = JsonBuilder::new();
+            item.str_field("name", &g.name);
+            item.num_field("version", g.version as f64);
+            item.num_field("nodes", g.nodes as f64);
+            item.num_field("edges", g.edges as f64);
+            item.num_field("delta_edges", g.delta_edges as f64);
+            item.num_field("compactions", g.compactions as f64);
+            item.num_field("warm_hits", g.warm_hits as f64);
+            item.num_field("warm_fallbacks", g.warm_fallbacks as f64);
+            item.num_field("incremental_hits", g.incremental_hits as f64);
+            item.num_field("incremental_fallbacks", g.incremental_fallbacks as f64);
+            item.num_field("wal_bytes", g.wal_bytes as f64);
+            item.num_field("snapshot_version", g.snapshot_version as f64);
+            item.num_field("last_fsync", g.last_fsync as f64);
+            item.num_field("replayed_ops", g.replayed_ops as f64);
+            item.num_field("dropped_tail_records", g.dropped_tail_records as f64);
+            item.finish()
+        })
+        .collect();
+    if !named.is_empty() {
+        j.raw_field("named", &format!("[{}]", named.join(",")));
+    }
+    if !shards.is_empty() {
+        let rows: Vec<String> = shards
+            .iter()
+            .zip(&counters)
+            .enumerate()
+            .map(|(index, (shard, engine))| {
+                let (queries, mutations, errors) = shard.metrics.op_counts();
+                let mut row = JsonBuilder::new();
+                row.num_field("shard", index as f64);
+                row.num_field("routed", shard.routed.load(Ordering::Relaxed) as f64);
+                row.num_field("queries", queries as f64);
+                row.num_field("mutations", mutations as f64);
+                row.num_field("errors", errors as f64);
+                for (name, value) in ENGINE_COUNTERS.iter().zip(engine) {
+                    if matches!(*name, "loads" | "graphs" | "graphs_named") {
+                        row.num_field(name, *value as f64);
+                    }
+                }
+                row.finish()
+            })
+            .collect();
+        j.raw_field("shards", &format!("[{}]", rows.join(",")));
+    }
+    j.finish()
+}
+
+/// Runs one query or mutation (or rejects an unknown op) on `engine`,
+/// counting the outcome into `metrics`: the per-request core of every
+/// shard count — inline on the I/O worker at one shard, on a shard's
+/// executor at n. Binary requests carry the op in the frame header and
+/// JSONL requests in a field; everything downstream of `op` is
+/// identical, which is what makes binary replies byte-identical in
+/// content to JSONL response lines.
+pub(crate) fn execute(
+    engine: &Engine,
+    default_policy: &ResourcePolicy,
+    metrics: &ServeMetrics,
+    fields: &[(String, Value)],
+    op: &str,
+) -> (String, LineOutcome) {
+    let mut j = envelope(fields);
+    j.raw_field("ok", "true");
+    let outcome = match op {
         "create_graph" | "add_edges" | "remove_edges" | "compact" => {
-            j.raw_field("ok", "true");
-            match run_mutation(engine, op, fields, &mut j) {
-                Ok(()) => {
-                    metrics.mutations.fetch_add(1, Ordering::Relaxed);
-                    (j.finish(), LineOutcome::MutationOk)
-                }
-                Err(e) => {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_response(&id(), &e), LineOutcome::Error)
-                }
-            }
+            run_mutation(engine, op, fields, &mut j).map(|()| LineOutcome::MutationOk)
         }
-        "query" => {
-            j.raw_field("ok", "true");
-            match run_query(engine, default_policy, fields, &mut j) {
-                Ok(()) => {
-                    metrics.queries.fetch_add(1, Ordering::Relaxed);
-                    (j.finish(), LineOutcome::QueryOk)
-                }
-                Err(e) => {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_response(&id(), &e), LineOutcome::Error)
-                }
-            }
+        "query" => run_query(engine, default_policy, fields, &mut j).map(|()| LineOutcome::QueryOk),
+        other => Err(format!("unknown op '{other}'")),
+    };
+    match outcome {
+        Ok(outcome) => {
+            let counter = match outcome {
+                LineOutcome::MutationOk => &metrics.mutations,
+                _ => &metrics.queries,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            (j.finish(), outcome)
         }
-        other => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            (
-                error_response(&id(), &format!("unknown op '{other}'")),
-                LineOutcome::Error,
-            )
+        Err(e) => {
+            // Error paths are cold and re-derive the id themselves.
+            metrics.record_error();
+            let id = minijson::get(fields, "id").map_or("null".to_string(), Value::to_json);
+            (error_response(&id, &e), LineOutcome::Error)
         }
     }
 }
 
-pub(crate) fn error_response(id: &str, message: &str) -> String {
+fn error_response(id: &str, message: &str) -> String {
     let mut j = JsonBuilder::new();
     j.raw_field("id", id);
     j.raw_field("ok", "false");
@@ -816,35 +951,9 @@ pub fn serve_unix(
     std::fs::rename(&staging, path)?;
     guard.path = path.to_path_buf();
     let metrics = ServeMetrics::new();
-    if options.shards > 1 {
-        // Sharded mode: a front router owns the accept loop and all
-        // connection I/O; `engine` serves only as the tuning template
-        // for the per-shard engines (each of which opens its own
-        // `shard-<i>` data subdirectory). The guard above still removes
-        // the socket file on every exit path.
-        return crate::shard::run_sharded_pool(engine, policy, &listener, options, &metrics);
-    }
-    if let Some(dir) = &options.data_dir {
-        // Single-shard durability: the serving engine itself opens
-        // `shard-0`, so a later `--shards n` restart finds shard 0's
-        // graphs where shard 0 will look for them.
-        if !engine.catalog().is_durable() {
-            engine
-                .catalog()
-                .open_data_dir(
-                    &dir.join("shard-0"),
-                    options.fsync_every,
-                    options.snapshot_every,
-                )
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        }
-    }
-    run_pool(engine, policy, &listener, options, &metrics)?;
-    let mut summary = metrics.summary();
-    let inc = engine.incremental_stats();
-    summary.incremental_hits = inc.hits;
-    summary.incremental_fallbacks = inc.fallbacks;
-    Ok(summary)
+    let runtime = crate::shard::ShardRuntime::new(engine, options, crate::shard::SHARD_QUEUE_CAP)?;
+    run_listener(&runtime, policy, &listener, options, &metrics)?;
+    Ok(metrics.summary(runtime.engines(), runtime.counters()))
 }
 
 /// Write high-water mark per connection: once this many response bytes
@@ -853,17 +962,26 @@ pub fn serve_unix(
 /// until the backlog drains below the mark. A slow reader throttles
 /// itself, never the server — and never pins a graceful shutdown open.
 #[cfg(unix)]
-pub(crate) const WRITE_HWM: usize = 256 * 1024;
+const WRITE_HWM: usize = 256 * 1024;
 
 /// Read chunk size, and the consumed-prefix threshold above which the
 /// reusable read/write buffers are compacted.
 #[cfg(unix)]
-pub(crate) const READ_CHUNK: usize = 64 * 1024;
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Longest JSONL request line, without its newline: the binary frame
+/// cap, so both wire formats bound a request alike.
+#[cfg(unix)]
+const MAX_LINE: usize = crate::frame::DEFAULT_MAX_FRAME;
+
+/// Bytes ahead of each batch item's payload: its opcode and u32 length.
+#[cfg(unix)]
+const BATCH_ITEM_HEADER: usize = 5;
 
 /// Counts live connections across all workers and blocks the accept
 /// thread at `max_connections` — the pool's backpressure.
 #[cfg(unix)]
-pub(crate) struct ConnGate {
+struct ConnGate {
     used: std::sync::Mutex<usize>,
     freed: std::sync::Condvar,
     cap: usize,
@@ -871,7 +989,7 @@ pub(crate) struct ConnGate {
 
 #[cfg(unix)]
 impl ConnGate {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         ConnGate {
             used: std::sync::Mutex::new(0),
             freed: std::sync::Condvar::new(),
@@ -881,7 +999,7 @@ impl ConnGate {
 
     /// Claims a connection slot, parking while the server is at
     /// capacity. Returns `false` once shutdown latches instead.
-    pub(crate) fn acquire(&self, metrics: &ServeMetrics) -> bool {
+    fn acquire(&self, metrics: &ServeMetrics) -> bool {
         let mut used = self.used.lock().expect("conn gate poisoned");
         while *used >= self.cap {
             if metrics.shutdown_requested() {
@@ -893,7 +1011,7 @@ impl ConnGate {
         true
     }
 
-    pub(crate) fn release(&self) {
+    fn release(&self) {
         let mut used = self.used.lock().expect("conn gate poisoned");
         *used = used.saturating_sub(1);
         self.freed.notify_all();
@@ -902,47 +1020,78 @@ impl ConnGate {
     /// Wakes every thread parked in [`ConnGate::acquire`] so it can
     /// observe the shutdown latch. Taking the mutex first makes the
     /// wake race-free against a concurrent check-then-wait.
-    pub(crate) fn poke(&self) {
+    fn poke(&self) {
         let _used = self.used.lock().expect("conn gate poisoned");
         self.freed.notify_all();
     }
 }
 
-/// One worker's handoff mailbox: the accept thread pushes accepted
-/// connections and rings the waker; the worker adopts them at its next
-/// event-loop turn.
+/// A finished shard job's pre-encoded reply, homed to `(slot, gen)` on
+/// the I/O worker that owns the connection (and dropped if the
+/// connection died and its slot was reused — the generation check).
 #[cfg(unix)]
-struct WorkerSlot {
-    intake: std::sync::Mutex<Vec<std::os::unix::net::UnixStream>>,
+pub(crate) struct Completion {
+    pub(crate) slot: usize,
+    pub(crate) gen: u64,
+    pub(crate) bytes: Vec<u8>,
+}
+
+/// One I/O worker's mailboxes: accepted connections in, and (n shards
+/// only) completions back from the shard executors. One waker covers
+/// both.
+#[cfg(unix)]
+struct IoSlot {
+    arrivals: std::sync::Mutex<Vec<std::os::unix::net::UnixStream>>,
+    completions: std::sync::Mutex<Vec<Completion>>,
     waker: crate::readiness::Waker,
 }
 
-/// Everything the accept thread and the workers share besides the
-/// engine and metrics.
+/// Everything the accept thread, the I/O workers and the shard
+/// executors share besides the shard runtime and the metrics.
 #[cfg(unix)]
-struct PoolShared {
-    slots: Vec<WorkerSlot>,
+pub(crate) struct IoShared {
+    slots: Vec<IoSlot>,
     accept_waker: crate::readiness::Waker,
     gate: ConnGate,
 }
 
 #[cfg(unix)]
-impl PoolShared {
-    /// Wakes every event loop (workers and accept thread) plus the
-    /// gate; called once shutdown latches so nobody stays parked.
-    fn wake_all(&self) {
+impl IoShared {
+    /// Mails a finished job's reply to the I/O worker owning its
+    /// connection.
+    pub(crate) fn complete(&self, worker: usize, completion: Completion) {
+        let slot = &self.slots[worker];
+        slot.completions
+            .lock()
+            .expect("completion mailbox poisoned")
+            .push(completion);
+        slot.waker.wake();
+    }
+
+    /// Wakes one I/O worker (a shard queue it parked against has room).
+    pub(crate) fn wake(&self, worker: usize) {
+        self.slots[worker].waker.wake();
+    }
+
+    /// Wakes every parked thread — the I/O workers, the accept thread,
+    /// the gate, and each shard's executors — once shutdown latches.
+    fn wake_all(&self, runtime: &crate::shard::ShardRuntime<'_>) {
         for slot in &self.slots {
             slot.waker.wake();
         }
         self.accept_waker.wake();
         self.gate.poke();
+        runtime.poke_queues();
     }
 }
 
-/// The accept thread + per-worker event loops around a bound listener.
+/// The accept thread, the I/O event loops and (n shards only) the
+/// per-shard executor pools around a bound listener, all under one
+/// scope: the accept loop ends on shutdown or error, latches the stop
+/// flag and wakes everyone, and the scope join is the drain.
 #[cfg(unix)]
-fn run_pool(
-    engine: &Engine,
+pub(crate) fn run_listener(
+    runtime: &crate::shard::ShardRuntime<'_>,
     policy: &ResourcePolicy,
     listener: &std::os::unix::net::UnixListener,
     options: &ServeOptions,
@@ -957,21 +1106,36 @@ fn run_pool(
     let mut receivers = Vec::with_capacity(workers);
     for _ in 0..workers {
         let (waker, rx) = wake_pair()?;
-        slots.push(WorkerSlot {
-            intake: std::sync::Mutex::new(Vec::new()),
+        slots.push(IoSlot {
+            arrivals: std::sync::Mutex::new(Vec::new()),
+            completions: std::sync::Mutex::new(Vec::new()),
             waker,
         });
         receivers.push(rx);
     }
-    let shared = PoolShared {
+    let shared = IoShared {
         slots,
         accept_waker,
         gate: ConnGate::new(options.max_connections),
     };
     std::thread::scope(|s| {
-        for (index, rx) in receivers.into_iter().enumerate() {
+        for (worker, rx) in receivers.into_iter().enumerate() {
+            let ctx = ServeCtx {
+                runtime,
+                policy,
+                metrics,
+                worker,
+            };
             let shared = &shared;
-            s.spawn(move || worker_event_loop(engine, policy, metrics, shared, index, rx));
+            s.spawn(move || io_event_loop(&ctx, shared, rx));
+        }
+        for shard in 0..runtime.queue_count() {
+            for _ in 0..workers {
+                let shared = &shared;
+                s.spawn(move || {
+                    crate::shard::executor_loop(runtime, shard, policy, metrics, shared)
+                });
+            }
         }
         let mut next_worker = 0usize;
         let accept_result = loop {
@@ -984,7 +1148,7 @@ fn run_pool(
                 Ok(Some(conn)) => {
                     let slot = &shared.slots[next_worker % shared.slots.len()];
                     next_worker = next_worker.wrapping_add(1);
-                    slot.intake.lock().expect("intake poisoned").push(conn);
+                    slot.arrivals.lock().expect("arrivals poisoned").push(conn);
                     slot.waker.wake();
                 }
                 Ok(None) => {
@@ -1001,7 +1165,7 @@ fn run_pool(
         // In-flight requests still finish and their responses are
         // flushed best-effort; the scope join below is the drain.
         metrics.request_shutdown();
-        shared.wake_all();
+        shared.wake_all(runtime);
         accept_result
     })
 }
@@ -1009,7 +1173,7 @@ fn run_pool(
 /// Blocks in `poll(2)` until a connection arrives; `Ok(None)` means the
 /// shutdown latch fired instead.
 #[cfg(unix)]
-pub(crate) fn accept_next(
+fn accept_next(
     listener: &std::os::unix::net::UnixListener,
     wake_rx: &crate::readiness::WakeReceiver,
     metrics: &ServeMetrics,
@@ -1039,45 +1203,67 @@ pub(crate) fn accept_next(
     }
 }
 
-/// One worker's event loop: adopt handed-over connections, park in
-/// `poll(2)` over the whole set (infinite timeout — an idle worker
-/// costs zero wakeups), service whatever turned ready, prune the dead.
+/// Borrow bundle for one I/O worker's per-connection work.
 #[cfg(unix)]
-fn worker_event_loop(
-    engine: &Engine,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    shared: &PoolShared,
-    index: usize,
-    wake_rx: crate::readiness::WakeReceiver,
-) {
+struct ServeCtx<'a> {
+    runtime: &'a crate::shard::ShardRuntime<'a>,
+    policy: &'a ResourcePolicy,
+    metrics: &'a ServeMetrics,
+    worker: usize,
+}
+
+/// One I/O worker's event loop, the same at every shard count: adopt
+/// handed-over connections, park in `poll(2)` over the set (infinite
+/// timeout — an idle worker costs zero wakeups), splice finished shard
+/// replies home, service whatever turned ready, prune the dead.
+#[cfg(unix)]
+fn io_event_loop(ctx: &ServeCtx<'_>, shared: &IoShared, wake_rx: crate::readiness::WakeReceiver) {
     use crate::readiness::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
     use std::os::fd::AsRawFd;
 
-    let mut conns: Vec<Connection> = Vec::new();
-    let mut scratch = minijson::FieldScratch::new();
+    let metrics = ctx.metrics;
+    let slot = &shared.slots[ctx.worker];
+    // A slab: a connection keeps its index while a shard job is out.
+    let mut conns: Vec<Option<Connection>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    let mut next_gen = 0u64;
+    let mut scratch = FieldScratch::new();
     let mut fds: Vec<PollFd> = Vec::new();
+    let mut fd_slots: Vec<usize> = Vec::new();
     loop {
         if metrics.shutdown_requested() {
             break;
         }
-        // Adopt newly assigned connections.
-        let adopted: Vec<_> = {
-            let mut intake = shared.slots[index].intake.lock().expect("intake poisoned");
-            intake.drain(..).collect()
-        };
+        // Adopt newly assigned connections into free slab slots.
+        let adopted: Vec<_> = slot
+            .arrivals
+            .lock()
+            .expect("arrivals poisoned")
+            .drain(..)
+            .collect();
         for stream in adopted {
             match stream.set_nonblocking(true) {
                 Ok(()) => {
                     metrics.connection_opened();
-                    conns.push(Connection::new(stream));
+                    next_gen += 1;
+                    let conn = Some(Connection::new(stream, next_gen));
+                    match free.pop() {
+                        Some(index) => conns[index] = conn,
+                        None => conns.push(conn),
+                    }
                 }
                 Err(_) => shared.gate.release(),
             }
         }
+        // Poll only connections that can act on readiness. One awaiting
+        // a shard with nothing to write is deliberately absent — its
+        // wake arrives via the completion mailbox, and polling its fd
+        // would busy-spin on POLLHUP if the client hung up mid-request.
         fds.clear();
+        fd_slots.clear();
         fds.push(PollFd::new(wake_rx.fd(), POLLIN));
-        for conn in &conns {
+        for (index, conn) in conns.iter().enumerate() {
+            let Some(conn) = conn else { continue };
             let mut events = 0i16;
             if conn.wants_read() {
                 events |= POLLIN;
@@ -1085,54 +1271,68 @@ fn worker_event_loop(
             if conn.wants_write() {
                 events |= POLLOUT;
             }
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                fd_slots.push(index);
+            }
         }
         if poll_fds(&mut fds, -1).is_err() {
             // A poll failure is unrecoverable for this loop; take the
             // whole server down gracefully rather than spinning.
             metrics.request_shutdown();
-            shared.wake_all();
+            shared.wake_all(ctx.runtime);
             break;
         }
         if fds[0].ready(POLLIN) {
             wake_rx.drain();
         }
-        let mut saw_shutdown = false;
-        for (conn, pfd) in conns.iter_mut().zip(&fds[1..]) {
-            if pfd.ready(POLLIN | POLLOUT | POLLERR | POLLHUP) {
-                conn.service(
-                    pfd.ready(POLLIN | POLLERR | POLLHUP),
-                    engine,
-                    policy,
-                    metrics,
-                    &mut scratch,
-                    &mut saw_shutdown,
-                );
+        // Splice finished shard replies home first, so the service pass
+        // below flushes them and dispatches each connection's next
+        // request in the same turn.
+        if ctx.runtime.single().is_none() {
+            apply_completions(slot, &mut conns);
+        }
+        for (pfd, &index) in fds[1..].iter().zip(&fd_slots) {
+            if let Some(conn) = conns[index].as_mut() {
+                conn.due |= pfd.revents;
             }
+        }
+        let mut saw_shutdown = false;
+        for (index, entry) in conns.iter_mut().enumerate() {
+            // Parked connections get a turn every wake: the executor that
+            // freed queue capacity woke this loop, and the retry lives in
+            // the dispatch path.
+            let Some(conn) = entry.as_mut().filter(|c| c.due != 0 || c.parked.is_some()) else {
+                continue;
+            };
+            let readable = std::mem::take(&mut conn.due) & (POLLIN | POLLERR | POLLHUP) != 0;
+            conn.turn(ctx, index, readable, &mut scratch, &mut saw_shutdown);
             if saw_shutdown {
                 break;
             }
         }
-        conns.retain(|conn| {
-            if conn.dead {
+        for (index, entry) in conns.iter_mut().enumerate() {
+            if entry.as_ref().is_some_and(|c| c.dead && !c.in_flight) {
+                *entry = None;
+                free.push(index);
                 metrics.connection_closed();
                 shared.gate.release();
             }
-            !conn.dead
-        });
+        }
         if saw_shutdown {
-            // handle_fields already latched the flag; wake everyone so
-            // the other event loops (and the accept thread) observe it
-            // now instead of at their next natural wakeup.
-            shared.wake_all();
+            // The loop already latched the flag; wake everyone so the
+            // other event loops (and the accept thread) observe it now
+            // instead of at their next natural wakeup.
+            shared.wake_all(ctx.runtime);
             break;
         }
     }
-    // Shutdown drain: one best-effort nonblocking flush per connection
-    // (responses already buffered go out if the client is reading; a
-    // client that stopped reading is abandoned immediately — shutdown
-    // never blocks on it), then close everything.
-    for conn in &mut conns {
+    // Shutdown drain: deliver replies already mailed back, then one
+    // best-effort nonblocking flush per connection (a client that
+    // stopped reading is abandoned immediately — shutdown never blocks
+    // on it), then close everything.
+    apply_completions(slot, &mut conns);
+    for conn in conns.iter_mut().flatten() {
         if !conn.dead {
             conn.flush();
         }
@@ -1141,9 +1341,34 @@ fn worker_event_loop(
     }
 }
 
+/// Drains this worker's completion mailbox into the owning
+/// connections' write buffers (generation-checked, so a reply for a
+/// dead, reclaimed slot is dropped on the floor).
+#[cfg(unix)]
+fn apply_completions(slot: &IoSlot, conns: &mut [Option<Connection>]) {
+    let completions: Vec<Completion> = slot
+        .completions
+        .lock()
+        .expect("completion mailbox poisoned")
+        .drain(..)
+        .collect();
+    for completion in completions {
+        let Some(conn) = conns.get_mut(completion.slot).and_then(Option::as_mut) else {
+            continue;
+        };
+        if conn.gen != completion.gen {
+            continue;
+        }
+        conn.wbuf.extend_from_slice(&completion.bytes);
+        conn.in_flight = false;
+        // Its fd was not polled for reading while the job was out.
+        conn.due |= crate::readiness::POLLIN;
+    }
+}
+
 /// Which wire format a connection's first byte selected.
 #[cfg(unix)]
-pub(crate) enum WireMode {
+enum WireMode {
     /// Nothing received yet.
     Undetected,
     /// Line-delimited JSON (first byte was not the frame magic).
@@ -1152,68 +1377,107 @@ pub(crate) enum WireMode {
     Binary,
 }
 
-/// One multiplexed connection: its stream, detected wire mode, and the
-/// reusable read/write buffers (the scratch-buffer reuse layer — both
-/// buffers and the shared parse arena persist across requests, so
-/// steady-state decoding allocates nothing).
+/// A reply in the connection's wire format: a reply frame, or a line.
 #[cfg(unix)]
-pub(crate) struct Connection {
-    pub(crate) stream: std::os::unix::net::UnixStream,
-    pub(crate) mode: WireMode,
+pub(crate) fn encode_reply(binary: bool, reply: &str, out: &mut Vec<u8>) {
+    if binary {
+        crate::frame::encode_reply(reply, out);
+    } else {
+        out.extend_from_slice(reply.as_bytes());
+        out.push(b'\n');
+    }
+}
+
+/// One multiplexed connection: its stream, detected wire mode, the
+/// reusable read/write buffers (both persist across requests, so
+/// steady-state decoding allocates nothing), and — n shards only — its
+/// one request out at a shard.
+#[cfg(unix)]
+struct Connection {
+    stream: std::os::unix::net::UnixStream,
+    mode: WireMode,
     /// Bytes read but not yet consumed; `rpos` is the consumed prefix.
-    pub(crate) rbuf: Vec<u8>,
-    pub(crate) rpos: usize,
+    rbuf: Vec<u8>,
+    rpos: usize,
+    /// The untaken items of the batch frame being walked, as a range of
+    /// `rbuf` (behind `rpos`; the buffer is not compacted until the
+    /// range is empty).
+    batch: std::ops::Range<usize>,
     /// Bytes to write; `wpos` is the already-written prefix.
-    pub(crate) wbuf: Vec<u8>,
-    pub(crate) wpos: usize,
+    wbuf: Vec<u8>,
+    wpos: usize,
     /// Peer half-closed (or the connection was poisoned): read no more,
     /// close once the write backlog drains.
-    pub(crate) eof: bool,
+    eof: bool,
     /// Remove from the set at the next prune.
-    pub(crate) dead: bool,
+    dead: bool,
+    /// What this turn has to act on: the poll's readiness, plus
+    /// `POLLIN` when a shard reply came home (0 = nothing).
+    due: i16,
+    /// Tells this connection's slab tenure from a later one's.
+    gen: u64,
+    /// A request is at a shard; its reply comes back as a completion.
+    in_flight: bool,
+    /// A job bounced off its shard's full queue, retried before
+    /// anything else (order is sacred).
+    parked: Option<(usize, crate::shard::ShardJob)>,
 }
 
 #[cfg(unix)]
 impl Connection {
-    pub(crate) fn new(stream: std::os::unix::net::UnixStream) -> Self {
+    fn new(stream: std::os::unix::net::UnixStream, gen: u64) -> Self {
         Connection {
             stream,
             mode: WireMode::Undetected,
             rbuf: Vec::new(),
             rpos: 0,
+            batch: 0..0,
             wbuf: Vec::new(),
             wpos: 0,
             eof: false,
             dead: false,
+            due: 0,
+            gen,
+            in_flight: false,
+            parked: None,
         }
     }
 
-    pub(crate) fn pending_write(&self) -> usize {
+    fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
 
-    pub(crate) fn backlogged(&self) -> bool {
+    fn backlogged(&self) -> bool {
         self.pending_write() >= WRITE_HWM
     }
 
+    /// Read more bytes only when the connection could act on them: not
+    /// while a request is at a shard or parked, nor while a batch frame
+    /// still holds untaken items — that per-connection backpressure is
+    /// what bounds buffered input.
     fn wants_read(&self) -> bool {
-        !self.dead && !self.eof && !self.backlogged()
+        !self.dead
+            && !self.eof
+            && !self.backlogged()
+            && !self.in_flight
+            && self.parked.is_none()
+            && self.batch.is_empty()
     }
 
-    pub(crate) fn wants_write(&self) -> bool {
+    fn wants_write(&self) -> bool {
         !self.dead && self.pending_write() > 0
     }
 
-    /// One service turn: pull readable bytes, answer every complete
-    /// request (stopping at the write high-water mark), flush. Called
-    /// only when `poll` reported the connection ready.
-    fn service(
+    /// One service turn: pull readable bytes, answer or dispatch every
+    /// complete request the per-connection rules allow (stopping at the
+    /// write high-water mark, and at n shards at the one request in
+    /// flight), flush.
+    fn turn(
         &mut self,
+        ctx: &ServeCtx<'_>,
+        slot: usize,
         readable: bool,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
-        scratch: &mut minijson::FieldScratch,
+        scratch: &mut FieldScratch,
         saw_shutdown: &mut bool,
     ) {
         if readable && self.wants_read() {
@@ -1221,47 +1485,48 @@ impl Connection {
         }
         loop {
             let was_backlogged = self.backlogged();
-            let mut progressed = false;
-            while !self.dead
-                && !*saw_shutdown
-                && !self.backlogged()
-                && self.process_one(engine, policy, metrics, scratch, saw_shutdown)
-            {
-                progressed = true;
-            }
+            let progressed = self.dispatch(ctx, slot, scratch, saw_shutdown);
             if self.wants_write() {
                 self.flush();
             }
-            if self.dead || *saw_shutdown || self.backlogged() {
+            if self.dead || *saw_shutdown {
                 break;
             }
-            if was_backlogged {
+            if was_backlogged && !self.backlogged() {
                 // Entered this turn over the high-water mark (a POLLOUT
-                // wake), so the process loop above was skipped — but the
-                // flush just cleared the backlog. Complete requests may
-                // still sit in `rbuf`, and a pipelining client that has
-                // sent everything will never trigger another POLLIN;
-                // retry processing now rather than stranding them.
+                // wake), so dispatch took nothing — but the flush just
+                // cleared the backlog. Complete requests may still sit
+                // in `rbuf`, and a pipelining client that has sent
+                // everything will never trigger another POLLIN; retry
+                // now rather than stranding them.
                 continue;
             }
             if !progressed {
                 break;
             }
         }
-        if !self.dead && self.eof && self.pending_write() == 0 {
+        if !self.dead
+            && self.eof
+            && self.pending_write() == 0
+            && !self.in_flight
+            && self.parked.is_none()
+        {
             // Peer half-closed, every buffered response is out, and no
             // complete request remains (a trailing partial line/frame at
-            // EOF is dropped, as the line reader always did).
+            // EOF is dropped).
             self.dead = true;
         }
     }
 
-    /// Reads until `WouldBlock`/EOF, appending to the reusable buffer.
-    pub(crate) fn fill_rbuf(&mut self) {
+    /// Reads until `WouldBlock`/EOF, appending to the reusable buffer —
+    /// and stops once more than one whole request's worth is unconsumed:
+    /// the decoder then answers or rejects it, so a client that never
+    /// ends its line cannot grow the buffer without bound.
+    fn fill_rbuf(&mut self) {
         use std::io::Read;
 
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
+        while self.rbuf.len() - self.rpos <= MAX_LINE + crate::frame::HEADER_LEN {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
@@ -1283,137 +1548,195 @@ impl Connection {
         }
     }
 
-    /// Consumes and answers one complete request from the read buffer.
-    /// Returns `false` when no complete request is buffered.
-    fn process_one(
+    /// Advances the connection as far as its rules allow: a parked job
+    /// first, then — while nothing is in flight and the write backlog is
+    /// under the mark — one decoded item after another. Returns whether
+    /// anything moved.
+    fn dispatch(
         &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
-        scratch: &mut minijson::FieldScratch,
+        ctx: &ServeCtx<'_>,
+        slot: usize,
+        scratch: &mut FieldScratch,
         saw_shutdown: &mut bool,
     ) -> bool {
-        if self.rpos >= self.rbuf.len() {
-            if self.rpos > 0 {
-                self.rbuf.clear();
+        let mut progressed = false;
+        loop {
+            if self.dead || *saw_shutdown {
+                return progressed;
+            }
+            if let Some((shard, job)) = self.parked.take() {
+                match ctx.runtime.try_route(shard, job, ctx.worker) {
+                    Ok(()) => {
+                        self.in_flight = true;
+                        progressed = true;
+                    }
+                    Err(job) => {
+                        self.parked = Some((shard, job));
+                        return progressed;
+                    }
+                }
+            }
+            if self.in_flight || self.backlogged() {
+                return progressed;
+            }
+            let Some(item) = self.next_item(scratch) else {
+                return progressed;
+            };
+            progressed = true;
+            match item {
+                Ok(opcode) => self.answer(ctx, slot, opcode, scratch.fields(), saw_shutdown),
+                Err(message) => {
+                    ctx.metrics.record_error();
+                    self.push_reply(&error_response("null", &message));
+                }
+            }
+        }
+    }
+
+    /// Answers one decoded request, or sends it to its shard.
+    fn answer(
+        &mut self,
+        ctx: &ServeCtx<'_>,
+        slot: usize,
+        opcode: Option<&'static str>,
+        fields: &[(String, Value)],
+        saw_shutdown: &mut bool,
+    ) {
+        let runtime = ctx.runtime;
+        let op = op_name(opcode, fields);
+        if let Some((reply, outcome)) = answer_control(
+            op,
+            fields,
+            runtime.engines(),
+            runtime.counters(),
+            ctx.metrics,
+        ) {
+            self.push_reply(&reply);
+            if matches!(outcome, LineOutcome::Shutdown) {
+                // Requests after a shutdown go unanswered.
+                self.rpos = self.rbuf.len();
+                self.batch = 0..0;
+                *saw_shutdown = true;
+            }
+        } else if let Some(engine) = runtime.single() {
+            let (reply, _) = execute(engine, ctx.policy, ctx.metrics, fields, op);
+            self.push_reply(&reply);
+        } else {
+            let shard = runtime.shard_of(fields);
+            let job = crate::shard::ShardJob {
+                worker: ctx.worker,
+                slot,
+                gen: self.gen,
+                fields: fields.to_vec(),
+                opcode,
+                binary: matches!(self.mode, WireMode::Binary),
+            };
+            match runtime.try_route(shard, job, ctx.worker) {
+                Ok(()) => self.in_flight = true,
+                Err(job) => self.parked = Some((shard, job)),
+            }
+        }
+    }
+
+    fn push_reply(&mut self, reply: &str) {
+        encode_reply(matches!(self.mode, WireMode::Binary), reply, &mut self.wbuf);
+    }
+
+    /// The one request decoder, for both wire formats: the next item
+    /// buffered on this connection, or `None` when no complete request
+    /// is. `Ok` is a request whose fields are now in `scratch`, with the
+    /// op of its binary opcode (`None` for JSONL, whose op is a field);
+    /// `Err` is the message of a per-request error reply. Input that
+    /// cannot be re-synchronized — framing damage, a line over
+    /// [`MAX_LINE`] — also yields its error, after the decoder has
+    /// dropped the rest of the input and stopped reading, so the
+    /// connection closes once the reply drains.
+    fn next_item(
+        &mut self,
+        scratch: &mut FieldScratch,
+    ) -> Option<Result<Option<&'static str>, String>> {
+        use crate::frame::{self, FrameError, Opcode};
+
+        loop {
+            if let Some(item) = frame::batch_items(&self.rbuf[self.batch.clone()]).next() {
+                return Some(match item {
+                    Ok((opcode, payload)) => {
+                        self.batch.start += BATCH_ITEM_HEADER + payload.len();
+                        decode_payload(opcode, payload, scratch)
+                    }
+                    Err(e) => Err(self.poison(e)),
+                });
+            }
+            // Walked to its end: reset before the buffer may compact.
+            self.batch = 0..0;
+            if self.rpos >= self.rbuf.len() {
+                if self.rpos > 0 {
+                    self.rbuf.clear();
+                    self.rpos = 0;
+                }
+                return None;
+            }
+            if self.rpos >= READ_CHUNK {
+                self.rbuf.drain(..self.rpos);
                 self.rpos = 0;
             }
-            return false;
-        }
-        if matches!(self.mode, WireMode::Undetected) {
-            // The negotiation: one byte settles the connection's wire
-            // format for its whole lifetime.
-            self.mode = if self.rbuf[self.rpos] == crate::frame::MAGIC {
-                WireMode::Binary
-            } else {
-                WireMode::Jsonl
+            if matches!(self.mode, WireMode::Undetected) {
+                // The negotiation: one byte settles the connection's
+                // wire format for its whole lifetime.
+                self.mode = if self.rbuf[self.rpos] == frame::MAGIC {
+                    WireMode::Binary
+                } else {
+                    WireMode::Jsonl
+                };
+            }
+            if matches!(self.mode, WireMode::Binary) {
+                match frame::decode_frame(&self.rbuf[self.rpos..], frame::DEFAULT_MAX_FRAME) {
+                    Ok(None) => return None,
+                    Ok(Some((Opcode::Batch, _, consumed))) => {
+                        // Its items are taken one per call, from the top.
+                        self.batch = self.rpos + frame::HEADER_LEN..self.rpos + consumed;
+                        self.rpos += consumed;
+                    }
+                    Ok(Some((Opcode::Reply, _, _))) => {
+                        let e = FrameError::Misplaced("a client must not send reply frames");
+                        return Some(Err(self.poison(e)));
+                    }
+                    Ok(Some((opcode, payload, consumed))) => {
+                        let item = decode_payload(opcode, payload, scratch);
+                        self.rpos += consumed;
+                        return Some(item);
+                    }
+                    Err(e) => return Some(Err(self.poison(e))),
+                }
+                continue;
+            }
+            let end = self.rbuf.len().min(self.rpos + MAX_LINE + 1);
+            let Some(nl) = self.rbuf[self.rpos..end].iter().position(|&b| b == b'\n') else {
+                if end - self.rpos > MAX_LINE {
+                    let e = format!("request line exceeds the {MAX_LINE}-byte cap");
+                    return Some(Err(self.poison(e)));
+                }
+                return None;
             };
+            let start = self.rpos;
+            self.rpos = start + nl + 1;
+            if let Some(item) = decode_line(&self.rbuf[start..start + nl], scratch) {
+                return Some(item.map(|()| None));
+            }
         }
-        // Mode is settled above; anything non-binary (including a
-        // hypothetical undetected state) takes the JSONL path, whose
-        // parser answers malformed input with an error reply instead of
-        // panicking a worker.
-        let handled = if matches!(self.mode, WireMode::Binary) {
-            self.process_frame(engine, policy, metrics, scratch, saw_shutdown)
-        } else {
-            self.process_jsonl(engine, policy, metrics, scratch, saw_shutdown)
-        };
-        if handled && self.rpos >= READ_CHUNK {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-        }
-        handled
     }
 
-    /// Answers one JSONL line, if a complete one is buffered.
-    fn process_jsonl(
-        &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
-        scratch: &mut minijson::FieldScratch,
-        saw_shutdown: &mut bool,
-    ) -> bool {
-        let Some(nl) = self.rbuf[self.rpos..].iter().position(|&b| b == b'\n') else {
-            return false;
-        };
-        let start = self.rpos;
-        self.rpos = start + nl + 1;
-        let raw = &self.rbuf[start..start + nl];
-        // Tolerate invalid UTF-8 the same way the old byte-level reader
-        // did: lossy-decode and let the JSON parser emit the typed
-        // error. The valid-UTF-8 hot path parses straight from the read
-        // buffer, no copy.
-        let lossy;
-        let text = match std::str::from_utf8(raw) {
-            Ok(text) => text,
-            Err(_) => {
-                lossy = String::from_utf8_lossy(raw).into_owned();
-                &lossy
-            }
-        };
-        if text.trim().is_empty() {
-            return true;
-        }
-        let (response, outcome) = match minijson::parse_object_into(text, scratch) {
-            Ok(()) => handle_fields(engine, policy, metrics, scratch.fields(), None),
-            Err(e) => {
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                (error_response("null", &e.to_string()), LineOutcome::Error)
-            }
-        };
-        self.wbuf.extend_from_slice(response.as_bytes());
-        self.wbuf.push(b'\n');
-        if matches!(outcome, LineOutcome::Shutdown) {
-            *saw_shutdown = true;
-        }
-        true
-    }
-
-    /// Answers one binary frame, if a complete one is buffered.
-    fn process_frame(
-        &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
-        scratch: &mut minijson::FieldScratch,
-        saw_shutdown: &mut bool,
-    ) -> bool {
-        let outcome = match crate::frame::decode_frame(
-            &self.rbuf[self.rpos..],
-            crate::frame::DEFAULT_MAX_FRAME,
-        ) {
-            Ok(None) => return false,
-            Ok(Some((opcode, payload, consumed))) => handle_frame(
-                opcode,
-                payload,
-                engine,
-                policy,
-                metrics,
-                scratch,
-                &mut self.wbuf,
-                saw_shutdown,
-            )
-            .map(|()| consumed),
-            Err(e) => Err(e),
-        };
-        match outcome {
-            Ok(consumed) => self.rpos += consumed,
-            Err(e) => {
-                // Framing damage cannot be re-synchronized: answer with
-                // one typed error reply, discard the remaining input,
-                // and close once the reply drains.
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                crate::frame::encode_reply(&error_response("null", &e.to_string()), &mut self.wbuf);
-                self.rpos = self.rbuf.len();
-                self.eof = true;
-            }
-        }
-        true
+    /// Input that cannot be re-synchronized: drops the rest of it and
+    /// stops reading. Returns the error reply's message.
+    fn poison(&mut self, error: impl ToString) -> String {
+        self.rpos = self.rbuf.len();
+        self.batch = 0..0;
+        self.eof = true;
+        error.to_string()
     }
 
     /// Writes as much of the backlog as the socket accepts right now.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
@@ -1439,96 +1762,18 @@ impl Connection {
     }
 }
 
-/// Dispatches one decoded frame: a plain request is answered with one
-/// reply frame; a batch frame is answered with one reply frame **per
-/// item, in order** — that is the pipelining contract. `Err` means the
-/// frame (or a batch item) was malformed at the framing layer and the
-/// connection must be poisoned.
+/// Decodes one binary request payload into `scratch`. A bad payload is
+/// a per-request error: the frame boundary is intact, so the stream
+/// stays synchronized.
 #[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
+fn decode_payload(
     opcode: crate::frame::Opcode,
     payload: &[u8],
-    engine: &Engine,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    scratch: &mut minijson::FieldScratch,
-    wbuf: &mut Vec<u8>,
-    saw_shutdown: &mut bool,
-) -> Result<(), crate::frame::FrameError> {
-    use crate::frame::{FrameError, Opcode};
-
-    match opcode {
-        Opcode::Reply => Err(FrameError::Misplaced("a client must not send reply frames")),
-        Opcode::Batch => {
-            for item in crate::frame::batch_items(payload) {
-                let (op, body) = item?;
-                handle_request_frame(
-                    op,
-                    body,
-                    engine,
-                    policy,
-                    metrics,
-                    scratch,
-                    wbuf,
-                    saw_shutdown,
-                );
-                if *saw_shutdown {
-                    // Requests after a shutdown go unanswered, exactly
-                    // like JSONL lines after a shutdown go unread.
-                    break;
-                }
-            }
-            Ok(())
-        }
-        op => {
-            handle_request_frame(
-                op,
-                payload,
-                engine,
-                policy,
-                metrics,
-                scratch,
-                wbuf,
-                saw_shutdown,
-            );
-            Ok(())
-        }
-    }
-}
-
-/// Decodes and answers one binary request, appending its reply frame.
-/// A bad payload is a per-request typed error (the frame boundary is
-/// intact, so the stream stays synchronized), not a poisoned connection.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn handle_request_frame(
-    opcode: crate::frame::Opcode,
-    payload: &[u8],
-    engine: &Engine,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    scratch: &mut minijson::FieldScratch,
-    wbuf: &mut Vec<u8>,
-    saw_shutdown: &mut bool,
-) {
-    let (response, outcome) = match crate::frame::decode_request_payload(payload, scratch) {
-        Ok(()) => handle_fields(
-            engine,
-            policy,
-            metrics,
-            scratch.fields(),
-            Some(opcode.op_name()),
-        ),
-        Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            (error_response("null", &e.to_string()), LineOutcome::Error)
-        }
-    };
-    crate::frame::encode_reply(&response, wbuf);
-    if matches!(outcome, LineOutcome::Shutdown) {
-        *saw_shutdown = true;
-    }
+    scratch: &mut FieldScratch,
+) -> Result<Option<&'static str>, String> {
+    crate::frame::decode_request_payload(payload, scratch)
+        .map(|()| Some(opcode.op_name()))
+        .map_err(|e| e.to_string())
 }
 
 /// The matching client: forwards each line of `requests` to the server
@@ -1775,7 +2020,13 @@ const SEND_AHEAD_MAX_BYTES: usize = 64 * 1024;
 fn window_wire_len(items: &[(crate::frame::Opcode, Vec<u8>)]) -> usize {
     match items {
         [(_, payload)] => crate::frame::HEADER_LEN + payload.len(),
-        _ => crate::frame::HEADER_LEN + items.iter().map(|(_, p)| 5 + p.len()).sum::<usize>(),
+        _ => {
+            crate::frame::HEADER_LEN
+                + items
+                    .iter()
+                    .map(|(_, p)| BATCH_ITEM_HEADER + p.len())
+                    .sum::<usize>()
+        }
     }
 }
 
@@ -1988,6 +2239,38 @@ mod tests {
         }
         assert!(lines[4].contains("exceeds the graph"), "{}", lines[4]);
         assert_eq!(field(lines[5], "ok"), "true");
+    }
+
+    #[test]
+    fn stdio_loop_answers_invalid_utf8_and_keeps_going() {
+        let path = k5_path("k5_stdio_utf8.txt");
+        let query = format!(
+            "{{\"id\":1,\"algorithm\":\"approx\",\"file\":\"{}\"}}\n",
+            path.display()
+        );
+        let mut requests = query.clone().into_bytes();
+        requests.extend_from_slice(b"{\"id\":2,\"algorithm\":\"appr\xff\xfe\"}\n");
+        requests.extend_from_slice(query.replace("\"id\":1", "\"id\":3").as_bytes());
+        let engine = Engine::new();
+        let mut out = Vec::new();
+        let summary = serve_loop(
+            &engine,
+            &ResourcePolicy::default(),
+            Cursor::new(requests),
+            &mut out,
+            &ServeMetrics::new(),
+        )
+        .unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(
+            lines[1],
+            "{\"id\":2,\"ok\":false,\"error\":\"unknown algorithm 'appr\u{FFFD}\u{FFFD}'\"}"
+        );
+        assert_eq!(field(lines[2], "ok"), "true", "{}", lines[2]);
+        assert_eq!(summary.errors, 1);
+        assert_eq!(summary.queries, 2);
     }
 
     #[test]
@@ -2708,7 +2991,7 @@ mod tests {
             }
             all
         });
-        let mut conn = Connection::new(server_side);
+        let mut conn = Connection::new(server_side, 1);
         // A previous turn left the write buffer at the high-water mark:
         // this turn starts backlogged, exactly like a POLLOUT wake.
         conn.wbuf = vec![b'#'; WRITE_HWM];
@@ -2716,16 +2999,21 @@ mod tests {
         // send another byte.
         conn.rbuf = b"{\"op\":\"stats\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n".to_vec();
         let engine = Engine::new();
-        let mut scratch = minijson::FieldScratch::new();
-        let mut saw_shutdown = false;
-        conn.service(
-            false,
+        let runtime = crate::shard::ShardRuntime::new(
             &engine,
-            &ResourcePolicy::default(),
-            &ServeMetrics::new(),
-            &mut scratch,
-            &mut saw_shutdown,
-        );
+            &ServeOptions::default(),
+            crate::shard::SHARD_QUEUE_CAP,
+        )
+        .unwrap();
+        let ctx = ServeCtx {
+            runtime: &runtime,
+            policy: &ResourcePolicy::default(),
+            metrics: &ServeMetrics::new(),
+            worker: 0,
+        };
+        let mut scratch = FieldScratch::new();
+        let mut saw_shutdown = false;
+        conn.turn(&ctx, 0, false, &mut scratch, &mut saw_shutdown);
         assert!(!conn.dead);
         assert!(!saw_shutdown);
         assert!(

@@ -46,10 +46,10 @@ fn analysis_shape_is_sane_not_vacuous() {
         "ResultCache.inner",
         "ResultCache.floors",
         "ConnGate.used",
-        "WorkerSlot.intake",
+        "IoSlot.arrivals",
         "ShardQueue.backlog",
-        "RouterSlot.arrivals",
-        "RouterSlot.completions",
+        "ShardQueue.ready",
+        "IoSlot.completions",
         "Slot.cell",
     ] {
         assert!(
@@ -71,13 +71,12 @@ fn analysis_shape_is_sane_not_vacuous() {
         );
     }
 
-    // The hot-path closure must cover the event loops and the frame
-    // decoder — the regression surface of the PR-6 fixes plus the
-    // sharded router loop.
+    // The hot-path closure must cover the event loop, its request
+    // decoder, the n-shard routing step and the frame decoder.
     for f in [
-        "worker_event_loop",
-        "router_event_loop",
-        "Connection::process_one",
+        "io_event_loop",
+        "ShardRuntime::try_route",
+        "Connection::next_item",
         "decode_request_payload",
     ] {
         assert!(

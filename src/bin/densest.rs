@@ -28,7 +28,7 @@ const USAGE: &str =
      [--directed-input] [--backend auto|memory|parallel|stream|mapreduce] [--memory-budget bytes] \
      [--flow-backend dinic|push-relabel] [--json] [--quiet]\n\
        densest serve [--socket <path>] [--workers n] [--max-connections n] [--shards n] \
-     [--shard-spill edges] [--threads n] [--memory-budget bytes] [--max-graphs n] \
+     [--threads n] [--memory-budget bytes] [--max-graphs n] \
      [--result-cache bytes] [--incremental-threshold f] [--compact-ratio f] \
      [--data-dir <path>] [--fsync-every n] [--snapshot-every n] [--quiet]\n\
        densest client --socket <path> [--repeat n] [--parallel n] [--graph-per-conn] \
@@ -79,9 +79,10 @@ serve mode:
   densest serve reads one flat JSON request per line (stdin, or a Unix
   socket with --socket) and writes one JSON response per line. Socket
   mode serves many clients concurrently: an accept thread hands
-  connections to --workers worker threads (default 4) over a queue of at
-  most --max-connections pending connections (default 64; a full queue
-  blocks the accept thread — that is the backpressure). All workers
+  connections to --workers worker threads (default 4), and at most
+  --max-connections connections are open at once (default 64; at the
+  cap the accept thread waits until one closes, so further clients wait
+  in the socket backlog — that is the backpressure). All workers
   share one engine: graphs are loaded once into a catalog (single-flight
   — concurrent cold requests trigger exactly one load) and every further
   query is a cache hit; repeated identical queries are replayed from a
@@ -111,16 +112,13 @@ serve mode:
 sharded serving (socket mode):
   --shards n (default 1) splits the server into n independent engines —
   each with its own catalog, result cache, and warm/incremental state on
-  its own executor pool — behind one socket. A front router owns all
-  connection I/O and routes every request by a stable hash of its graph
+  its own executor pool — behind one socket. The worker threads own all
+  connection I/O and route every request by a stable hash of its graph
   identity (\"graph\" name, else \"file\" path), so a named graph's whole
   session always lands on the same shard and shards never touch each
   other's locks. Responses stay byte-identical in content to a 1-shard
   server; the stats op reports merged counters plus a per-shard
-  \"shards\" breakdown. --shard-spill <edges> (default off) additionally
-  promotes any unforced approx query over at least that many edges onto
-  the MapReduce substrate, partitioning its peeling passes across worker
-  threads (byte-identical results, plan reason names the threshold).
+  \"shards\" breakdown.
 
 mutable graph sessions (serve mode):
   {\"op\":\"create_graph\",\"graph\":\"g\",\"directed\":false,\"edges\":\"0 1, 1 2\"}
@@ -598,7 +596,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let mut result_cache_bytes = densest_subgraph::engine::result_cache::DEFAULT_RESULT_CACHE_BYTES;
     let mut incremental_threshold: Option<f64> = None;
     let mut compact_ratio: Option<f64> = None;
-    let mut shard_spill: Option<u64> = None;
     let mut quiet = false;
     let mut it = args.collect::<Vec<_>>().into_iter();
     while let Some(flag) = it.next() {
@@ -631,9 +628,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
                     eprintln!("--shards must be at least 1");
                     exit(2);
                 }
-            }
-            "--shard-spill" => {
-                shard_spill = Some(parse_budget("--shard-spill", &value("--shard-spill")));
             }
             "--data-dir" => options.data_dir = Some(PathBuf::from(value("--data-dir"))),
             "--fsync-every" => {
@@ -700,9 +694,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     }
     if let Some(r) = compact_ratio {
         engine.catalog().set_compact_ratio(r);
-    }
-    if let Some(edges) = shard_spill {
-        engine.set_mapreduce_spill(if edges > 0 { Some(edges) } else { None });
     }
     if options.shards > 1 && socket.is_none() {
         eprintln!("--shards requires --socket (stdin mode is one connection)");
