@@ -15,7 +15,8 @@
 //!   incremental tier at its default threshold: the mutation journal is
 //!   replayed through the stored peel trace, only the affected region
 //!   is re-peeled, and the result is re-scored against the published
-//!   snapshot before answering;
+//!   snapshot before answering. `atleast-k` is outside the tier, so its
+//!   rows make no attempt (`not in tier`) and this arm re-peels too;
 //! * **warm** — the same mutation mirrored to a second session engine
 //!   with the incremental tier disabled: the query warm-restarts by
 //!   re-peeling the whole new snapshot (the pre-incremental world);
@@ -43,9 +44,11 @@
 //! lets CI run this as a correctness gate. The run also hard-fails
 //! unless the incremental tier actually answered at least one query
 //! (a tier that silently falls back on everything would otherwise look
-//! "correct" forever). A final compact round additionally exercises the
-//! verified-replay path (version bump, unchanged content) and asserts
-//! the warm-hit counters moved.
+//! "correct" forever), and unless every mutated-round approx and
+//! directed query made exactly one incremental attempt and every
+//! at-least-k query none. A final compact round additionally exercises
+//! the verified-replay path (version bump, unchanged content) and
+//! asserts the warm-hit counters moved.
 //!
 //! On a single-CPU container the absolute times are modest; the honest
 //! headlines are the *work avoided* — `file ms / warm ms` in the
@@ -104,10 +107,12 @@ pub struct Row {
     pub affected: u64,
     /// Peel passes the incremental answer took (0 on fallback).
     pub passes: u64,
-    /// Why the incremental tier fell back (`-` when it answered).
+    /// Why the incremental tier fell back (`-` when it answered, `not
+    /// in tier` when the query made no attempt).
     pub fallback: &'static str,
     /// `warm_query_ms / inc_query_ms` — the incremental tier's win over
-    /// a full warm re-peel of the same snapshot.
+    /// a full warm re-peel of the same snapshot (0 when the query made no
+    /// incremental attempt).
     pub speedup_vs_warm: f64,
     /// `file_ms / warm_ms` — the session story's win over the
     /// pre-session file world.
@@ -328,25 +333,40 @@ pub fn run(scale: Scale, durable: bool) -> Vec<Row> {
             }
 
             for (alg_name, query) in &session.queries {
-                let hits_before = engine.incremental_stats().hits;
+                let attempts = || {
+                    let s = engine.incremental_stats();
+                    s.hits + s.fallbacks
+                };
+                let attempts_before = attempts();
                 let inc_started = Instant::now();
                 let inc = engine
                     .execute(&Source::named(session.name), query, &policy)
                     .expect("incremental query");
                 let inc_query_ms = inc_started.elapsed().as_secs_f64() * 1e3;
                 let inc_ms = inc_mutate_ms / session.queries.len() as f64 + inc_query_ms;
-                // Attribute the tier's debug record to this query: the
-                // attempt (hit or fallback) it just made is the latest.
-                let hit = engine.incremental_stats().hits > hits_before;
-                let debug = engine.last_incremental();
+                // The tier's debug record belongs to this query only if
+                // the query made the attempt: an at-least-k query never
+                // does, and would otherwise report the previous query's.
+                let made = attempts() - attempts_before;
+                let expected = u64::from(*alg_name != "atleast-k");
+                assert_eq!(
+                    made, expected,
+                    "incremental attempts: round {round}, {shape}, {alg_name}"
+                );
+                let debug = (made == 1).then(|| {
+                    engine
+                        .last_incremental()
+                        .expect("an attempt records its debug state")
+                });
                 if std::env::var_os("DSG_MUTATE_DEBUG").is_some() {
-                    eprintln!("[mutate debug] round {round} {shape} {alg_name}: hit={hit} debug={debug:?}");
+                    eprintln!("[mutate debug] round {round} {shape} {alg_name}: debug={debug:?}");
                 }
-                let (affected, passes, fallback) = match (hit, debug) {
-                    (true, Some(d)) => (d.affected as u64, d.passes as u64, "-"),
-                    (false, Some(d)) => (0, 0, d.reason.unwrap_or("fallback")),
-                    (false, None) => (0, 0, "no attempt"),
-                    (true, None) => unreachable!("a hit always records its debug state"),
+                let (affected, passes, fallback) = match debug {
+                    None => (0, 0, "not in tier"),
+                    Some(d) => match d.reason {
+                        None => (d.affected as u64, d.passes as u64, "-"),
+                        Some(reason) => (0, 0, reason),
+                    },
                 };
                 // Probe-overhead bound: a threshold fallback must have
                 // stopped growing the affected set the moment it crossed
@@ -443,7 +463,7 @@ pub fn run(scale: Scale, durable: bool) -> Vec<Row> {
                     affected,
                     passes,
                     fallback,
-                    speedup_vs_warm: if inc_query_ms > 0.0 {
+                    speedup_vs_warm: if debug.is_some() && inc_query_ms > 0.0 {
                         warm_query_ms / inc_query_ms
                     } else {
                         0.0

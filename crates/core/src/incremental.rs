@@ -26,9 +26,8 @@
 //! Two aggregate bounds recorded per pass make the frozen hypothesis
 //! checkable in `O(1)` per pass: [`TracePass::max_removal_deg`] proves
 //! every recorded removal still qualifies (with an exact per-node bucket
-//! scan as the slow path), and [`TracePass::min_noncand_deg`] (plus
-//! [`TracePass::successor`] for the k-floor clamp) proves no recorded
-//! survivor newly crosses the threshold. When a frozen node provably
+//! scan as the slow path), and [`TracePass::min_noncand_deg`] proves no
+//! recorded survivor newly crosses the threshold. When a frozen node provably
 //! changes round it is *promoted* into `F` and the simulation restarts;
 //! when a change cannot be localized the simulation gives up with a
 //! fallback reason. On convergence, every frozen node's neighbors are
@@ -47,9 +46,8 @@
 //!   base lookup, and the simulated run's trace is the same base with the
 //!   patch extended by `F` — chained hits never copy the base.
 //! * The per-pass id buckets of the recorded run are built only when a
-//!   pass needs them — the threshold slow path, or every pass of a
-//!   k-floor run — at one `O(n)` scan per side and simulation, and are
-//!   never stored.
+//!   pass needs them — the threshold slow path — at one `O(n)` scan per
+//!   side and simulation, and are never stored.
 //! * The old and new rows of affected nodes come from a [`RowCache`]
 //!   that every simulation of one delta shares: all ratios of a directed
 //!   sweep and all restarts fetch each row once.
@@ -61,7 +59,7 @@ use std::sync::Arc;
 
 use dsg_graph::{density, FxHashMap, FxHashSet, NodeSet};
 
-use crate::kernel::{PeelTrace, TracePass, FRONTIER_LEN, NEVER_REMOVED};
+use crate::kernel::{order_key, PeelTrace, TracePass, FRONTIER_LEN, NEVER_REMOVED};
 
 /// The removal rule being simulated — mirrors the arithmetic of the
 /// kernel policies exactly (same operations in the same order).
@@ -70,13 +68,6 @@ pub enum IncPolicy {
     /// [`crate::kernel::ThresholdPolicy`] (Algorithm 1).
     Threshold {
         /// The `ε` of the `2(1+ε)·ρ` threshold.
-        epsilon: f64,
-    },
-    /// [`crate::kernel::KFloorPolicy`] (Algorithm 2).
-    KFloor {
-        /// Stop once `|S| < k`.
-        k: usize,
-        /// The `ε` of the threshold and the removal clamp.
         epsilon: f64,
     },
     /// [`crate::kernel::DirectedSizesPolicy`] (Algorithm 3) at a fixed
@@ -528,59 +519,39 @@ pub fn simulate(
     }
 }
 
-/// The `(degree, id)` order the kernel picks removals in.
-fn pair_cmp(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
-    a.0.partial_cmp(&b.0)
-        .expect("degrees are never NaN")
-        .then(a.1.cmp(&b.1))
-}
-
-#[inline]
-fn pair_lt(a: (f64, u32), b: (f64, u32)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-#[inline]
-fn pair_min(a: Option<(f64, u32)>, b: (f64, u32)) -> (f64, u32) {
-    match a {
-        Some(x) if pair_lt(x, b) => x,
-        _ => b,
-    }
-}
-
-/// Lower bound on the `(degree, id)` pairs of nodes the simulation
-/// cannot see (frozen recorded survivors).
+/// Lower bound on the `(degree, id)` pairs of recorded pass-`q`
+/// non-candidates past the recorded frontier, which the simulation does
+/// not track exactly.
 #[derive(Clone, Copy)]
 enum Bound {
-    /// The smallest unseen pair is exactly this one — a frozen node
-    /// whose recorded identity and degree are both known, so it can be
-    /// promoted into the affected set to tighten the bound.
-    Inclusive((f64, u32)),
     /// Every unseen pair sorts strictly above this one.
     Exclusive((f64, u32)),
     /// Every unseen pair sorts at or above this one; the witness id is
-    /// not meaningful (not promotable).
+    /// not meaningful.
     AtLeast((f64, u32)),
 }
 
 impl Bound {
-    /// True when `pr` sorts strictly below every pair the bound allows.
-    fn admits(self, pr: (f64, u32)) -> bool {
+    /// True when `(deg, id)` sorts strictly below every pair the bound
+    /// allows, in the kernel's [`order_key`] order.
+    fn admits(self, (deg, id): (f64, u32)) -> bool {
+        let key = order_key(deg, id);
         match self {
-            Bound::Inclusive(b) | Bound::AtLeast(b) => pair_lt(pr, b),
-            Bound::Exclusive(b) => !pair_lt(b, pr),
+            Bound::AtLeast((d, b)) => key < order_key(d, b),
+            Bound::Exclusive((d, b)) => key <= order_key(d, b),
         }
     }
 
-    fn pair(self) -> (f64, u32) {
+    /// The bound's degree.
+    fn degree(self) -> f64 {
         match self {
-            Bound::Inclusive(b) | Bound::Exclusive(b) | Bound::AtLeast(b) => b,
+            Bound::Exclusive((d, _)) | Bound::AtLeast((d, _)) => d,
         }
     }
 }
 
-/// Bound on the pairs of recorded pass-`q` non-candidates that the
-/// simulation does not track exactly (those past the recorded frontier).
+/// The bound on pass `q`'s unlisted non-candidates, `None` when the
+/// recorded frontier lists all of them.
 fn unlisted_bound(trace: &TraceView, q: usize) -> Option<Bound> {
     if trace.frontier_complete[q - 1] {
         None
@@ -591,18 +562,6 @@ fn unlisted_bound(trace: &TraceView, q: usize) -> Option<Bound> {
         // only the scalar degree bound remains.
         Some(Bound::AtLeast((trace.passes[q - 1].min_noncand_deg, 0)))
     }
-}
-
-/// Bound on the pairs of *frozen* recorded pass-`q` non-candidates:
-/// the first frontier entry still outside the affected set is exact,
-/// anything past the frontier is bounded by [`unlisted_bound`].
-fn noncand_bound(trace: &TraceView, q: usize, loc: &FxHashMap<u32, u32>) -> Option<Bound> {
-    for &e in &trace.frontier[q - 1] {
-        if !loc.contains_key(&e.1) {
-            return Some(Bound::Inclusive(e));
-        }
-    }
-    unlisted_bound(trace, q)
 }
 
 /// Variable-length rows packed into one buffer: row `i` is
@@ -802,7 +761,6 @@ fn attempt(
         };
         let finished = match policy {
             IncPolicy::Threshold { .. } => s0 == 0,
-            IncPolicy::KFloor { k, .. } => s0 < k as i64,
             IncPolicy::DirectedSizes { .. } => s0 == 0 || s1 == 0,
         };
         if finished {
@@ -833,9 +791,8 @@ fn attempt(
         let side;
         let rho;
         let t;
-        let successor;
         match policy {
-            IncPolicy::Threshold { epsilon } | IncPolicy::KFloor { epsilon, .. } => {
+            IncPolicy::Threshold { epsilon } => {
                 side = 0usize;
                 rho = density::undirected(w as f64, s0 as usize);
                 t = density::undirected_threshold(rho, epsilon);
@@ -863,205 +820,59 @@ fn attempt(
         // Live affected non-candidates of the pass, for the simulated
         // trace's frontier.
         let mut aff_nc: Vec<(f64, u32)> = Vec::new();
-        // Recorded successor (k-floor only): unseen surviving candidates
-        // sort at or above it — the simulated frontier must cut there.
-        let mut emit_succ: Option<(f64, u32)> = None;
-        let removed_total;
-        if let IncPolicy::KFloor { epsilon, .. } = policy {
-            // Exact candidate pairs we know: the recorded removals of
-            // this pass (all must still be candidates) plus the live
-            // affected candidates.
-            let mut kpairs: Vec<(f64, u32)> = Vec::new();
-            if p.is_some() {
+        // Every node at or below the threshold goes (Algorithm 1, or
+        // Algorithm 3 at a fixed side).
+        if let Some(p) = p {
+            if frozen_removed > 0 && p.max_removal_deg > t {
+                // Slow path: some recorded removal may have lost
+                // candidacy — check the pass's frozen removals one by one.
                 for &id in buckets.pass(trace, side, qn as usize) {
-                    if loc.contains_key(&id) {
-                        continue;
-                    }
-                    let d = trace.removal_deg(side, id);
-                    if d > t {
-                        // Lost candidacy: its round changes — promote.
+                    if !loc.contains_key(&id) && trace.removal_deg(side, id) > t {
                         expand.push(id);
-                    } else {
-                        kpairs.push((d, id));
                     }
                 }
                 if !expand.is_empty() {
                     return Attempt::Grow(expand);
                 }
-                debug_assert!(frozen_removed >= 0);
             }
-            for f in 0..nf {
-                if nalive[at(side, f)] {
-                    let d = ndeg[at(side, f)] as f64;
-                    if d <= t {
-                        kpairs.push((d, f_ids[f]));
-                    } else {
-                        if d < min_nc {
-                            min_nc = d;
-                        }
-                        aff_nc.push((d, f_ids[f]));
-                    }
+            // Recorded survivors the shifted threshold now reaches: the
+            // frontier names them exactly — promote; beyond the frontier
+            // identities are unknowable.
+            for &(d, id) in &trace.frontier[qn as usize - 1] {
+                if d <= t && !loc.contains_key(&id) {
+                    expand.push(id);
                 }
             }
-            kpairs.sort_by(pair_cmp);
-            // Unseen candidate pairs hide among frozen recorded
-            // survivors: surviving candidates sort at or above the
-            // recorded successor (strictly above once the successor node
-            // itself is affected), non-candidates at or above the first
-            // frontier entry left frozen. A bound whose degree exceeds
-            // the threshold cannot yield candidates at all.
-            let succ = p.and_then(|p| p.successor);
-            let mut blocking: Vec<Bound> = Vec::new();
-            if let Some(sp) = succ {
-                if sp.0 <= t {
-                    blocking.push(if loc.contains_key(&sp.1) {
-                        Bound::Exclusive(sp)
-                    } else {
-                        Bound::Inclusive(sp)
-                    });
-                }
-            }
-            if p.is_some() {
-                if let Some(b) = noncand_bound(trace, qn as usize, &loc) {
-                    if b.pair().0 <= t {
-                        blocking.push(b);
-                    }
-                }
-            }
-            let avail = if blocking.is_empty() {
-                kpairs.len()
-            } else {
-                kpairs
-                    .iter()
-                    .take_while(|&&pr| blocking.iter().all(|b| b.admits(pr)))
-                    .count()
-            };
-            let target = ((epsilon / (1.0 + epsilon)) * s0 as usize as f64).ceil() as usize;
-            let removed_n = if target >= 1 && target <= avail {
-                target
-            } else if blocking.is_empty() {
-                // Every candidate is known: the clamp resolves exactly.
-                let c_total = kpairs.len();
-                let clamped = target.clamp(1, c_total.max(1)).min(c_total);
-                if clamped == 0 {
-                    return Attempt::Fail("no candidates to remove");
-                }
-                clamped
-            } else {
-                // The pick order past `avail` may open with a frozen
-                // node we can identify exactly (the recorded successor
-                // or the frontier head). Promote it so its pair becomes
-                // known; bounds without a witness are unresolvable.
-                for b in &blocking {
-                    if let Bound::Inclusive((_, id)) = *b {
-                        expand.push(id);
-                    }
-                }
-                if expand.is_empty() {
-                    return Attempt::Fail("k-floor clamp crosses unseen candidates");
-                }
-                return Attempt::Grow(expand);
-            };
-            // Selected frozen pairs keep their round; displaced frozen
-            // pairs (recorded removed, now surviving the clamp) change —
-            // promote them.
-            expand.extend(
-                kpairs[removed_n..]
-                    .iter()
-                    .map(|&(_, id)| id)
-                    .filter(|id| !loc.contains_key(id)),
-            );
             if !expand.is_empty() {
                 return Attempt::Grow(expand);
             }
-            for &(d, id) in &kpairs[..removed_n] {
-                if let Some(&l) = loc.get(&id) {
-                    rem.push((l, d));
-                }
-                if d > max_rm {
-                    max_rm = d;
+            if let Some(b) = unlisted_bound(trace, qn as usize) {
+                if b.degree() <= t {
+                    return Attempt::Fail("threshold crossed beyond the recorded frontier");
                 }
             }
-            // Conservative lower bound over everything still unseen,
-            // for the simulated pass record.
-            let mut lower: Option<(f64, u32)> = None;
-            if let Some(p) = p {
-                if p.min_noncand_deg < min_nc {
-                    min_nc = p.min_noncand_deg;
-                }
-                if let Some(sp) = succ {
-                    lower = Some(sp);
-                    if sp.0 < min_nc {
-                        min_nc = sp.0;
-                    }
-                }
-                if p.min_noncand_deg.is_finite() {
-                    lower = Some(pair_min(lower, (p.min_noncand_deg, 0)));
-                }
+            if frozen_removed > 0 {
+                max_rm = p.max_removal_deg;
             }
-            successor = match kpairs.get(removed_n) {
-                Some(&nxt) => Some(pair_min(lower, nxt)),
-                None => lower,
-            };
-            emit_succ = succ;
-            removed_total = removed_n as i64;
-        } else {
-            // Threshold-style policies (Algorithm 1 / Algorithm 3 at a
-            // fixed side): every node at or below the threshold goes.
-            if let Some(p) = p {
-                if frozen_removed > 0 && p.max_removal_deg > t {
-                    // Slow path: some recorded removal may have lost
-                    // candidacy — check the pass's frozen removals one
-                    // by one.
-                    for &id in buckets.pass(trace, side, qn as usize) {
-                        if !loc.contains_key(&id) && trace.removal_deg(side, id) > t {
-                            expand.push(id);
-                        }
-                    }
-                    if !expand.is_empty() {
-                        return Attempt::Grow(expand);
-                    }
-                }
-                // Recorded survivors the shifted threshold now reaches:
-                // the frontier names them exactly — promote; beyond the
-                // frontier identities are unknowable.
-                for &(d, id) in &trace.frontier[qn as usize - 1] {
-                    if d <= t && !loc.contains_key(&id) {
-                        expand.push(id);
-                    }
-                }
-                if !expand.is_empty() {
-                    return Attempt::Grow(expand);
-                }
-                if let Some(b) = unlisted_bound(trace, qn as usize) {
-                    if b.pair().0 <= t {
-                        return Attempt::Fail("threshold crossed beyond the recorded frontier");
-                    }
-                }
-                if frozen_removed > 0 {
-                    max_rm = p.max_removal_deg;
-                }
-                min_nc = p.min_noncand_deg;
-            }
-            for f in 0..nf {
-                if nalive[at(side, f)] {
-                    let d = ndeg[at(side, f)] as f64;
-                    if d <= t {
-                        rem.push((f as u32, d));
-                        if d > max_rm {
-                            max_rm = d;
-                        }
-                    } else {
-                        if d < min_nc {
-                            min_nc = d;
-                        }
-                        aff_nc.push((d, f_ids[f]));
-                    }
-                }
-            }
-            successor = None;
-            removed_total = frozen_removed + rem.len() as i64;
+            min_nc = p.min_noncand_deg;
         }
+        for f in 0..nf {
+            if nalive[at(side, f)] {
+                let d = ndeg[at(side, f)] as f64;
+                if d <= t {
+                    rem.push((f as u32, d));
+                    if d > max_rm {
+                        max_rm = d;
+                    }
+                } else {
+                    if d < min_nc {
+                        min_nc = d;
+                    }
+                    aff_nc.push((d, f_ids[f]));
+                }
+            }
+        }
+        let removed_total = frozen_removed + rem.len() as i64;
 
         if removed_total <= 0 {
             return Attempt::Fail("simulated pass removed nothing");
@@ -1073,8 +884,7 @@ fn attempt(
         // list stays a true prefix of the pass's smallest non-candidates.
         {
             let mut known = aff_nc;
-            let mut bounds: Vec<Bound> = Vec::new();
-            let mut complete = true;
+            let mut bound = None;
             if p.is_some() {
                 let q = qn as usize;
                 for &e in &trace.frontier[q - 1] {
@@ -1082,31 +892,20 @@ fn attempt(
                         known.push(e);
                     }
                 }
-                if let Some(b) = unlisted_bound(trace, q) {
-                    bounds.push(b);
-                    complete = false;
-                }
-                if !trace.frontier_complete[q - 1] {
-                    complete = false;
-                }
+                bound = unlisted_bound(trace, q);
             }
-            if let Some(sp) = emit_succ {
-                bounds.push(if loc.contains_key(&sp.1) {
-                    Bound::Exclusive(sp)
-                } else {
-                    Bound::Inclusive(sp)
-                });
-                complete = false;
-            }
+            let mut complete = bound.is_none();
             // The admitted pairs are a prefix of the sorted list; only its
             // first `FRONTIER_LEN` are kept, so select them before sorting.
-            known.retain(|&pr| bounds.iter().all(|b| b.admits(pr)));
+            if let Some(b) = bound {
+                known.retain(|&pr| b.admits(pr));
+            }
             if known.len() > FRONTIER_LEN {
-                known.select_nth_unstable_by(FRONTIER_LEN, pair_cmp);
+                known.select_nth_unstable_by_key(FRONTIER_LEN, |&(d, id)| order_key(d, id));
                 known.truncate(FRONTIER_LEN);
                 complete = false;
             }
-            known.sort_by(pair_cmp);
+            known.sort_by_key(|&(d, id)| order_key(d, id));
             new_frontier.push(known);
             new_frontier_complete.push(complete);
         }
@@ -1124,7 +923,6 @@ fn attempt(
             removed: removed_total as u32,
             max_removal_deg: max_rm,
             min_noncand_deg: min_nc,
-            successor,
         });
 
         // --- End-of-pass updates ---
@@ -1221,7 +1019,7 @@ fn attempt(
 mod tests {
     use super::*;
     use crate::directed::sweep_c_csr_traced;
-    use crate::kernel::{CsrStore, DirectedSizesPolicy, KFloorPolicy, KernelRun, ThresholdPolicy};
+    use crate::kernel::{CsrStore, DirectedSizesPolicy, KernelRun, ThresholdPolicy};
     use dsg_graph::{CsrDirected, CsrUndirected, EdgeList, GraphKind, SplitMix64};
     use std::cell::Cell;
 
@@ -1345,10 +1143,6 @@ mod tests {
                 let csr = CsrUndirected::from_edge_list(list);
                 CsrStore::Serial.peel_undirected(&csr, &mut ThresholdPolicy::new(epsilon), true)
             }
-            IncPolicy::KFloor { k, epsilon } => {
-                let csr = CsrUndirected::from_edge_list(list);
-                CsrStore::Serial.peel_undirected(&csr, &mut KFloorPolicy::new(k, epsilon), true)
-            }
             IncPolicy::DirectedSizes { c, epsilon } => {
                 let csr = CsrDirected::from_edge_list(list);
                 let mut policy = DirectedSizesPolicy::new(c, epsilon);
@@ -1387,10 +1181,6 @@ mod tests {
             assert_eq!(x.removed, y.removed);
             assert!(x.max_removal_deg >= y.max_removal_deg, "pass {q}");
             assert!(x.min_noncand_deg <= y.min_noncand_deg, "pass {q}");
-            if let Some(b) = y.successor {
-                let a = x.successor.expect("a cold successor is bounded");
-                assert!(!pair_lt(b, a), "pass {q}: successor {a:?} above {b:?}");
-            }
             let (fx, fy) = (&view.frontier[q], &cold.frontier[q]);
             assert!(
                 fy.starts_with(fx),
@@ -1500,35 +1290,6 @@ mod tests {
         // The threshold slow path (a recorded removal above the shifted
         // threshold) builds buckets; the fast path never does.
         assert!(BUCKET_BUILDS.with(Cell::get) > 0, "slow path never ran");
-    }
-
-    #[test]
-    fn k_floor_simulation_matches_cold() {
-        BUCKET_BUILDS.with(|c| c.set(0));
-        let mut total = Chain::default();
-        for seed in 0..10u64 {
-            for k in [4usize, 12] {
-                let list = random_list(50, 120, GraphKind::Undirected, 300 + seed);
-                let policy = IncPolicy::KFloor { k, epsilon: 0.5 };
-                let view = TraceView::new(cold(policy, &list).1);
-                total.add(chain(policy, list, view, STEPS, 2, 400 + seed));
-            }
-        }
-        assert!(
-            total.hits * 3 >= total.attempts,
-            "incremental hit rate collapsed: {}/{}",
-            total.hits,
-            total.attempts
-        );
-        // A k-floor hit records its successor as a conservative bound
-        // without a witness, so the next delta simulated from it falls
-        // back ("k-floor clamp crosses unseen candidates") and the chain
-        // re-bases: k-floor chains end after one hit.
-        assert!(total.longest >= 1, "no k-floor hit");
-        assert!(
-            BUCKET_BUILDS.with(Cell::get) > 0,
-            "k-floor never built buckets"
-        );
     }
 
     #[test]

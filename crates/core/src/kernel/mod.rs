@@ -55,6 +55,7 @@ mod trace;
 pub use csr_store::{CsrDirectedStore, CsrUndirectedStore};
 pub use greedy_store::{BucketQueueStore, LazyHeapStore};
 pub use parallel_store::{ParallelCsrDirectedStore, ParallelCsrUndirectedStore};
+pub(crate) use policies::order_key;
 pub use policies::{
     DirectedNaivePolicy, DirectedSizesPolicy, KFloorPolicy, MinNodePolicy, ThresholdPolicy,
 };
@@ -164,11 +165,6 @@ pub struct Selection {
     pub density: f64,
     /// Removal threshold used this pass (policy-specific; `NaN`-free).
     pub threshold: f64,
-    /// For clamp-style policies ([`KFloorPolicy`]): the smallest
-    /// `(degree, id)` candidate pair that *survived* the clamp, if any.
-    /// `None` for policies that remove every candidate. Incremental
-    /// re-peeling uses it as a lower bound on surviving candidates.
-    pub successor: Option<(f64, u32)>,
 }
 
 /// A graph backend: owns the representation and keeps the live degree

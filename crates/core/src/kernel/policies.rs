@@ -62,7 +62,6 @@ impl RemovalPolicy for ThresholdPolicy {
             side: 0,
             density: rho,
             threshold,
-            successor: None,
         }
     }
 
@@ -144,21 +143,17 @@ impl RemovalPolicy for KFloorPolicy {
             ((self.epsilon / (1.0 + self.epsilon)) * side.alive.len() as f64).ceil() as usize;
         let target = target.clamp(1, self.candidates.len().max(1));
         let removed = target.min(self.candidates.len());
-        // Only the removed prefix needs sorting; the selection leaves
-        // the smallest survivor right after it.
+        // Only the removed prefix needs sorting.
         if removed < self.candidates.len() {
             self.candidates.select_nth_unstable(removed);
         }
-        let (prefix, survivors) = self.candidates.split_at_mut(removed);
+        let prefix = &mut self.candidates[..removed];
         prefix.sort_unstable();
         buf.extend(prefix.iter().map(|&key| key as u32));
         Selection {
             side: 0,
             density: rho,
             threshold,
-            successor: survivors
-                .first()
-                .map(|&key| (side.deg[key as u32 as usize], key as u32)),
         }
     }
 }
@@ -190,7 +185,6 @@ impl RemovalPolicy for MinNodePolicy {
             density: rho,
             // The minimum degree is the natural "threshold" of this rule.
             threshold: state.sides[0].deg[u as usize],
-            successor: None,
         }
     }
 }
@@ -240,7 +234,6 @@ impl RemovalPolicy for DirectedSizesPolicy {
             side,
             density: rho,
             threshold,
-            successor: None,
         }
     }
 }
@@ -318,7 +311,6 @@ impl RemovalPolicy for DirectedNaivePolicy {
                 side: 0,
                 density: rho,
                 threshold: s_threshold,
-                successor: None,
             }
         } else {
             std::mem::swap(buf, &mut self.b_set);
@@ -326,7 +318,6 @@ impl RemovalPolicy for DirectedNaivePolicy {
                 side: 1,
                 density: rho,
                 threshold: t_threshold,
-                successor: None,
             }
         }
     }
@@ -425,7 +416,6 @@ mod tests {
                 side: 0,
                 density: rho,
                 threshold,
-                successor: candidates.get(removed).copied(),
             }
         }
     }
@@ -446,8 +436,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The keyed selection removes the same nodes in the same order,
-        /// records the same passes and the same `PeelTrace` (successor
-        /// included) as the full sort.
+        /// records the same passes and the same `PeelTrace` as the full
+        /// sort.
         #[test]
         fn k_floor_selection_matches_sort_by_reference(
             n in 8u32..90,

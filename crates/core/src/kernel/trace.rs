@@ -12,7 +12,7 @@
 //! Capture is optional (see [`super::CsrStore`]) and costs one extra
 //! scan of the live side per pass plus `O(n)` memory per side.
 
-use super::{KernelState, Selection};
+use super::{order_key, KernelState, Selection};
 
 /// Round at which a node was never removed.
 pub const NEVER_REMOVED: u32 = u32::MAX;
@@ -20,11 +20,6 @@ pub const NEVER_REMOVED: u32 = u32::MAX;
 /// Maximum number of non-candidate `(degree, id)` pairs recorded per pass
 /// in [`PeelTrace::frontier`].
 pub const FRONTIER_LEN: usize = 8;
-
-#[inline]
-fn pair_lt(a: (f64, u32), b: (f64, u32)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
-}
 
 /// Aggregate record of one pass, kept alongside the kernel's
 /// [`super::PassRecord`] but extended with the bounds the incremental
@@ -52,9 +47,6 @@ pub struct TracePass {
     /// node was a candidate. A simulated threshold strictly below it
     /// proves no recorded survivor newly crosses.
     pub min_noncand_deg: f64,
-    /// The policy's surviving-candidate lower bound (see
-    /// [`Selection::successor`]).
-    pub successor: Option<(f64, u32)>,
 }
 
 /// The full trace of one peeling run.
@@ -111,28 +103,30 @@ impl PeelTrace {
                 max_removal = d;
             }
         }
-        // The smallest non-candidate pairs (degree strictly above the
-        // threshold). Scanned before removals, so candidates filter out
-        // and survivors keep their start-of-pass degree.
-        let mut frontier: Vec<(f64, u32)> = Vec::with_capacity(FRONTIER_LEN + 1);
+        // The smallest non-candidates (degree strictly above the
+        // threshold), as kernel order keys. Scanned before removals, so
+        // candidates filter out and survivors keep their start-of-pass
+        // degree.
+        let mut frontier: Vec<u128> = Vec::with_capacity(FRONTIER_LEN + 1);
         let mut noncand = 0usize;
         for u in sd.alive.iter() {
             let d = sd.deg[u as usize];
             if d > sel.threshold {
                 noncand += 1;
-                let pr = (d, u);
+                let key = order_key(d, u);
                 if frontier.len() < FRONTIER_LEN
-                    || pair_lt(pr, *frontier.last().expect("frontier is non-empty"))
+                    || key < *frontier.last().expect("frontier is non-empty")
                 {
-                    let pos = frontier.partition_point(|&q| pair_lt(q, pr));
-                    frontier.insert(pos, pr);
+                    let pos = frontier.partition_point(|&q| q < key);
+                    frontier.insert(pos, key);
                     frontier.truncate(FRONTIER_LEN);
                 }
             }
         }
-        let min_noncand = frontier.first().map_or(f64::INFINITY, |p| p.0);
+        let pair = |key: u128| (sd.deg[key as u32 as usize], key as u32);
+        let min_noncand = frontier.first().map_or(f64::INFINITY, |&key| pair(key).0);
         self.frontier_complete.push(noncand <= FRONTIER_LEN);
-        self.frontier.push(frontier);
+        self.frontier.push(frontier.into_iter().map(pair).collect());
         let sizes = state.side_sizes();
         self.passes.push(TracePass {
             side: sel.side as u8,
@@ -143,7 +137,6 @@ impl PeelTrace {
             removed: buf.len() as u32,
             max_removal_deg: max_removal,
             min_noncand_deg: min_noncand,
-            successor: sel.successor,
         });
     }
 }

@@ -19,7 +19,7 @@
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;
 
-use crate::kernel::{CsrStore, KFloorPolicy, PeelTrace, PeelingKernel, StreamingUndirectedStore};
+use crate::kernel::{CsrStore, KFloorPolicy, PeelingKernel, StreamingUndirectedStore};
 use crate::oracle::ExactDegreeOracle;
 use crate::result::UndirectedRun;
 
@@ -63,21 +63,16 @@ pub fn try_approx_densest_at_least_k<S: EdgeStream + ?Sized>(
 }
 
 /// In-memory Algorithm 2 over a CSR snapshot — the one in-memory entry
-/// point. `store` picks the serial decremental or the parallel store;
-/// `capture` adds a [`PeelTrace`], the seed state of incremental
-/// re-peeling ([`crate::incremental`]). The run itself is the same with
-/// or without the capture.
+/// point. `store` picks the serial decremental or the parallel store.
 pub fn approx_densest_at_least_k_csr_with(
     g: &CsrUndirected,
     k: usize,
     epsilon: f64,
     store: CsrStore,
-    capture: bool,
-) -> (UndirectedRun, Option<PeelTrace>) {
+) -> UndirectedRun {
     let mut policy = KFloorPolicy::new(k, epsilon);
     check_k(k, g.num_nodes());
-    let (run, trace) = store.peel_undirected(g, &mut policy, capture);
-    (UndirectedRun::from_kernel(run), trace)
+    UndirectedRun::from_kernel(store.peel_undirected(g, &mut policy, false).0)
 }
 
 /// In-memory Algorithm 2 over a CSR snapshot with decremental degree
@@ -85,7 +80,7 @@ pub fn approx_densest_at_least_k_csr_with(
 /// on a stream of the same graph: bit for bit on unweighted graphs, up
 /// to floating-point rounding on weighted ones.
 pub fn approx_densest_at_least_k_csr(g: &CsrUndirected, k: usize, epsilon: f64) -> UndirectedRun {
-    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Serial, false).0
+    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Serial)
 }
 
 /// Multi-threaded in-memory Algorithm 2 with `threads` workers per pass —
@@ -97,7 +92,7 @@ pub fn approx_densest_at_least_k_csr_parallel(
     epsilon: f64,
     threads: usize,
 ) -> UndirectedRun {
-    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Parallel(threads), false).0
+    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Parallel(threads))
 }
 
 #[cfg(test)]

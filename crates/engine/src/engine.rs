@@ -42,19 +42,22 @@
 //!   density recomputed from the CSR and compared) and the stored
 //!   report is replayed. Byte-identical to recomputing by construction —
 //!   the graph is the same graph.
-//! * **Incremental re-peel** — if the content changed, the seed's peel
-//!   traces replay the journaled delta through the trace simulator
-//!   ([`crate::incremental`]): a hit costs the affected region's share
-//!   of the passes, not a pass over the graph, and is re-scored against
-//!   the snapshot before it is answered.
+//! * **Incremental re-peel** (`approx` and `directed`) — if the content
+//!   changed, the seed's peel traces replay the journaled delta through
+//!   the trace simulator ([`crate::incremental`]): a hit costs the
+//!   affected region's share of the passes, not a pass over the graph,
+//!   and is re-scored against the snapshot before it is answered.
+//!   `atleast-k` stays out of this tier: its many short passes made
+//!   every measured small-delta simulation slower than the full re-peel.
 //! * **Full re-peel** — when the incremental tier falls back (or is
-//!   disabled), the kernel re-peels the already-materialized snapshot
-//!   and the run re-bases the seed. It counts as a warm hit: versus the
-//!   file world, the session skipped the rewrite → reload →
-//!   re-canonicalize → re-fingerprint pipeline, and the re-peel
-//!   executes the *identical* kernel over the *identical* materialized
-//!   graph, so density/set/passes stay byte-identical to cold recompute
-//!   — asserted by the parity suite and the `repro mutate` experiment.
+//!   disabled, or the query is `atleast-k`), the kernel re-peels the
+//!   already-materialized snapshot and the run re-bases the seed. It
+//!   counts as a warm hit: versus the file world, the session skipped
+//!   the rewrite → reload → re-canonicalize → re-fingerprint pipeline,
+//!   and the re-peel executes the *identical* kernel over the
+//!   *identical* materialized graph, so density/set/passes stay
+//!   byte-identical to cold recompute — asserted by the parity suite and
+//!   the `repro mutate` experiment.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,8 +110,8 @@ struct WarmSeed {
     report: Arc<Report>,
     /// Incremental-tier state: the base snapshot, journal position, and
     /// peel traces the simulator replays deltas against. `None` when
-    /// trace capture was off (tier disabled) or the outcome shape has
-    /// no trace.
+    /// trace capture was off (tier disabled) or the algorithm is outside
+    /// the tier (`atleast-k`).
     inc: Option<Arc<IncSeed>>,
 }
 
@@ -822,9 +825,10 @@ impl Engine {
     /// entry (or a temporary entry for memory sources) on the planned
     /// backend. The three peeling algorithms run through their one CSR
     /// entry point on the serial or parallel store. With `want_trace`,
-    /// they capture a [`PeelTrace`](dsg_core::kernel::PeelTrace) per
-    /// run — the seed state of the incremental tier — at a small
-    /// bookkeeping cost; the run itself is bit-identical either way.
+    /// approx and the directed sweep capture a
+    /// [`PeelTrace`](dsg_core::kernel::PeelTrace) per run — the seed
+    /// state of the incremental tier — at a small bookkeeping cost; the
+    /// run itself is bit-identical either way.
     fn run_on_entry(
         &self,
         entry: &CatalogEntry,
@@ -852,16 +856,14 @@ impl Engine {
                 );
                 return Ok((Outcome::Run(run), trace.map(TraceSet::undirected)));
             }
-            (Algorithm::AtLeastK { k, epsilon }, _, Some(store)) => {
-                let (run, trace) = dsg_core::large::approx_densest_at_least_k_csr_with(
+            (Algorithm::AtLeastK { k, epsilon }, _, Some(store)) => Ok(Outcome::Run(
+                dsg_core::large::approx_densest_at_least_k_csr_with(
                     &entry.csr_undirected(),
                     k,
                     epsilon.max(1e-6),
                     store,
-                    want_trace,
-                );
-                return Ok((Outcome::Run(run), trace.map(TraceSet::undirected)));
-            }
+                ),
+            )),
             (Algorithm::Directed { delta, epsilon }, _, Some(store)) => {
                 let (sweep, traces) = dsg_core::directed::sweep_c_csr_with(
                     &entry.csr_directed(),

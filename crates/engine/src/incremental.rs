@@ -196,21 +196,6 @@ pub(crate) fn attempt(
                 )?;
                 finish_undirected(sim, entry)?
             }
-            (Algorithm::AtLeastK { k, epsilon }, TraceSet::Undirected(trace)) => {
-                let policy = IncPolicy::KFloor {
-                    k,
-                    epsilon: epsilon.max(1e-6),
-                };
-                let sim = simulate(
-                    policy,
-                    trace,
-                    n_new,
-                    &seed_for(trace.n()),
-                    &mut rows,
-                    limits,
-                )?;
-                finish_undirected(sim, entry)?
-            }
             (Algorithm::Directed { delta, epsilon }, TraceSet::Directed(traces)) => {
                 attempt_directed(
                     traces, delta, epsilon, n_new, &seed_for, &mut rows, limits, entry,

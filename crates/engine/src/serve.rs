@@ -808,7 +808,9 @@ fn run_query(
     let epsilon = epsilon.unwrap_or(0.5);
     let k = k.unwrap_or(10) as usize;
     let delta = delta.unwrap_or(2.0);
-    let sketch = sketch.map(|b| b as u32);
+    let sketch = sketch
+        .map(|b| u32::try_from(b).map_err(|_| format!("'sketch' must be at most {}", u32::MAX)))
+        .transpose()?;
     let flow = match flow_raw {
         None | Some("dinic") => FlowBackend::Dinic,
         Some("push-relabel") => FlowBackend::PushRelabel,
@@ -2239,6 +2241,28 @@ mod tests {
         }
         assert!(lines[4].contains("exceeds the graph"), "{}", lines[4]);
         assert_eq!(field(lines[5], "ok"), "true");
+    }
+
+    #[test]
+    fn sketch_width_past_u32_max_is_rejected() {
+        let path = k5_path("k5_sketch_width.txt");
+        let p = path.display();
+        let requests = format!(
+            "{{\"id\":1,\"algorithm\":\"approx\",\"file\":\"{p}\",\"sketch\":4294967297}}\n\
+             {{\"id\":2,\"algorithm\":\"approx\",\"file\":\"{p}\",\"sketch\":4294967296}}\n\
+             {{\"id\":3,\"algorithm\":\"approx\",\"file\":\"{p}\",\"sketch\":4}}\n"
+        );
+        let engine = Engine::new();
+        let (summary, out) = run_lines(&engine, &requests);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        for l in &lines[..2] {
+            assert_eq!(field(l, "ok"), "false", "{l}");
+            assert!(l.contains("'sketch' must be at most 4294967295"), "{l}");
+        }
+        assert_eq!(field(lines[2], "ok"), "true", "{}", lines[2]);
+        assert_eq!(field(lines[2], "backend"), "\"sketch\"", "{}", lines[2]);
+        assert_eq!((summary.errors, summary.queries), (2, 1));
     }
 
     #[test]

@@ -128,12 +128,13 @@ mutable graph sessions (serve mode):
   into a fresh base. Queries target it with \"graph\":\"g\" instead of
   \"file\". Every mutation bumps the graph's version; cached results of
   older versions are structurally unreachable and evicted eagerly, so a
-  query after a mutation always recomputes (result_cache_hit: 0). Small
-  deltas take the incremental tier first: the mutation journal is
-  replayed through the stored peel trace and only the affected region is
-  re-peeled, verified against the published snapshot before answering
-  (--incremental-threshold bounds the affected set at that fraction of
-  the nodes, default 0.05; 0 disables the tier). Past that, a warm
+  query after a mutation always recomputes (result_cache_hit: 0). After
+  a small delta, approx and directed queries take the incremental tier
+  first: the mutation journal is replayed through the stored peel trace
+  and only the affected region is re-peeled, verified against the
+  published snapshot before answering (--incremental-threshold bounds
+  the affected set at that fraction of the nodes, default 0.05; 0
+  disables the tier). Past that, and for every atleast-k query, a warm
   restart re-peels the already-materialized snapshot (delta logs
   auto-compact past --compact-ratio x base edges, default 1). The stats
   op reports per-graph version/delta_edges/compactions plus warm and
