@@ -56,15 +56,14 @@
 // the threat model.
 use rustc_hash::FxHashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::SystemTime;
 
 use dsg_graph::delta::DEFAULT_COMPACT_RATIO;
-use dsg_graph::io::{read_binary, read_text, BinaryEdgeReader};
-use dsg_graph::stream::parse_edge_line;
+use dsg_graph::io::{read_binary, read_text, scan_text, BinaryHeader};
 use dsg_graph::{
     CsrDirected, CsrUndirected, DeltaGraph, EdgeList, GraphError, GraphKind, Result as GraphResult,
 };
@@ -169,21 +168,22 @@ impl CatalogEntry {
     }
 }
 
-/// FNV-1a offset basis / prime — one definition for every hash in this
-/// module (file fingerprints, graph names).
+/// FNV-1a offset basis / prime — the one definition of FNV-1a in this
+/// crate: file fingerprints and graph names here, WAL record and
+/// snapshot checksums in `persistence`, shard routing in `shard`.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds bytes into a running FNV-1a state.
-fn fnv1a_update(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    for b in bytes {
+pub(crate) fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         hash = (hash ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     hash
 }
 
-/// FNV-1a over a byte sequence (graph names).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a over a byte sequence.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
@@ -423,7 +423,7 @@ fn fingerprint_file(path: &Path) -> GraphResult<u64> {
         if n == 0 {
             break;
         }
-        hash = fnv1a_update(hash, buf[..n].iter().copied());
+        hash = fnv1a_update(hash, &buf[..n]);
     }
     Ok(hash)
 }
@@ -779,16 +779,18 @@ impl GraphCatalog {
         // insert wins — both computed the same answer from the same
         // stamped file.
         self.stat_scans.fetch_add(1, Ordering::Relaxed);
-        let meta = if binary {
-            let r = BinaryEdgeReader::open(path)?;
-            GraphMeta {
-                nodes: r.num_nodes() as u64,
-                edges: r.num_edges(),
-                weighted: r.is_weighted(),
-                file_bytes: current.len,
-            }
+        let (nodes, edges, weighted) = if binary {
+            let (header, _) = BinaryHeader::read(path)?;
+            (header.num_nodes, header.num_edges, header.weighted)
         } else {
-            scan_text_meta(path, current.len)?
+            let scan = scan_text(path)?;
+            (scan.num_nodes()?, scan.edges, scan.weighted)
+        };
+        let meta = GraphMeta {
+            nodes: u64::from(nodes),
+            edges,
+            weighted,
+            file_bytes: current.len,
         };
         let mut cache = self.meta_cache.write().expect("catalog lock poisoned");
         // The meta cache holds a few fixed-size words per key; bound it
@@ -889,7 +891,7 @@ impl GraphCatalog {
         let applied = delta.add_edges(edges)? as u64;
         let compacted = delta.maybe_compact(self.compact_ratio());
         let delta_edges = delta.delta_edges() as u64;
-        let fingerprint = fnv1a(name.bytes());
+        let fingerprint = fnv1a(name.as_bytes());
         let version = self.version_counter.fetch_add(1, Ordering::Relaxed) + 1;
         // The seed edges are part of the v1 base; the journal starts
         // empty at epoch 1 (epoch 0 is reserved for file/memory
@@ -1127,7 +1129,7 @@ impl GraphCatalog {
                 stats.replayed_ops += g.replayed_ops;
                 stats.dropped_tail_records += g.dropped_tail_records;
                 stats.max_version = stats.max_version.max(g.version);
-                let fingerprint = fnv1a(g.name.bytes());
+                let fingerprint = fnv1a(g.name.as_bytes());
                 // Fresh journal at epoch 1 (same as a new create): any
                 // incremental seed from the previous process is gone
                 // with that process, so nothing can hold positions into
@@ -1207,8 +1209,8 @@ fn load_entry(
     };
     // As-stored accounting of exactly the bytes just read — the same
     // numbers `stat` reports for this file version (`read_text` and
-    // `scan_text_meta` share the `max id + 1` / any-weight rules; the
-    // binary reader takes both from the header).
+    // `scan_text` run one record loop and one `max id + 1` rule; binary
+    // counts come from the header).
     let stored_meta = GraphMeta {
         nodes: list.num_nodes as u64,
         edges: list.num_edges() as u64,
@@ -1223,29 +1225,6 @@ fn load_entry(
     entry.stored_meta = stored_meta;
     entry.cacheable = after == before;
     Ok(Arc::new(entry))
-}
-
-/// One O(1)-memory pass over a text edge list: node count (`max id + 1`,
-/// the same rule as `read_text`/`open_auto`), edge count, weightedness.
-fn scan_text_meta(path: &Path, file_bytes: u64) -> GraphResult<GraphMeta> {
-    let reader = BufReader::new(File::open(path).map_err(GraphError::Io)?);
-    let mut max_id = 0u32;
-    let mut edges = 0u64;
-    let mut weighted = false;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line.map_err(GraphError::Io)?;
-        if let Some((u, v, w)) = parse_edge_line(&line, idx as u64 + 1)? {
-            max_id = max_id.max(u).max(v);
-            edges += 1;
-            weighted |= w.is_some();
-        }
-    }
-    Ok(GraphMeta {
-        nodes: if edges == 0 { 0 } else { max_id as u64 + 1 },
-        edges,
-        weighted,
-        file_bytes,
-    })
 }
 
 #[cfg(test)]
@@ -1364,6 +1343,53 @@ mod tests {
         // A second stat is served from the cache.
         cat.stat(&path, false).unwrap();
         assert_eq!(cat.stats().stat_scans, 1);
+    }
+
+    #[test]
+    fn binary_stat_matches_the_loaded_stored_meta() {
+        // Header node count 9 exceeds max id + 1 = 4: both sides report
+        // the header's count, and the as-stored 3 arcs (the duplicate
+        // included) and the weight flag.
+        let path = std::env::temp_dir()
+            .join("dsg_engine_catalog_tests")
+            .join("stat_directed.bin");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut g = EdgeList::new_directed(9);
+        g.push_weighted(0, 3, 1.5);
+        g.push_weighted(3, 2, 0.25);
+        g.push_weighted(0, 3, 1.5);
+        dsg_graph::io::write_binary(&path, &g).unwrap();
+        let cat = GraphCatalog::new();
+        let meta = cat.stat(&path, true).unwrap();
+        assert_eq!((meta.nodes, meta.edges, meta.weighted), (9, 3, true));
+        let (entry, _) = cat.get_or_load(&path, true, GraphKind::Directed).unwrap();
+        assert_eq!(meta, entry.stored_meta);
+    }
+
+    #[test]
+    fn stat_rejects_a_text_file_naming_u32_max() {
+        // `max id + 1` does not fit a u32 node count: the error the load
+        // and the stream return, not n = 2^32.
+        let path = fixture("stat_huge.txt", &format!("0 {}\n", u32::MAX));
+        let cat = GraphCatalog::new();
+        assert!(matches!(
+            cat.stat(&path, false),
+            Err(GraphError::TooLarge { .. })
+        ));
+        assert!(matches!(
+            cat.get_or_load(&path, false, GraphKind::Undirected),
+            Err(GraphError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        // WAL and snapshot checksums on disk and shard routing depend on
+        // these exact values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_update(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -77,6 +77,8 @@ use std::sync::OnceLock;
 use dsg_graph::wal::SessionOp;
 use dsg_graph::{DeltaGraph, EdgeList, GraphKind};
 
+use crate::catalog::fnv1a;
+
 /// First byte of every WAL record (distinct from the frame codec's
 /// `0xD5` so a WAL file can never be mistaken for a wire capture).
 pub const WAL_MAGIC: u8 = 0xD7;
@@ -97,17 +99,6 @@ pub const MAX_WAL_PAYLOAD: usize = 16 * 1024 * 1024;
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 /// Default fsync cadence: fsync after every appended record.
 pub const DEFAULT_FSYNC_EVERY: u64 = 1;
-
-/// FNV-1a 64-bit over a byte slice (same constants as the catalog's
-/// fingerprint hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 fn io_err(what: &str, e: std::io::Error) -> crate::error::EngineError {
     crate::error::EngineError::Persistence(format!("{what}: {e}"))

@@ -59,6 +59,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
 
+use crate::catalog::{fnv1a, fnv1a_update};
 use crate::minijson::{self, Value};
 use crate::serve::{
     encode_reply, execute, op_name, Completion, IoShared, ServeMetrics, ShardCounters,
@@ -86,11 +87,7 @@ pub fn routing_shard(graph: Option<&str>, file: Option<&str>, shards: usize) -> 
         (None, Some(path)) => (b'f', path),
         (None, None) => return 0,
     };
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &byte in [tag, b':'].iter().chain(key.as_bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
+    let hash = fnv1a_update(fnv1a(&[tag, b':']), key.as_bytes());
     (hash % shards as u64) as usize
 }
 

@@ -12,26 +12,29 @@
 //! * [`TextFileStream`] — re-reads a SNAP-style text edge list from disk on
 //!   every pass (true out-of-core streaming).
 //! * [`BinaryFileStream`] — re-reads the compact binary format of
-//!   [`crate::io`] through the chunked [`crate::io::BinaryEdgeReader`].
+//!   [`crate::io`].
+//!
+//! Both file streams read through the record loops of [`crate::io`]: one
+//! 64 KiB buffer per pass, no allocation per line or record.
 //!
 //! ## Failure model of the file streams
 //!
 //! A file stream validates its file when opened, but the file lives
 //! outside the process: it can be truncated, rewritten, or deleted
 //! between (or during) passes. Such drift is detected — by re-parsing,
-//! id bounds checks, and an edge-count + content checksum comparison at
-//! pass end — and surfaces through [`EdgeStream::take_error`] instead of
-//! an unwinding panic. A failed pass is **not** counted in
-//! [`EdgeStream::passes`], and once a pass has failed the stream feeds no
-//! further edges until the error is taken; any results computed across a
-//! failed pass must be discarded (see `dsg-core`'s `try_` entry points).
+//! id bounds checks, and a comparison of each pass's [`EdgeScan`] (edge
+//! count and content checksum) with the one taken at open — and surfaces
+//! through [`EdgeStream::take_error`] instead of an unwinding panic. A
+//! failed pass is **not** counted in [`EdgeStream::passes`], and once a
+//! pass has failed the stream feeds no further edges until the error is
+//! taken; any results computed across a failed pass must be discarded
+//! (see `dsg-core`'s `try_` entry points).
 
 use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use crate::edgelist::EdgeList;
-use crate::io::BinaryEdgeReader;
+use crate::io::{for_each_binary_edge, for_each_text_edge, scan_text, BinaryHeader, EdgeScan};
 use crate::{GraphError, Result};
 
 /// A multi-pass stream of (optionally weighted) edges.
@@ -120,9 +123,10 @@ impl EdgeStream for MemoryStream {
 /// `Some((u, v, w))` where `w` is `None` when the line had no weight
 /// column.
 ///
-/// This is the **only** text-edge grammar in the crate: both
-/// [`crate::io::read_text`] and [`TextFileStream`] parse through it, so
-/// a file loads in memory if and only if it also streams.
+/// This is the **only** text-edge grammar in the crate, and the text
+/// record loop of [`crate::io`] its one caller: [`crate::io::read_text`]
+/// and [`TextFileStream`] both parse through it, so a file loads in
+/// memory if and only if it also streams.
 pub fn parse_edge_line(line: &str, line_no: u64) -> Result<Option<(u32, u32, Option<f64>)>> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -158,38 +162,69 @@ pub fn parse_edge_line(line: &str, line_no: u64) -> Result<Option<(u32, u32, Opt
     Ok(Some((u, v, w)))
 }
 
-/// FNV-1a content fingerprint over the parsed edge records of one pass,
-/// used to detect files rewritten between passes even when the edge
-/// count is unchanged.
-struct EdgeChecksum(u64);
+/// What both file streams keep: the validated file, the scan every pass
+/// must reproduce, and the pass accounting.
+struct FileState {
+    path: PathBuf,
+    num_nodes: u32,
+    scan: EdgeScan,
+    passes: u64,
+    error: Option<GraphError>,
+}
 
-impl EdgeChecksum {
-    fn new() -> Self {
-        EdgeChecksum(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn record(&mut self, u: u32, v: u32, w: f64) {
-        for b in u
-            .to_le_bytes()
-            .into_iter()
-            .chain(v.to_le_bytes())
-            .chain(w.to_bits().to_le_bytes())
-        {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+impl FileState {
+    fn new(path: PathBuf, num_nodes: u32, scan: EdgeScan) -> Self {
+        FileState {
+            path,
+            num_nodes,
+            scan,
+            passes: 0,
+            error: None,
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    fn drift(&self, detail: impl std::fmt::Display) -> GraphError {
+        GraphError::Format(format!(
+            "edge file {} changed while streaming: {detail} (the pass was aborted and not \
+             counted; results computed from it are invalid)",
+            self.path.display()
+        ))
     }
-}
 
-fn drift_error(path: &Path, detail: impl std::fmt::Display) -> GraphError {
-    GraphError::Format(format!(
-        "edge file {} changed while streaming: {detail} (the pass was aborted and not counted; \
-         results computed from it are invalid)",
-        path.display()
-    ))
+    /// A record loop's failure mid-pass, as drift.
+    fn mid_pass(&self, e: GraphError) -> GraphError {
+        match e {
+            GraphError::Parse { .. } => self.drift(format_args!("no longer parses ({e})")),
+            GraphError::Io(e) => self.drift(format_args!("i/o error mid-pass: {e}")),
+            e => self.drift(e),
+        }
+    }
+
+    /// Runs one pass: `read` reopens the file and runs its record loop,
+    /// returning drift errors. The pass counts only if it reproduces the
+    /// scan taken at open; otherwise its error is parked for
+    /// [`EdgeStream::take_error`].
+    fn pass(&mut self, read: impl FnOnce(&Self) -> Result<EdgeScan>) {
+        if self.error.is_some() {
+            return;
+        }
+        let checked = read(self).and_then(|scan| {
+            if scan.edges != self.scan.edges {
+                Err(self.drift(format_args!(
+                    "edge count drifted from {} to {}",
+                    self.scan.edges, scan.edges
+                )))
+            } else if scan != self.scan {
+                Err(self.drift("edge content drifted"))
+            } else {
+                Ok(())
+            }
+        });
+        match checked {
+            Ok(()) => self.passes += 1,
+            Err(e) => self.error = Some(e),
+        }
+    }
 }
 
 /// Streams a SNAP-style whitespace-separated text edge list from disk,
@@ -202,42 +237,7 @@ fn drift_error(path: &Path, detail: impl std::fmt::Display) -> GraphError {
 /// mid- or end-of-pass and surfaces through [`EdgeStream::take_error`] —
 /// see the [module docs](self) for the failure model.
 pub struct TextFileStream {
-    path: PathBuf,
-    num_nodes: u32,
-    num_edges: u64,
-    checksum: u64,
-    passes: u64,
-    error: Option<GraphError>,
-}
-
-/// What one validation scan of a text edge file found.
-struct TextScan {
-    max_id: u32,
-    num_edges: u64,
-    checksum: u64,
-}
-
-fn scan_text(path: &Path) -> Result<TextScan> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut line_no = 0u64;
-    let mut scan = TextScan {
-        max_id: 0,
-        num_edges: 0,
-        checksum: 0,
-    };
-    let mut checksum = EdgeChecksum::new();
-    for line in reader.lines() {
-        line_no += 1;
-        let line = line?;
-        if let Some((u, v, w)) = parse_edge_line(&line, line_no)? {
-            scan.max_id = scan.max_id.max(u).max(v);
-            scan.num_edges += 1;
-            checksum.record(u, v, w.unwrap_or(1.0));
-        }
-    }
-    scan.checksum = checksum.finish();
-    Ok(scan)
+    state: FileState,
 }
 
 impl TextFileStream {
@@ -246,19 +246,14 @@ impl TextFileStream {
     pub fn open<P: AsRef<Path>>(path: P, num_nodes: u32) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let scan = scan_text(&path)?;
-        if scan.num_edges > 0 && scan.max_id >= num_nodes {
+        if scan.edges > 0 && scan.max_id >= num_nodes {
             return Err(GraphError::NodeOutOfRange {
                 node: scan.max_id as u64,
                 num_nodes: num_nodes as u64,
             });
         }
         Ok(TextFileStream {
-            path,
-            num_nodes,
-            num_edges: scan.num_edges,
-            checksum: scan.checksum,
-            passes: 0,
-            error: None,
+            state: FileState::new(path, num_nodes, scan),
         })
     }
 
@@ -268,118 +263,58 @@ impl TextFileStream {
     pub fn open_auto<P: AsRef<Path>>(path: P) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let scan = scan_text(&path)?;
-        if scan.num_edges > 0 && scan.max_id == u32::MAX {
-            // `max_id + 1` would overflow the u32 node-count space.
-            return Err(GraphError::TooLarge {
-                what: "node id",
-                value: scan.max_id as u64,
-                max: u32::MAX as u64 - 1,
-            });
-        }
         Ok(TextFileStream {
-            path,
-            num_nodes: if scan.num_edges == 0 {
-                0
-            } else {
-                scan.max_id + 1
-            },
-            num_edges: scan.num_edges,
-            checksum: scan.checksum,
-            passes: 0,
-            error: None,
+            state: FileState::new(path, scan.num_nodes()?, scan),
         })
     }
 
     /// Number of edges counted by the validation scan.
     pub fn num_edges(&self) -> u64 {
-        self.num_edges
-    }
-
-    fn pass_once(&self, f: &mut dyn FnMut(u32, u32, f64)) -> Result<()> {
-        let file = File::open(&self.path)
-            .map_err(|e| drift_error(&self.path, format_args!("cannot reopen: {e}")))?;
-        let reader = BufReader::new(file);
-        let mut line_no = 0u64;
-        let mut seen = 0u64;
-        let mut checksum = EdgeChecksum::new();
-        for line in reader.lines() {
-            line_no += 1;
-            let line =
-                line.map_err(|e| drift_error(&self.path, format_args!("i/o error mid-pass: {e}")))?;
-            if let Some((u, v, w)) = parse_edge_line(&line, line_no)
-                .map_err(|e| drift_error(&self.path, format_args!("no longer parses ({e})")))?
-            {
-                if u >= self.num_nodes || v >= self.num_nodes {
-                    return Err(drift_error(
-                        &self.path,
-                        format_args!(
-                            "node id {} out of range (num_nodes = {})",
-                            u.max(v),
-                            self.num_nodes
-                        ),
-                    ));
-                }
-                let w = w.unwrap_or(1.0);
-                seen += 1;
-                checksum.record(u, v, w);
-                f(u, v, w);
-            }
-        }
-        if seen != self.num_edges {
-            return Err(drift_error(
-                &self.path,
-                format_args!("edge count drifted from {} to {seen}", self.num_edges),
-            ));
-        }
-        if checksum.finish() != self.checksum {
-            return Err(drift_error(&self.path, "edge content drifted"));
-        }
-        Ok(())
+        self.state.scan.edges
     }
 }
 
 impl EdgeStream for TextFileStream {
     fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.state.num_nodes
     }
 
     fn for_each_edge(&mut self, f: &mut dyn FnMut(u32, u32, f64)) {
-        if self.error.is_some() {
-            return;
-        }
-        match self.pass_once(f) {
-            Ok(()) => self.passes += 1,
-            Err(e) => self.error = Some(e),
-        }
+        self.state.pass(|s| {
+            let file =
+                File::open(&s.path).map_err(|e| s.drift(format_args!("cannot reopen: {e}")))?;
+            for_each_text_edge(file, |u, v, w| {
+                if u >= s.num_nodes || v >= s.num_nodes {
+                    return Err(GraphError::NodeOutOfRange {
+                        node: u64::from(u.max(v)),
+                        num_nodes: u64::from(s.num_nodes),
+                    });
+                }
+                f(u, v, w);
+                Ok(())
+            })
+            .map_err(|e| s.mid_pass(e))
+        });
     }
 
     fn passes(&self) -> u64 {
-        self.passes
+        self.state.passes
     }
 
     fn take_error(&mut self) -> Option<GraphError> {
-        self.error.take()
+        self.state.error.take()
     }
 }
 
 /// Streams the compact binary edge format of [`crate::io::write_binary`].
 ///
-/// Layout: 16-byte header (`magic, flags, num_nodes, num_edges`) followed
-/// by `num_edges` records of `u: u32, v: u32` (+ `w: f64` when weighted),
-/// all little-endian. Every pass re-reads the file through the chunked
-/// [`BinaryEdgeReader`] (fixed-size read buffer). Files truncated,
-/// rewritten, or deleted after `open` surface through
+/// Layout: a 16-byte [`BinaryHeader`] followed by `num_edges` records of
+/// `u: u32, v: u32` (+ `w: f64` when weighted), all little-endian. Files
+/// truncated, rewritten, or deleted after `open` surface through
 /// [`EdgeStream::take_error`] — see the [module docs](self).
 pub struct BinaryFileStream {
-    path: PathBuf,
-    num_nodes: u32,
-    num_edges: u64,
-    weighted: bool,
-    /// Content fingerprint of the validation scan at open; every pass
-    /// must reproduce it.
-    checksum: u64,
-    passes: u64,
-    error: Option<GraphError>,
+    state: FileState,
+    header: BinaryHeader,
 }
 
 /// Magic number of the binary edge format (`"DSG1"`).
@@ -393,80 +328,48 @@ impl BinaryFileStream {
     /// here with a typed error rather than being misreported as drift.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut reader = BinaryEdgeReader::open(&path)?;
-        let mut checksum = EdgeChecksum::new();
-        while let Some((u, v, w)) = reader.next_edge()? {
-            checksum.record(u, v, w);
-        }
+        let (header, file) = BinaryHeader::read(&path)?;
+        let scan = for_each_binary_edge(file, &header, |_, _, _| {})?;
         Ok(BinaryFileStream {
-            path,
-            num_nodes: reader.num_nodes(),
-            num_edges: reader.num_edges(),
-            weighted: reader.is_weighted(),
-            checksum: checksum.finish(),
-            passes: 0,
-            error: None,
+            state: FileState::new(path, header.num_nodes, scan),
+            header,
         })
     }
 
     /// Number of edges recorded in the header.
     pub fn num_edges(&self) -> u64 {
-        self.num_edges
+        self.header.num_edges
     }
 
     /// Whether records carry weights.
     pub fn is_weighted(&self) -> bool {
-        self.weighted
-    }
-
-    fn pass_once(&mut self, f: &mut dyn FnMut(u32, u32, f64)) -> Result<()> {
-        let mut reader = BinaryEdgeReader::open(&self.path)
-            .map_err(|e| drift_error(&self.path, format_args!("cannot reopen: {e}")))?;
-        if reader.num_nodes() != self.num_nodes
-            || reader.num_edges() != self.num_edges
-            || reader.is_weighted() != self.weighted
-        {
-            return Err(drift_error(&self.path, "header drifted"));
-        }
-        let mut checksum = EdgeChecksum::new();
-        loop {
-            match reader.next_edge() {
-                Ok(Some((u, v, w))) => {
-                    checksum.record(u, v, w);
-                    f(u, v, w);
-                }
-                Ok(None) => break,
-                Err(e) => return Err(drift_error(&self.path, e)),
-            }
-        }
-        if checksum.finish() != self.checksum {
-            return Err(drift_error(&self.path, "edge content drifted"));
-        }
-        Ok(())
+        self.header.weighted
     }
 }
 
 impl EdgeStream for BinaryFileStream {
     fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.state.num_nodes
     }
 
     fn for_each_edge(&mut self, f: &mut dyn FnMut(u32, u32, f64)) {
-        if self.error.is_some() {
-            return;
-        }
-        match self.pass_once(f) {
-            Ok(()) => self.passes += 1,
-            Err(e) => self.error = Some(e),
-        }
+        let expected = self.header;
+        self.state.pass(|s| {
+            let (header, file) = BinaryHeader::read(&s.path)
+                .map_err(|e| s.drift(format_args!("cannot reopen: {e}")))?;
+            if header != expected {
+                return Err(s.drift("header drifted"));
+            }
+            for_each_binary_edge(file, &header, f).map_err(|e| s.mid_pass(e))
+        });
     }
 
     fn passes(&self) -> u64 {
-        self.passes
+        self.state.passes
     }
 
     fn take_error(&mut self) -> Option<GraphError> {
-        self.error.take()
+        self.state.error.take()
     }
 }
 
@@ -599,6 +502,21 @@ mod tests {
         collect(&mut s);
         assert_eq!(s.passes(), 1);
         assert!(s.take_error().is_some());
+    }
+
+    #[test]
+    fn text_file_stream_detects_two_swapped_lines() {
+        // Same bytes, edges, ids and weights in another order: only the
+        // order-sensitive checksum tells the rewrite apart.
+        let path = tmp_dir("text_swap").join("edges.txt");
+        std::fs::write(&path, "0 1\n1 2 0.5\n2 0\n").unwrap();
+        let mut s = TextFileStream::open(&path, 3).unwrap();
+        assert_eq!(collect(&mut s).len(), 3);
+        std::fs::write(&path, "1 2 0.5\n0 1\n2 0\n").unwrap();
+        collect(&mut s);
+        assert_eq!(s.passes(), 1, "aborted pass must not be counted");
+        let err = s.take_error().expect("a reordered file is drift");
+        assert!(err.to_string().contains("edge content drifted"), "{err}");
     }
 
     #[test]

@@ -19,19 +19,16 @@ fn main() {
     let arg = std::env::args().nth(1);
     let (text_path, bin_path, num_nodes) = match arg {
         Some(p) => {
-            // User-supplied file: node count from a quick scan.
-            let list = densest_subgraph::graph::io::read_text(
-                &p,
-                densest_subgraph::graph::GraphKind::Undirected,
-            )
-            .expect("cannot read edge list");
+            // User-supplied file: node count (max id + 1) from the
+            // validation scan, without loading the edges.
+            let scan = TextFileStream::open_auto(&p).expect("cannot read edge list");
             println!(
-                "loaded {}: {} nodes, {} edges",
+                "scanned {}: {} nodes, {} edges",
                 p,
-                list.num_nodes,
-                list.num_edges()
+                scan.num_nodes(),
+                scan.num_edges()
             );
-            (std::path::PathBuf::from(p), None, list.num_nodes)
+            (std::path::PathBuf::from(p), None, scan.num_nodes())
         }
         None => {
             let dir = std::env::temp_dir().join("dsg_streaming_example");
@@ -99,6 +96,8 @@ fn main() {
             t0.elapsed()
         );
         assert_eq!(run.best_set.to_vec(), run_bin.best_set.to_vec());
+        assert_eq!(run.best_density.to_bits(), run_bin.best_density.to_bits());
+        assert_eq!(run.passes, run_bin.passes);
         println!("  text and binary streams produce identical results ✓");
     }
 }

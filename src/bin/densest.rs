@@ -284,8 +284,8 @@ fn parse_options(algorithm: String, path: String, args: impl Iterator<Item = Str
             }
             "--delta" => {
                 o.delta = parse_value("--delta", &value("--delta"));
-                if !o.delta.is_finite() || o.delta <= 0.0 {
-                    eprintln!("--delta must be a finite number > 0 (got {})", o.delta);
+                if !o.delta.is_finite() || o.delta <= 1.0 {
+                    eprintln!("--delta must be a finite number > 1 (got {})", o.delta);
                     exit(2);
                 }
             }

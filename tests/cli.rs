@@ -244,12 +244,14 @@ fn zero_k_and_bad_delta_rejected_by_name() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 
-    let (_, stderr, ok) = run(&["directed", path.to_str().unwrap(), "--delta", "inf"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("--delta must be a finite number > 0"),
-        "{stderr}"
-    );
+    for delta in ["inf", "0.5", "1"] {
+        let (_, stderr, ok) = run(&["directed", path.to_str().unwrap(), "--delta", delta]);
+        assert!(!ok, "--delta {delta} must be rejected");
+        assert!(
+            stderr.contains("--delta must be a finite number > 1"),
+            "{stderr}"
+        );
+    }
 }
 
 /// Extracts the value of a `"key":value` field from a one-line JSON
