@@ -16,7 +16,6 @@
 //!   fig66    directed density/passes vs c (twitter)
 //!   table4   sketching quality and memory
 //!   fig67    MapReduce time per pass
-//!   scaling  serial vs parallel peeling-kernel pass time
 //!   outofcore  streamed + spill-to-disk shuffle vs in-memory parity
 //!   planner  engine backend choice per resource policy, cost, parity
 //!   serve-throughput  concurrent clients vs one worker-pool server:
@@ -120,7 +119,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: repro <table1|table2|fig61|fig62|fig63|table3|fig64|fig65|fig66|table4|fig67|scaling|outofcore|planner|serve-throughput|mutate|lemma5|lemma6|all> \
+    "usage: repro <table1|table2|fig61|fig62|fig63|table3|fig64|fig65|fig66|table4|fig67|outofcore|planner|serve-throughput|mutate|lemma5|lemma6|all> \
      [--scale tiny|small|medium|large] [--csv] [--data-dir <path>] [--out <file>] \
      [--bench-json <file>] [--shards n,n,...] [--durable]"
         .to_string()
@@ -153,7 +152,6 @@ fn run_experiment(name: &str, args: &Args) -> Result<Vec<Table>, String> {
             vec![exp::table4::to_table(&exp::table4::run(s))]
         }
         "fig67" => vec![exp::fig67::to_table(&exp::fig67::run(scale))],
-        "scaling" => vec![exp::scaling::to_table(&exp::scaling::run(scale))],
         "outofcore" => vec![exp::outofcore::to_table(&exp::outofcore::run(scale))],
         "planner" => vec![exp::planner::to_table(&exp::planner::run(scale))],
         "serve-throughput" => vec![
@@ -190,7 +188,6 @@ fn run_experiment(name: &str, args: &Args) -> Result<Vec<Table>, String> {
                 "fig66",
                 "table4",
                 "fig67",
-                "scaling",
                 "outofcore",
                 "planner",
                 "serve-throughput",

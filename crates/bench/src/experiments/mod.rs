@@ -15,7 +15,6 @@ pub mod lemmas;
 pub mod mutate;
 pub mod outofcore;
 pub mod planner;
-pub mod scaling;
 pub mod serve_throughput;
 pub mod table1;
 pub mod table2;

@@ -6,8 +6,9 @@
 //! `approx` query is then planned and executed by the engine under a
 //! grid of resource policies chosen to exercise every planner rule:
 //!
-//! * unbounded budget, 1 thread → in-memory serial;
-//! * unbounded budget, 4 threads → parallel CSR;
+//! * unbounded budget, 1 thread → in-memory;
+//! * unbounded budget, 4 threads → still in-memory and serial (threads
+//!   size MapReduce workers only);
 //! * budget at 1/8 of the in-memory estimate → file-streamed;
 //! * a sketch width on the query → sketched oracle;
 //! * forced MapReduce under a tight budget → spill-to-disk shuffle.
@@ -108,7 +109,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
                 memory_budget_bytes: None,
                 threads: 4,
             },
-            "parallel",
+            "memory",
             true,
         ),
         (

@@ -36,10 +36,9 @@
 //!   table reports the honest measured ratio.
 //!
 //! On a single-CPU container the measured q/s does not scale with
-//! workers (the compute is serialized by the hardware; see the PR-1
-//! scaling experiment for the same honesty note) — but the *transport*
-//! speedup survives, because it removes per-request round trips and
-//! syscalls rather than adding parallelism.
+//! workers (the compute is serialized by the hardware) — but the
+//! *transport* speedup survives, because it removes per-request round
+//! trips and syscalls rather than adding parallelism.
 
 use std::io::Cursor;
 use std::path::PathBuf;

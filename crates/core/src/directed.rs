@@ -18,16 +18,16 @@
 //! two-sided states: the
 //! [`DirectedSizesPolicy`] (or the
 //! naive [`DirectedNaivePolicy`]
-//! ablation) over a streaming, decremental-CSR, or parallel-CSR
+//! ablation) over a streaming or a decremental-CSR
 //! [`DegreeStore`](crate::kernel::DegreeStore). In memory,
-//! [`sweep_c_csr_with`] is the one entry point (serial store init `O(n)`).
+//! [`sweep_c_csr_with`] is the one entry point (CSR store init `O(n)`).
 
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::NodeSet;
 
 use crate::kernel::{
-    CsrStore, DirectedNaivePolicy, DirectedSizesPolicy, KernelRun, PeelTrace, PeelingKernel,
-    StreamingDirectedStore,
+    peel_with_capture, CsrDirectedStore, DirectedNaivePolicy, DirectedSizesPolicy, KernelRun,
+    PeelTrace, PeelingKernel, StreamingDirectedStore,
 };
 use crate::result::DirectedPassStats;
 
@@ -107,16 +107,15 @@ pub fn approx_densest_directed_naive<S: EdgeStream + ?Sized>(
     DirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy), c)
 }
 
-/// Algorithm 3 at ratio `c` over a directed CSR snapshot on `store`.
+/// Algorithm 3 at ratio `c` over a directed CSR snapshot.
 fn directed_csr(
     g: &dsg_graph::CsrDirected,
     c: f64,
     epsilon: f64,
-    store: CsrStore,
     capture: bool,
 ) -> (DirectedRun, Option<PeelTrace>) {
     let mut policy = DirectedSizesPolicy::new(c, epsilon);
-    let (run, trace) = store.peel_directed(g, &mut policy, capture);
+    let (run, trace) = peel_with_capture(&mut CsrDirectedStore::new(g), &mut policy, capture);
     (DirectedRun::from_kernel(run, c), trace)
 }
 
@@ -129,21 +128,7 @@ pub fn approx_densest_directed_csr(
     c: f64,
     epsilon: f64,
 ) -> DirectedRun {
-    directed_csr(g, c, epsilon, CsrStore::Serial, false).0
-}
-
-/// Multi-threaded in-memory Algorithm 3 with `threads` workers per pass.
-///
-/// Directed graphs are unweighted, so every degree counter is
-/// integer-valued and the parallel run is bit-identical to
-/// [`approx_densest_directed_csr`] at every thread count.
-pub fn approx_densest_directed_csr_parallel(
-    g: &dsg_graph::CsrDirected,
-    c: f64,
-    epsilon: f64,
-    threads: usize,
-) -> DirectedRun {
-    directed_csr(g, c, epsilon, CsrStore::Parallel(threads), false).0
+    directed_csr(g, c, epsilon, false).0
 }
 
 /// Two-level sweep (extension beyond the paper): a coarse δ grid followed
@@ -171,19 +156,18 @@ pub fn sweep_c_refined_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64)
     SweepResult { best, per_c }
 }
 
-/// In-memory [`sweep_c`] on the serial or the parallel store (the two
-/// are bit-identical); `capture` adds one [`PeelTrace`] per ratio, the
-/// seed of incremental re-peeling, as `(c, trace)` pairs in grid order.
+/// In-memory [`sweep_c`]; `capture` adds one [`PeelTrace`] per ratio,
+/// the seed of incremental re-peeling, as `(c, trace)` pairs in grid
+/// order.
 pub fn sweep_c_csr_with(
     g: &dsg_graph::CsrDirected,
     delta: f64,
     epsilon: f64,
-    store: CsrStore,
     capture: bool,
 ) -> (SweepResult, Option<Vec<(f64, PeelTrace)>>) {
     let mut traces = Vec::new();
     let sweep = sweep_grid(g.num_nodes(), delta, |c| {
-        let (run, trace) = directed_csr(g, c, epsilon, store, capture);
+        let (run, trace) = directed_csr(g, c, epsilon, capture);
         traces.extend(trace.map(|t| (c, t)));
         run
     });
@@ -192,18 +176,7 @@ pub fn sweep_c_csr_with(
 
 /// CSR version of [`sweep_c`].
 pub fn sweep_c_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64) -> SweepResult {
-    sweep_c_csr_with(g, delta, epsilon, CsrStore::Serial, false).0
-}
-
-/// Multi-threaded CSR sweep: every per-`c` run uses the parallel backend.
-/// Bit-identical to [`sweep_c_csr`] at every thread count.
-pub fn sweep_c_csr_parallel(
-    g: &dsg_graph::CsrDirected,
-    delta: f64,
-    epsilon: f64,
-    threads: usize,
-) -> SweepResult {
-    sweep_c_csr_with(g, delta, epsilon, CsrStore::Parallel(threads), false).0
+    sweep_c_csr_with(g, delta, epsilon, false).0
 }
 
 /// [`sweep_c_csr`] with a per-ratio [`PeelTrace`] capture, as `(c,
@@ -213,7 +186,7 @@ pub fn sweep_c_csr_traced(
     delta: f64,
     epsilon: f64,
 ) -> (SweepResult, Vec<(f64, PeelTrace)>) {
-    let (sweep, traces) = sweep_c_csr_with(g, delta, epsilon, CsrStore::Serial, true);
+    let (sweep, traces) = sweep_c_csr_with(g, delta, epsilon, true);
     (sweep, traces.unwrap_or_default())
 }
 
@@ -440,26 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_csr_is_bit_identical() {
-        use dsg_graph::CsrDirected;
-        for seed in 0..3 {
-            let list = gen::directed_gnp(160, 0.03, seed);
-            let csr = CsrDirected::from_edge_list(&list);
-            for (c, eps) in [(1.0, 0.0), (0.5, 0.5), (4.0, 1.5)] {
-                let serial = approx_densest_directed_csr(&csr, c, eps);
-                for threads in [1, 2, 4, 6] {
-                    let par = approx_densest_directed_csr_parallel(&csr, c, eps, threads);
-                    assert_eq!(serial.passes, par.passes, "seed {seed} c {c} t {threads}");
-                    assert_eq!(serial.best_density.to_bits(), par.best_density.to_bits());
-                    assert_eq!(serial.best_s.to_vec(), par.best_s.to_vec());
-                    assert_eq!(serial.best_t.to_vec(), par.best_t.to_vec());
-                    assert_eq!(serial.trace, par.trace);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn refined_sweep_never_worse_than_coarse() {
         use dsg_graph::CsrDirected;
         for seed in 0..4 {
@@ -489,22 +442,6 @@ mod tests {
             assert!((x.1 - y.1).abs() < 1e-9);
             assert_eq!(x.2, y.2);
         }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_sweep() {
-        use dsg_graph::CsrDirected;
-        let list = gen::directed_gnp(90, 0.05, 4);
-        let csr = CsrDirected::from_edge_list(&list);
-        let a = sweep_c_csr(&csr, 2.0, 0.5);
-        let b = sweep_c_csr_parallel(&csr, 2.0, 0.5, 4);
-        assert_eq!(a.per_c.len(), b.per_c.len());
-        for (x, y) in a.per_c.iter().zip(&b.per_c) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
-            assert_eq!(x.1.to_bits(), y.1.to_bits());
-            assert_eq!(x.2, y.2);
-        }
-        assert_eq!(a.best.best_s.to_vec(), b.best.best_s.to_vec());
     }
 
     #[test]

@@ -1019,7 +1019,10 @@ fn attempt(
 mod tests {
     use super::*;
     use crate::directed::sweep_c_csr_traced;
-    use crate::kernel::{CsrStore, DirectedSizesPolicy, KernelRun, ThresholdPolicy};
+    use crate::kernel::{
+        peel_with_capture, CsrDirectedStore, CsrUndirectedStore, DirectedSizesPolicy, KernelRun,
+        ThresholdPolicy,
+    };
     use dsg_graph::{CsrDirected, CsrUndirected, EdgeList, GraphKind, SplitMix64};
     use std::cell::Cell;
 
@@ -1141,12 +1144,16 @@ mod tests {
         let (run, trace) = match policy {
             IncPolicy::Threshold { epsilon } => {
                 let csr = CsrUndirected::from_edge_list(list);
-                CsrStore::Serial.peel_undirected(&csr, &mut ThresholdPolicy::new(epsilon), true)
+                peel_with_capture(
+                    &mut CsrUndirectedStore::new(&csr),
+                    &mut ThresholdPolicy::new(epsilon),
+                    true,
+                )
             }
             IncPolicy::DirectedSizes { c, epsilon } => {
                 let csr = CsrDirected::from_edge_list(list);
                 let mut policy = DirectedSizesPolicy::new(c, epsilon);
-                CsrStore::Serial.peel_directed(&csr, &mut policy, true)
+                peel_with_capture(&mut CsrDirectedStore::new(&csr), &mut policy, true)
             }
         };
         (run, trace.expect("capture was requested"))

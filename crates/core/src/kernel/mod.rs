@@ -7,19 +7,17 @@
 //! the pass, apply the removals, and remember the densest intermediate
 //! state*. The paper's key observation is that this pass is a bulk,
 //! order-independent operation, which is exactly what makes it map to
-//! MapReduce (§5.2) and, on one machine, to multi-threaded shared-memory
-//! execution.
+//! MapReduce rounds (§5.2, the `dsg-mapreduce` crate).
 //!
 //! The kernel factors that loop once, parameterized on two axes:
 //!
 //! * a [`DegreeStore`] owns the graph representation and keeps the live
 //!   degree view current — by streaming recomputation over an
 //!   [`dsg_graph::stream::EdgeStream`] (one pass per iteration, `O(n)`
-//!   memory), by decremental maintenance over a CSR snapshot, by
-//!   chunked multi-threaded recomputation / frontier application
-//!   ([`ParallelCsrUndirectedStore`], [`ParallelCsrDirectedStore`]), or by
-//!   a priority structure for one-node-at-a-time peeling
-//!   ([`BucketQueueStore`], [`LazyHeapStore`]);
+//!   memory), by decremental maintenance over a CSR snapshot
+//!   ([`CsrUndirectedStore`], [`CsrDirectedStore`]), or by a priority
+//!   structure for one-node-at-a-time peeling ([`BucketQueueStore`],
+//!   [`LazyHeapStore`]);
 //! * a [`RemovalPolicy`] decides, per pass, which nodes leave — all nodes
 //!   under the `(1+ε)`-threshold ([`ThresholdPolicy`]), the
 //!   `ε/(1+ε)·|S|` smallest of them ([`KFloorPolicy`], Algorithm 2's
@@ -29,32 +27,27 @@
 //!   rejected §4.3 ablation).
 //!
 //! Any store composes with any policy of the same side-arity, so the
-//! sketched oracle of `dsg-sketch`, the parallel backend, and every
-//! algorithm frontend share one driver: [`peel`]. In memory, each
-//! algorithm has one entry point that takes the CSR snapshot, a
-//! [`CsrStore`] (serial decremental, or parallel with `n` threads) and a
-//! [`PeelTrace`] capture flag.
+//! sketched oracle of `dsg-sketch` and every algorithm frontend share one
+//! driver: [`peel`]. In memory, each algorithm has one entry point that
+//! takes the CSR snapshot and a [`PeelTrace`] capture flag and runs on
+//! the serial decremental CSR store.
 //!
 //! ## Determinism
 //!
 //! The kernel itself is deterministic; stores document their own
-//! guarantees. The parallel CSR stores produce results bit-identical to
-//! their serial counterparts on unweighted graphs (all degree counters
-//! are integer-valued, and integer `f64` arithmetic is
-//! order-independent), and identical across thread counts on weighted
-//! graphs (degrees are recomputed per node by a single thread over a
-//! fixed chunk grid; only the assignment of chunks to threads varies).
+//! guarantees. The decremental CSR stores produce the same sequence of
+//! sets as a streaming recomputation over the same graph: bit for bit on
+//! unweighted graphs (every degree counter is integer-valued), up to
+//! floating-point rounding on weighted ones.
 
 mod csr_store;
 mod greedy_store;
-mod parallel_store;
 mod policies;
 mod stream_store;
 mod trace;
 
 pub use csr_store::{CsrDirectedStore, CsrUndirectedStore};
 pub use greedy_store::{BucketQueueStore, LazyHeapStore};
-pub use parallel_store::{ParallelCsrDirectedStore, ParallelCsrUndirectedStore};
 pub(crate) use policies::order_key;
 pub use policies::{
     DirectedNaivePolicy, DirectedSizesPolicy, KFloorPolicy, MinNodePolicy, ThresholdPolicy,
@@ -62,52 +55,7 @@ pub use policies::{
 pub use stream_store::{StreamingDirectedStore, StreamingUndirectedStore};
 pub use trace::{PeelTrace, TracePass, FRONTIER_LEN, NEVER_REMOVED};
 
-use dsg_graph::{CsrDirected, CsrUndirected, NodeSet};
-
-/// Which in-memory store a CSR peel runs on: the store argument of the
-/// one in-memory entry point of each algorithm (`*_csr_with`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CsrStore {
-    /// [`CsrUndirectedStore`] / [`CsrDirectedStore`]: serial, decremental.
-    Serial,
-    /// [`ParallelCsrUndirectedStore`] / [`ParallelCsrDirectedStore`]
-    /// with this many threads per pass.
-    Parallel(usize),
-}
-
-impl CsrStore {
-    /// Runs `policy` over `g` on this store ([`peel`]), capturing a
-    /// [`PeelTrace`] when `capture` is set: the per-node round, the
-    /// per-node removal degree and the per-pass aggregate bounds that
-    /// the incremental re-peeling path (`incremental` module) replays a
-    /// delta against, at one extra `O(alive)` scan per pass.
-    pub(crate) fn peel_undirected<P: RemovalPolicy + ?Sized>(
-        self,
-        g: &CsrUndirected,
-        policy: &mut P,
-        capture: bool,
-    ) -> (KernelRun, Option<PeelTrace>) {
-        let mut store: Box<dyn DegreeStore + '_> = match self {
-            CsrStore::Serial => Box::new(CsrUndirectedStore::new(g)),
-            CsrStore::Parallel(threads) => Box::new(ParallelCsrUndirectedStore::new(g, threads)),
-        };
-        peel_impl(&mut *store, policy, &KernelConfig::default(), capture)
-    }
-
-    /// [`Self::peel_undirected`] over a directed snapshot.
-    pub(crate) fn peel_directed<P: RemovalPolicy + ?Sized>(
-        self,
-        g: &CsrDirected,
-        policy: &mut P,
-        capture: bool,
-    ) -> (KernelRun, Option<PeelTrace>) {
-        let mut store: Box<dyn DegreeStore + '_> = match self {
-            CsrStore::Serial => Box::new(CsrDirectedStore::new(g)),
-            CsrStore::Parallel(threads) => Box::new(ParallelCsrDirectedStore::new(g, threads)),
-        };
-        peel_impl(&mut *store, policy, &KernelConfig::default(), capture)
-    }
-}
+use dsg_graph::NodeSet;
 
 /// One peeling side: the live node set and its current degree view.
 ///
@@ -341,6 +289,23 @@ where
     peel_impl(store, policy, config, false).0
 }
 
+/// [`peel`] with the default configuration, capturing a [`PeelTrace`]
+/// when `capture` is set: the per-node round, the per-node removal degree
+/// and the per-pass aggregate bounds that the incremental re-peeling path
+/// (`incremental` module) replays a delta against, at one extra
+/// `O(alive)` scan per pass. The run itself is the same either way.
+pub(crate) fn peel_with_capture<S, P>(
+    store: &mut S,
+    policy: &mut P,
+    capture: bool,
+) -> (KernelRun, Option<PeelTrace>)
+where
+    S: DegreeStore + ?Sized,
+    P: RemovalPolicy + ?Sized,
+{
+    peel_impl(store, policy, &KernelConfig::default(), capture)
+}
+
 fn peel_impl<S, P>(
     store: &mut S,
     policy: &mut P,
@@ -444,7 +409,7 @@ mod tests {
 
     #[test]
     fn stores_compose_with_policies() {
-        // One graph, three backends, one policy: identical runs.
+        // One graph, two backends, one policy: identical runs.
         let list = gen::gnp(80, 0.1, 7);
         let csr = CsrUndirected::from_edge_list(&list);
         let mut stream = MemoryStream::new(list);
@@ -457,16 +422,12 @@ mod tests {
         let a = peel(&mut s1, &mut policy, &cfg);
         let mut s2 = CsrUndirectedStore::new(&csr);
         let b = peel(&mut s2, &mut policy, &cfg);
-        let mut s3 = ParallelCsrUndirectedStore::new(&csr, 3);
-        let c = peel(&mut s3, &mut policy, &cfg);
 
-        for other in [&b, &c] {
-            assert_eq!(a.passes, other.passes);
-            assert_eq!(a.best_pass, other.best_pass);
-            assert_eq!(a.removal_log, other.removal_log);
-            assert_eq!(a.best_sides[0].to_vec(), other.best_sides[0].to_vec());
-            assert_eq!(a.trace, other.trace);
-        }
+        assert_eq!(a.passes, b.passes);
+        assert_eq!(a.best_pass, b.best_pass);
+        assert_eq!(a.removal_log, b.removal_log);
+        assert_eq!(a.best_sides[0].to_vec(), b.best_sides[0].to_vec());
+        assert_eq!(a.trace, b.trace);
     }
 
     #[test]

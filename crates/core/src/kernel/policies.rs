@@ -326,7 +326,7 @@ impl RemovalPolicy for DirectedNaivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::CsrStore;
+    use crate::kernel::{peel_with_capture, CsrUndirectedStore};
     use dsg_graph::{gen, CsrUndirected, EdgeList};
     use proptest::prelude::*;
 
@@ -376,7 +376,11 @@ mod tests {
         weights[0] = f64::NAN;
         g.weights = Some(weights);
         let csr = CsrUndirected::from_edge_list(&g);
-        CsrStore::Serial.peel_undirected(&csr, &mut ThresholdPolicy::new(0.5), false);
+        peel_with_capture(
+            &mut CsrUndirectedStore::new(&csr),
+            &mut ThresholdPolicy::new(0.5),
+            false,
+        );
     }
 
     /// Algorithm 2's rule as a full `sort_by(partial_cmp)` of every
@@ -451,9 +455,9 @@ mod tests {
             let k = 1 + ((n - 1) as f64 * k_share) as usize;
             let epsilon = [0.05, 0.3, 1.0, 2.5][eps_idx];
             let mut policy = KFloorPolicy::new(k, epsilon);
-            let (run, trace) = CsrStore::Serial.peel_undirected(&csr, &mut policy, true);
+            let (run, trace) = peel_with_capture(&mut CsrUndirectedStore::new(&csr), &mut policy, true);
             let mut reference = SortByReference { k, epsilon };
-            let (want, want_trace) = CsrStore::Serial.peel_undirected(&csr, &mut reference, true);
+            let (want, want_trace) = peel_with_capture(&mut CsrUndirectedStore::new(&csr), &mut reference, true);
             prop_assert_eq!(run.removal_log, want.removal_log);
             prop_assert_eq!(run.trace, want.trace);
             // Debug output spells every f64 exactly, -0.0 included.

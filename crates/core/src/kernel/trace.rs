@@ -9,8 +9,9 @@
 //! ("frozen") node keeps its recorded round, and the per-node data gives
 //! the exact fallback scan when an aggregate proof fails.
 //!
-//! Capture is optional (see [`super::CsrStore`]) and costs one extra
-//! scan of the live side per pass plus `O(n)` memory per side.
+//! Capture is optional (the in-memory entry points take a capture flag)
+//! and costs one extra scan of the live side per pass plus `O(n)` memory
+//! per side.
 
 use super::{order_key, KernelState, Selection};
 

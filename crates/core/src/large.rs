@@ -12,14 +12,14 @@
 //! In kernel terms this is Algorithm 1 with the
 //! [`KFloorPolicy`] removal rule in place of
 //! the plain threshold; the degree-store backends are shared unchanged.
-//! In memory, [`approx_densest_at_least_k_csr_with`] is the one entry
-//! point: `O(n)` init on unweighted loop-free graphs, then the removed
-//! nodes' edges plus a selection over the candidates per pass.
+//! In memory, [`approx_densest_at_least_k_csr`] is the one entry point:
+//! `O(n)` init on unweighted loop-free graphs, then the removed nodes'
+//! edges plus a selection over the candidates per pass.
 
 use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;
 
-use crate::kernel::{CsrStore, KFloorPolicy, PeelingKernel, StreamingUndirectedStore};
+use crate::kernel::{CsrUndirectedStore, KFloorPolicy, PeelingKernel, StreamingUndirectedStore};
 use crate::oracle::ExactDegreeOracle;
 use crate::result::UndirectedRun;
 
@@ -62,37 +62,16 @@ pub fn try_approx_densest_at_least_k<S: EdgeStream + ?Sized>(
     }
 }
 
-/// In-memory Algorithm 2 over a CSR snapshot — the one in-memory entry
-/// point. `store` picks the serial decremental or the parallel store.
-pub fn approx_densest_at_least_k_csr_with(
-    g: &CsrUndirected,
-    k: usize,
-    epsilon: f64,
-    store: CsrStore,
-) -> UndirectedRun {
+/// In-memory Algorithm 2 over a CSR snapshot with decremental degree
+/// maintenance — the one in-memory entry point. Same sequence of sets as
+/// [`approx_densest_at_least_k`] on a stream of the same graph: bit for
+/// bit on unweighted graphs, up to floating-point rounding on weighted
+/// ones.
+pub fn approx_densest_at_least_k_csr(g: &CsrUndirected, k: usize, epsilon: f64) -> UndirectedRun {
     let mut policy = KFloorPolicy::new(k, epsilon);
     check_k(k, g.num_nodes());
-    UndirectedRun::from_kernel(store.peel_undirected(g, &mut policy, false).0)
-}
-
-/// In-memory Algorithm 2 over a CSR snapshot with decremental degree
-/// maintenance. Same sequence of sets as [`approx_densest_at_least_k`]
-/// on a stream of the same graph: bit for bit on unweighted graphs, up
-/// to floating-point rounding on weighted ones.
-pub fn approx_densest_at_least_k_csr(g: &CsrUndirected, k: usize, epsilon: f64) -> UndirectedRun {
-    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Serial)
-}
-
-/// Multi-threaded in-memory Algorithm 2 with `threads` workers per pass —
-/// deterministic at every thread count and bit-identical to
-/// [`approx_densest_at_least_k_csr`] on unweighted graphs.
-pub fn approx_densest_at_least_k_csr_parallel(
-    g: &CsrUndirected,
-    k: usize,
-    epsilon: f64,
-    threads: usize,
-) -> UndirectedRun {
-    approx_densest_at_least_k_csr_with(g, k, epsilon, CsrStore::Parallel(threads))
+    let mut store = CsrUndirectedStore::new(g);
+    UndirectedRun::from_kernel(PeelingKernel::new().run(&mut store, &mut policy))
 }
 
 #[cfg(test)]
@@ -219,25 +198,6 @@ mod tests {
                 for (x, y) in a.trace.iter().zip(&b.trace) {
                     assert_eq!(x.nodes, y.nodes);
                     assert_eq!(x.removed, y.removed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_csr_matches_serial_exactly() {
-        use dsg_graph::CsrUndirected;
-        for seed in 0..3 {
-            let list = gen::gnp(130, 0.07, seed);
-            let csr = CsrUndirected::from_edge_list(&list);
-            for (k, eps) in [(1usize, 0.5), (25, 0.3), (90, 1.2)] {
-                let serial = approx_densest_at_least_k_csr(&csr, k, eps);
-                for threads in [1, 2, 5] {
-                    let par = approx_densest_at_least_k_csr_parallel(&csr, k, eps, threads);
-                    assert_eq!(serial.passes, par.passes, "seed {seed} k {k} t {threads}");
-                    assert_eq!(serial.best_set.to_vec(), par.best_set.to_vec());
-                    assert_eq!(serial.best_density.to_bits(), par.best_density.to_bits());
-                    assert_eq!(serial.trace, par.trace);
                 }
             }
         }

@@ -22,11 +22,11 @@
 //!   ratio `c = |S|/|T|`.
 //! * [`kernel`] — the **unified peeling kernel**: one pass-loop driver
 //!   parameterized by a [`kernel::DegreeStore`] backend (streaming
-//!   recompute, decremental CSR, parallel CSR, priority structures) and a
+//!   recompute, decremental CSR, priority structures) and a
 //!   [`kernel::RemovalPolicy`] (threshold, k-floor, min-node, directed
 //!   one-side sweep). Every algorithm module above is a thin
 //!   instantiation of it, with one in-memory entry point per algorithm
-//!   over a [`kernel::CsrStore`].
+//!   on the decremental CSR store.
 //! * [`charikar`] — Charikar's exact greedy peeling (the baseline the
 //!   paper builds on), implemented with an O(m + n) bucket queue.
 //! * [`cores`] — d-core decomposition (Definition 8), used by Algorithm
@@ -55,9 +55,8 @@ pub mod undirected;
 pub use charikar::charikar_peel;
 pub use cores::CoreDecomposition;
 pub use directed::{
-    approx_densest_directed, approx_densest_directed_csr, approx_densest_directed_csr_parallel,
-    approx_densest_directed_naive, sweep_c, sweep_c_csr, sweep_c_csr_parallel, sweep_c_refined_csr,
-    DirectedRun, SweepResult,
+    approx_densest_directed, approx_densest_directed_csr, approx_densest_directed_naive, sweep_c,
+    sweep_c_csr, sweep_c_refined_csr, DirectedRun, SweepResult,
 };
 pub use enumerate::{enumerate_dense_subgraphs, Community, EnumerateOptions};
 pub use incremental::{
@@ -65,11 +64,8 @@ pub use incremental::{
     TraceView, THRESHOLD_REASON,
 };
 pub use kernel::{DegreeStore, PeelTrace, PeelingKernel, RemovalPolicy, TracePass};
-pub use large::{
-    approx_densest_at_least_k, approx_densest_at_least_k_csr,
-    approx_densest_at_least_k_csr_parallel,
-};
+pub use large::{approx_densest_at_least_k, approx_densest_at_least_k_csr};
 pub use oracle::{DegreeOracle, ExactDegreeOracle};
 pub use profile::{peeling_profile, PeelingProfile};
 pub use result::{DirectedPassStats, PassStats, UndirectedRun};
-pub use undirected::{approx_densest, approx_densest_csr, approx_densest_csr_parallel};
+pub use undirected::{approx_densest, approx_densest_csr};

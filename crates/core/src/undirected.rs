@@ -21,17 +21,12 @@
 //!
 //! * [`approx_densest`] / [`approx_densest_with_oracle`] — the streaming
 //!   form: one pass per iteration recomputes live degrees from scratch.
-//! * [`approx_densest_csr_with`] — the one in-memory entry point, over a
-//!   [`CsrStore`] and an optional [`PeelTrace`] capture:
-//!   * the serial store maintains degrees decrementally while peeling,
-//!     `O(m + n)` total after an `O(n)` init on unweighted loop-free
-//!     graphs, and produces the **identical** sequence of sets (bit for
-//!     bit on unweighted graphs, up to floating-point rounding on
-//!     weighted ones) — [`approx_densest_csr`];
-//!   * the parallel store recomputes degrees and applies removal
-//!     frontiers in chunks, deterministic at every thread count and
-//!     bit-identical to the serial backends on unweighted graphs —
-//!     [`approx_densest_csr_parallel`].
+//! * [`approx_densest_csr_with`] — the one in-memory entry point, with an
+//!   optional [`PeelTrace`] capture. Its CSR store maintains degrees
+//!   decrementally while peeling, `O(m + n)` total after an `O(n)` init
+//!   on unweighted loop-free graphs, and produces the **identical**
+//!   sequence of sets (bit for bit on unweighted graphs, up to
+//!   floating-point rounding on weighted ones) — [`approx_densest_csr`].
 //!
 //! Note on `ε = 0`: the paper remarks termination is not guaranteed; with
 //! our (paper-faithful) non-strict `≤` comparison the minimum-degree node
@@ -45,7 +40,8 @@ use dsg_graph::stream::EdgeStream;
 use dsg_graph::CsrUndirected;
 
 use crate::kernel::{
-    CsrStore, PeelTrace, PeelingKernel, StreamingUndirectedStore, ThresholdPolicy,
+    peel_with_capture, CsrUndirectedStore, PeelTrace, PeelingKernel, StreamingUndirectedStore,
+    ThresholdPolicy,
 };
 use crate::oracle::{DegreeOracle, ExactDegreeOracle};
 use crate::result::UndirectedRun;
@@ -128,17 +124,19 @@ where
 }
 
 /// Runs Algorithm 1 on an in-memory CSR graph — the one in-memory entry
-/// point. `store` picks the serial decremental or the parallel store;
-/// `capture` adds a [`PeelTrace`], the seed state of incremental
+/// point. `capture` adds a [`PeelTrace`], the seed state of incremental
 /// re-peeling ([`crate::incremental`]), at one extra live scan per pass.
 /// The run itself is the same with or without the capture.
 pub fn approx_densest_csr_with(
     g: &CsrUndirected,
     epsilon: f64,
-    store: CsrStore,
     capture: bool,
 ) -> (UndirectedRun, Option<PeelTrace>) {
-    let (run, trace) = store.peel_undirected(g, &mut ThresholdPolicy::new(epsilon), capture);
+    let (run, trace) = peel_with_capture(
+        &mut CsrUndirectedStore::new(g),
+        &mut ThresholdPolicy::new(epsilon),
+        capture,
+    );
     (UndirectedRun::from_kernel(run), trace)
 }
 
@@ -150,22 +148,19 @@ pub fn approx_densest_csr_with(
 /// [`approx_densest`] on a stream of the same graph: bit for bit on
 /// unweighted graphs, up to floating-point rounding on weighted ones.
 pub fn approx_densest_csr(g: &CsrUndirected, epsilon: f64) -> UndirectedRun {
-    approx_densest_csr_with(g, epsilon, CsrStore::Serial, false).0
+    approx_densest_csr_with(g, epsilon, false).0
 }
 
-/// Runs Algorithm 1 on an in-memory CSR graph with `threads` worker
-/// threads per pass.
-///
-/// Deterministic: the run is identical at every thread count, and
-/// bit-identical to [`approx_densest_csr`] on unweighted graphs (on
-/// weighted graphs degrees are recomputed per pass instead of maintained
-/// decrementally, so traces agree only up to floating-point rounding).
+/// Runs [`approx_densest_csr`]; `threads` is ignored. Every in-memory
+/// peel is serial (a shared-memory parallel store was slower than it),
+/// and threads size only the MapReduce workers. The function stays
+/// because perfbench's traced mode calls it.
 pub fn approx_densest_csr_parallel(
     g: &CsrUndirected,
     epsilon: f64,
-    threads: usize,
+    _threads: usize,
 ) -> UndirectedRun {
-    approx_densest_csr_with(g, epsilon, CsrStore::Parallel(threads), false).0
+    approx_densest_csr(g, epsilon)
 }
 
 #[cfg(test)]
@@ -239,46 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_csr_is_bit_identical_on_unweighted() {
-        for seed in 0..3 {
-            let list = gen::gnp(150, 0.07, seed);
-            let csr = CsrUndirected::from_edge_list(&list);
-            for eps in [0.0, 0.5, 1.5] {
-                let serial = approx_densest_csr(&csr, eps);
-                for threads in [1, 2, 4, 7] {
-                    let par = approx_densest_csr_parallel(&csr, eps, threads);
-                    assert_eq!(
-                        serial.passes, par.passes,
-                        "seed {seed} eps {eps} t {threads}"
-                    );
-                    assert_eq!(serial.best_pass, par.best_pass);
-                    assert_eq!(serial.best_set.to_vec(), par.best_set.to_vec());
-                    assert_eq!(serial.best_density.to_bits(), par.best_density.to_bits());
-                    assert_eq!(serial.trace, par.trace);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_csr_weighted_matches_within_rounding() {
-        let list = gen::weighted_powerlaw(80, 0.5, 700.0);
-        let csr = CsrUndirected::from_edge_list(&list);
-        let serial = approx_densest_csr(&csr, 0.8);
-        for threads in [1, 3, 5] {
-            let par = approx_densest_csr_parallel(&csr, 0.8, threads);
-            assert_eq!(serial.passes, par.passes, "threads {threads}");
-            assert_eq!(serial.best_set.to_vec(), par.best_set.to_vec());
-            assert!((serial.best_density - par.best_density).abs() < 1e-9);
-        }
-        // Thread-count invariance is exact even for weighted graphs.
-        let a = approx_densest_csr_parallel(&csr, 0.8, 2);
-        let b = approx_densest_csr_parallel(&csr, 0.8, 6);
-        assert_eq!(a.best_density.to_bits(), b.best_density.to_bits());
-        assert_eq!(a.trace, b.trace);
-    }
-
-    #[test]
     fn weighted_stream_and_csr_agree() {
         let list = gen::weighted_powerlaw(60, 0.5, 500.0);
         let csr = CsrUndirected::from_edge_list(&list);
@@ -326,18 +281,15 @@ mod tests {
         assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
         // The self-loop contributes nothing to ρ(V) = 1/3.
         assert!((a.trace[0].density - 1.0 / 3.0).abs() < 1e-12);
-        // Both CSR stores take the looped list's slow init path and
-        // match the stream run.
+        // The CSR store takes the looped list's slow init path and
+        // matches the stream run.
         let csr = CsrUndirected::from_edge_list(&with_loop);
         assert!(csr.has_self_loops());
-        let serial = approx_densest_csr(&csr, 0.5);
-        let parallel = approx_densest_csr_parallel(&csr, 0.5, 2);
-        for run in [&serial, &parallel] {
-            assert_eq!(run.passes, a.passes);
-            assert_eq!(run.best_density.to_bits(), a.best_density.to_bits());
-            assert_eq!(run.best_set.to_vec(), a.best_set.to_vec());
-            assert_eq!(run.trace, a.trace);
-        }
+        let run = approx_densest_csr(&csr, 0.5);
+        assert_eq!(run.passes, a.passes);
+        assert_eq!(run.best_density.to_bits(), a.best_density.to_bits());
+        assert_eq!(run.best_set.to_vec(), a.best_set.to_vec());
+        assert_eq!(run.trace, a.trace);
     }
 
     #[test]

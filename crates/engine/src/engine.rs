@@ -65,7 +65,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dsg_core::enumerate::EnumerateOptions;
-use dsg_core::kernel::CsrStore;
 use dsg_core::result::streaming_state_bytes;
 use dsg_graph::stream::{BinaryFileStream, EdgeStream, MemoryStream, TextFileStream};
 use dsg_graph::{EdgeList, GraphKind, NodeSet};
@@ -515,7 +514,7 @@ impl Engine {
                                 if let Some(inc) = inc {
                                     if let Some(report) = self.try_incremental(
                                         &inc, &graph, &entry, &seed_key, &key, source, query,
-                                        policy, &plan, started,
+                                        &plan, started,
                                     ) {
                                         return Ok(report);
                                     }
@@ -537,8 +536,7 @@ impl Engine {
                     self.run_on_entry(&entry, query, &plan, &mut exec, want_trace)?;
                 exec.result_cache_hit = cache_key.is_some().then_some(false);
                 if let Some(key) = cache_key {
-                    let report =
-                        assemble_report(source, query, policy, &plan, outcome, exec, started);
+                    let report = assemble_report(source, query, &plan, outcome, exec, started);
                     // Guard against file edits racing the pipeline: if
                     // the edit landed between stat and load, `plan` was
                     // computed from the old version's counts while
@@ -567,7 +565,7 @@ impl Engine {
             }
         };
         Ok(assemble_report(
-            source, query, policy, &plan, outcome, exec, started,
+            source, query, &plan, outcome, exec, started,
         ))
     }
 
@@ -675,7 +673,6 @@ impl Engine {
         key: &CacheKey,
         source: &Source,
         query: &Query,
-        policy: &ResourcePolicy,
         plan: &Plan,
         started: Instant,
     ) -> Option<Report> {
@@ -707,8 +704,7 @@ impl Engine {
                     result_cache_hit: Some(false),
                     ..Default::default()
                 };
-                let report =
-                    assemble_report(source, query, policy, plan, out.outcome, exec, started);
+                let report = assemble_report(source, query, plan, out.outcome, exec, started);
                 self.results.insert(key.clone(), &report);
                 // Advance the seed in place: same base, new journal
                 // position, the refreshed traces and edge window.
@@ -824,10 +820,9 @@ impl Engine {
     /// Dispatches a materialized run over an already-acquired catalog
     /// entry (or a temporary entry for memory sources) on the planned
     /// backend. The three peeling algorithms run through their one CSR
-    /// entry point on the serial or parallel store. With `want_trace`,
-    /// approx and the directed sweep capture a
-    /// [`PeelTrace`](dsg_core::kernel::PeelTrace) per run — the seed
-    /// state of the incremental tier — at a small bookkeeping cost; the
+    /// entry point. With `want_trace`, approx and the directed sweep
+    /// capture a [`PeelTrace`](dsg_core::kernel::PeelTrace) per run — the
+    /// seed state of the incremental tier — at a small bookkeeping cost; the
     /// run itself is bit-identical either way.
     fn run_on_entry(
         &self,
@@ -841,35 +836,27 @@ impl Engine {
         exec.graph_nodes = list.num_nodes as u64;
         exec.graph_edges = list.num_edges() as u64;
 
-        let store = match plan.backend {
-            Backend::InMemorySerial => Some(CsrStore::Serial),
-            Backend::ParallelCsr { threads } => Some(CsrStore::Parallel(threads)),
-            _ => None,
-        };
-        let outcome = match (query.algorithm, plan.backend, store) {
-            (Algorithm::Approx { epsilon, .. }, _, Some(store)) => {
+        let outcome = match (query.algorithm, plan.backend) {
+            (Algorithm::Approx { epsilon, .. }, Backend::InMemorySerial) => {
                 let (run, trace) = dsg_core::undirected::approx_densest_csr_with(
                     &entry.csr_undirected(),
                     epsilon,
-                    store,
                     want_trace,
                 );
                 return Ok((Outcome::Run(run), trace.map(TraceSet::undirected)));
             }
-            (Algorithm::AtLeastK { k, epsilon }, _, Some(store)) => Ok(Outcome::Run(
-                dsg_core::large::approx_densest_at_least_k_csr_with(
+            (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) => Ok(Outcome::Run(
+                dsg_core::large::approx_densest_at_least_k_csr(
                     &entry.csr_undirected(),
                     k,
                     epsilon.max(1e-6),
-                    store,
                 ),
             )),
-            (Algorithm::Directed { delta, epsilon }, _, Some(store)) => {
+            (Algorithm::Directed { delta, epsilon }, Backend::InMemorySerial) => {
                 let (sweep, traces) = dsg_core::directed::sweep_c_csr_with(
                     &entry.csr_directed(),
                     delta,
                     epsilon,
-                    store,
                     want_trace,
                 );
                 return Ok((Outcome::Sweep(sweep), traces.map(TraceSet::directed)));
@@ -880,7 +867,6 @@ impl Engine {
                     width,
                     streamed: false,
                 },
-                _,
             ) => {
                 let mut stream = MemoryStream::new(list.clone());
                 let sk =
@@ -888,7 +874,7 @@ impl Engine {
                 exec.sketch_words = Some((sk.sketch_words as u64, sk.exact_words as u64));
                 Ok(Outcome::Run(sk.run))
             }
-            (Algorithm::Approx { epsilon, .. }, Backend::MapReduce { workers, shuffle }, _) => {
+            (Algorithm::Approx { epsilon, .. }, Backend::MapReduce { workers, shuffle }) => {
                 let config = MapReduceConfig {
                     num_workers: workers,
                     num_reducers: workers * 4,
@@ -900,10 +886,10 @@ impl Engine {
                 exec.shuffle = Some(shuffle_stats(&result));
                 Ok(Outcome::MapReduce(result))
             }
-            (Algorithm::Charikar, _, _) => Ok(Outcome::Charikar(
-                dsg_core::charikar::charikar_peel(&entry.csr_undirected()),
-            )),
-            (Algorithm::Exact { flow }, _, _) => Ok(Outcome::Exact(dsg_flow::exact_densest_with(
+            (Algorithm::Charikar, _) => Ok(Outcome::Charikar(dsg_core::charikar::charikar_peel(
+                &entry.csr_undirected(),
+            ))),
+            (Algorithm::Exact { flow }, _) => Ok(Outcome::Exact(dsg_flow::exact_densest_with(
                 &entry.csr_undirected(),
                 flow,
             ))),
@@ -913,7 +899,6 @@ impl Engine {
                     min_density,
                     max_communities,
                 },
-                _,
                 _,
             ) => Ok(Outcome::Communities(
                 dsg_core::enumerate::enumerate_dense_subgraphs(
@@ -925,7 +910,7 @@ impl Engine {
                     },
                 ),
             )),
-            (alg, backend, _) => Err(EngineError::Unsupported(format!(
+            (alg, backend) => Err(EngineError::Unsupported(format!(
                 "planner bug: {backend:?} cannot run '{}'",
                 alg.name()
             ))),
@@ -954,11 +939,7 @@ fn warm_eligible(query: &Query, plan: &Plan) -> bool {
             | Algorithm::AtLeastK { .. }
             | Algorithm::Directed { .. }
     );
-    algorithm_ok
-        && matches!(
-            plan.backend,
-            Backend::InMemorySerial | Backend::ParallelCsr { .. }
-        )
+    algorithm_ok && plan.backend == Backend::InMemorySerial
 }
 
 /// Re-scores a seed report's dense subgraph against the current
@@ -1003,24 +984,18 @@ fn kind_name(kind: GraphKind) -> &'static str {
 }
 
 /// Builds the final [`Report`] from the executed plan and accounting.
-#[allow(clippy::too_many_arguments)]
 fn assemble_report(
     source: &Source,
     query: &Query,
-    policy: &ResourcePolicy,
     plan: &Plan,
     outcome: Outcome,
     exec: Execution,
     started: Instant,
 ) -> Report {
+    // The threads the run used: only MapReduce runs on more than one.
     let threads = match plan.backend {
-        Backend::Streamed | Backend::Sketched { streamed: true, .. } => 1,
-        Backend::ParallelCsr { threads } => threads,
         Backend::MapReduce { workers, .. } => workers,
-        Backend::InMemorySerial
-        | Backend::Sketched {
-            streamed: false, ..
-        } => policy.threads,
+        _ => 1,
     };
     Report {
         query: *query,

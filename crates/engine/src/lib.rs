@@ -9,10 +9,10 @@
 //!   parameters, with an optional forced [`BackendRequest`].
 //! * [`ResourcePolicy`] — memory budget and thread count.
 //! * [`planner`] — a pure, deterministic, *explainable* planner mapping
-//!   `(Query, GraphMeta, ResourcePolicy)` to a [`Plan`]: in-memory
-//!   serial vs parallel CSR vs file-streamed vs sketched, and in-RAM vs
-//!   spill-to-disk shuffle for the MapReduce driver. Every fired rule is
-//!   recorded in [`Plan::reasons`].
+//!   `(Query, GraphMeta, ResourcePolicy)` to a [`Plan`]: in-memory vs
+//!   file-streamed vs sketched vs MapReduce, and in-RAM vs spill-to-disk
+//!   shuffle for the MapReduce driver. Every fired rule is recorded in
+//!   [`Plan::reasons`].
 //! * [`Engine`] — executes the plan by calling exactly the public API a
 //!   direct caller would, so results are byte-identical (asserted in
 //!   `tests/engine.rs`), and returns one unified [`Report`] (density,

@@ -12,12 +12,10 @@
 //!    `approx` replaces the exact degree oracle; the run streams from the
 //!    file when the graph does not fit the budget, else from memory.
 //! 3. **In-memory-only algorithms** (`directed`, `charikar`, `exact`,
-//!    `enumerate`) always plan the in-memory backend — parallel CSR when
-//!    the policy has > 1 thread and a parallel kernel exists — even over
-//!    budget (there is no smaller backend; the overrun is recorded).
+//!    `enumerate`) always plan the in-memory backend, even over budget
+//!    (there is no smaller backend; the overrun is recorded).
 //! 4. **Fits ⇒ in-memory** — when [`est_in_memory_bytes`] is within the
-//!    budget (or no budget is set), plan in-memory: parallel CSR with
-//!    > 1 thread, serial otherwise.
+//!    budget (or no budget is set), plan in-memory.
 //! 5. **Does not fit ⇒ streamed** — `approx`/`atleast-k` fall back to the
 //!    out-of-core path: one re-read per pass, O(n) state, the edge list
 //!    never materialized.
@@ -25,6 +23,10 @@
 //!    when [`est_shuffle_bytes_per_pass`] fits the budget and otherwise
 //!    spills to sorted disk runs with a per-worker budget carved out of
 //!    the policy's.
+//!
+//! The policy's threads size the MapReduce workers, which is how the
+//! paper parallelizes a pass (§5.2); every other backend runs serially,
+//! and a plan made with more than one thread says so in its reasons.
 //!
 //! All size estimates are deterministic closed-form functions of
 //! `(nodes, edges, weighted)` documented on the functions below — the
@@ -45,7 +47,7 @@ use dsg_core::result::streaming_state_bytes;
 use dsg_mapreduce::ShuffleBackend;
 
 use crate::error::{EngineError, Result};
-use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy};
+use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, MAX_THREADS};
 
 /// What the planner knows about a graph without materializing it: node
 /// and edge counts (binary header, text validation scan, or in-memory
@@ -101,11 +103,6 @@ pub const STREAM_SEMANTICS_NOTE: &str =
 pub enum Backend {
     /// Serial decremental peeling over the in-memory CSR.
     InMemorySerial,
-    /// The deterministic parallel CSR peeling backend.
-    ParallelCsr {
-        /// Worker threads.
-        threads: usize,
-    },
     /// Out-of-core: one re-read of the source per pass, O(n) state.
     Streamed,
     /// Algorithm 1 with a Count-Sketch degree oracle.
@@ -155,7 +152,6 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::InMemorySerial => "memory",
-            Backend::ParallelCsr { .. } => "parallel",
             Backend::Streamed => "stream",
             Backend::Sketched {
                 streamed: false, ..
@@ -201,6 +197,12 @@ fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
     let bad = |msg: String| Err(EngineError::InvalidQuery(msg));
     if policy.threads == 0 {
         return bad("threads must be at least 1".into());
+    }
+    if policy.threads > MAX_THREADS {
+        return bad(format!(
+            "threads must be at most {MAX_THREADS} (got {})",
+            policy.threads
+        ));
     }
     match query.algorithm {
         Algorithm::Approx { epsilon, sketch } => {
@@ -305,7 +307,6 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
     let budget = policy.memory_budget_bytes;
     let fits = budget.is_none_or(|b| est_mem <= b);
     let mut reasons = Vec::new();
-    let parallel_ok = alg.parallelizable() && policy.threads > 1;
 
     // Rule 2: a sketch width selects the sketched backend outright.
     if let Algorithm::Approx {
@@ -344,38 +345,20 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
         };
         let working = est_stream_state_bytes(meta, SKETCH_ROWS * width as u64)
             + if streamed { 0 } else { est_mem };
-        return Ok(Plan {
-            backend: Backend::Sketched { width, streamed },
-            est_working_bytes: working,
-            est_in_memory_bytes: est_mem,
-            budget_bytes: budget,
+        return Ok(finish(
+            Backend::Sketched { width, streamed },
+            working,
+            est_mem,
+            policy,
             reasons,
-        });
+        ));
     }
 
     // Rule 1: forced backends.
     let backend = match query.backend {
         Some(BackendRequest::InMemory) => {
             reasons.push("forced in-memory".into());
-            if parallel_ok {
-                Backend::ParallelCsr {
-                    threads: policy.threads,
-                }
-            } else {
-                Backend::InMemorySerial
-            }
-        }
-        Some(BackendRequest::Parallel) => {
-            if !alg.parallelizable() {
-                return Err(EngineError::Unsupported(format!(
-                    "no parallel backend for '{}'",
-                    alg.name()
-                )));
-            }
-            reasons.push("forced parallel CSR".into());
-            Backend::ParallelCsr {
-                threads: policy.threads,
-            }
+            Backend::InMemorySerial
         }
         Some(BackendRequest::Streamed) => {
             if !alg.streamable() {
@@ -418,13 +401,7 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
                 } else {
                     reasons.push(format!("'{}' runs in memory", alg.name()));
                 }
-                if parallel_ok {
-                    Backend::ParallelCsr {
-                        threads: policy.threads,
-                    }
-                } else {
-                    Backend::InMemorySerial
-                }
+                Backend::InMemorySerial
             } else if fits {
                 // Rule 4.
                 match budget {
@@ -433,14 +410,7 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
                     }
                     None => reasons.push("no memory budget → in-memory".into()),
                 }
-                if parallel_ok {
-                    reasons.push(format!("{} threads → parallel CSR", policy.threads));
-                    Backend::ParallelCsr {
-                        threads: policy.threads,
-                    }
-                } else {
-                    Backend::InMemorySerial
-                }
+                Backend::InMemorySerial
             } else {
                 // Rule 5.
                 let state = est_stream_state_bytes(meta, meta.nodes);
@@ -462,7 +432,7 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
     };
 
     let est_working_bytes = match backend {
-        Backend::InMemorySerial | Backend::ParallelCsr { .. } => est_mem,
+        Backend::InMemorySerial => est_mem,
         Backend::Streamed => est_stream_state_bytes(meta, meta.nodes),
         Backend::Sketched { .. } => unreachable!("handled above"),
         Backend::MapReduce { shuffle, .. } => {
@@ -473,13 +443,32 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
                 }
         }
     };
-    Ok(Plan {
+    Ok(finish(backend, est_working_bytes, est_mem, policy, reasons))
+}
+
+/// Assembles the plan. Only MapReduce plans use the policy's threads,
+/// so any other plan made with more than one records that it runs
+/// serially.
+fn finish(
+    backend: Backend,
+    est_working_bytes: u64,
+    est_in_memory_bytes: u64,
+    policy: &ResourcePolicy,
+    mut reasons: Vec<String>,
+) -> Plan {
+    if policy.threads > 1 && !matches!(backend, Backend::MapReduce { .. }) {
+        reasons.push(format!(
+            "{} threads size MapReduce workers only → serial run",
+            policy.threads
+        ));
+    }
+    Plan {
         backend,
         est_working_bytes,
-        est_in_memory_bytes: est_mem,
-        budget_bytes: budget,
+        est_in_memory_bytes,
+        budget_bytes: policy.memory_budget_bytes,
         reasons,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -505,15 +494,49 @@ mod tests {
     #[test]
     fn fits_goes_in_memory_serial_then_parallel() {
         let m = meta(1_000, 5_000);
-        let p = plan(&approx(), &m, &ResourcePolicy::default()).unwrap();
-        assert_eq!(p.backend, Backend::InMemorySerial);
+        let serial = plan(&approx(), &m, &ResourcePolicy::default()).unwrap();
+        assert_eq!(serial.backend, Backend::InMemorySerial);
 
+        // A parallel request plans the same serial backend and says why.
         let pol = ResourcePolicy {
             threads: 4,
             ..Default::default()
         };
         let p = plan(&approx(), &m, &pol).unwrap();
-        assert_eq!(p.backend, Backend::ParallelCsr { threads: 4 });
+        assert_eq!(p.backend, Backend::InMemorySerial);
+        assert_eq!(p.reasons[..serial.reasons.len()], serial.reasons[..]);
+        assert_eq!(
+            p.reasons[serial.reasons.len()..],
+            ["4 threads size MapReduce workers only → serial run"]
+        );
+    }
+
+    #[test]
+    fn threads_above_the_bound_are_rejected_before_anything_starts() {
+        let m = meta(1_000, 5_000);
+        let mapreduce = Query {
+            backend: Some(BackendRequest::MapReduce),
+            ..approx()
+        };
+        for q in [approx(), mapreduce] {
+            let at_bound = ResourcePolicy {
+                threads: MAX_THREADS,
+                ..Default::default()
+            };
+            assert!(plan(&q, &m, &at_bound).is_ok());
+            for threads in [MAX_THREADS + 1, u32::MAX as usize] {
+                let pol = ResourcePolicy {
+                    threads,
+                    ..Default::default()
+                };
+                let err = plan(&q, &m, &pol).unwrap_err();
+                assert!(matches!(err, EngineError::InvalidQuery(_)), "{err:?}");
+                assert_eq!(
+                    err.to_string(),
+                    format!("invalid query: threads must be at most 256 (got {threads})")
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ([`Source`]), and under which resource constraints ([`ResourcePolicy`]).
 //!
 //! A query names an algorithm and its parameters but **not** an execution
-//! backend — picking in-memory vs parallel vs file-streamed vs sketched
+//! backend — picking in-memory vs file-streamed vs sketched vs MapReduce
 //! (and in-RAM vs spill-to-disk shuffle) is the planner's job, driven by
 //! the graph's size and the policy's memory budget. A caller that wants a
 //! specific backend anyway (the CLI's `--stream`, a parity experiment)
@@ -79,16 +79,6 @@ impl Algorithm {
         matches!(self, Algorithm::Approx { .. } | Algorithm::AtLeastK { .. })
     }
 
-    /// Whether a parallel CSR peeling backend exists for the algorithm.
-    pub fn parallelizable(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::Approx { sketch: None, .. }
-                | Algorithm::AtLeastK { .. }
-                | Algorithm::Directed { .. }
-        )
-    }
-
     /// Whether the MapReduce driver of §5.2 realizes the algorithm.
     pub fn mapreducible(&self) -> bool {
         matches!(self, Algorithm::Approx { sketch: None, .. })
@@ -101,11 +91,8 @@ impl Algorithm {
 /// query key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendRequest {
-    /// Force the in-memory path (serial, or parallel if the policy has
-    /// more than one thread and the algorithm parallelizes).
+    /// Force the in-memory path.
     InMemory,
-    /// Force the parallel CSR peeling backend.
-    Parallel,
     /// Force the out-of-core path: re-read the source per pass, O(n)
     /// state, the edge list never materialized.
     Streamed,
@@ -120,7 +107,6 @@ impl BackendRequest {
         match s {
             "auto" => Some(None),
             "memory" => Some(Some(BackendRequest::InMemory)),
-            "parallel" => Some(Some(BackendRequest::Parallel)),
             "stream" => Some(Some(BackendRequest::Streamed)),
             "mapreduce" => Some(Some(BackendRequest::MapReduce)),
             _ => None,
@@ -155,10 +141,16 @@ pub struct ResourcePolicy {
     /// Peak working-set budget in bytes (`None` = unbounded: always plan
     /// the in-memory backend).
     pub memory_budget_bytes: Option<u64>,
-    /// Worker threads available (1 = serial; > 1 enables the parallel
-    /// CSR backend and sizes the MapReduce driver).
+    /// Worker threads, `1..=`[`MAX_THREADS`]. They size the MapReduce
+    /// backend's workers and input splits, the way the paper
+    /// parallelizes a pass (§5.2); every other backend runs serially.
     pub threads: usize,
 }
+
+/// The largest [`ResourcePolicy::threads`] the planner accepts. A
+/// MapReduce plan starts that many OS threads in every phase, each with
+/// `4 × threads` reducer buckets, so a client-sent count needs a bound.
+pub const MAX_THREADS: usize = 256;
 
 impl Default for ResourcePolicy {
     fn default() -> Self {

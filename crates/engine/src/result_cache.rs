@@ -26,8 +26,8 @@
 //!   patterns (`f64::to_bits`), so `0.5` and `0.5` can never disagree
 //!   and NaN params (rejected upstream anyway) would never alias.
 //! * The **effective policy** (budget, threads) participates because the
-//!   planner — and for parallel backends the result's provenance — is a
-//!   function of it; the same query under a different policy may
+//!   plan — its backend, its reasons and the MapReduce worker count — is
+//!   a function of it; the same query under a different policy may
 //!   legitimately take a different backend.
 //!
 //! Only *materialized, file-backed* runs are cached: memory sources have

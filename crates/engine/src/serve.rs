@@ -835,9 +835,8 @@ fn run_query(
     };
     let mut backend = match backend_raw {
         None => None,
-        Some(raw) => BackendRequest::parse(raw).ok_or_else(|| {
-            format!("unknown backend '{raw}' (auto|memory|parallel|stream|mapreduce)")
-        })?,
+        Some(raw) => BackendRequest::parse(raw)
+            .ok_or_else(|| format!("unknown backend '{raw}' (auto|memory|stream|mapreduce)"))?,
     };
     if stream {
         backend = Some(BackendRequest::Streamed);
@@ -2263,6 +2262,30 @@ mod tests {
         assert_eq!(field(lines[2], "ok"), "true", "{}", lines[2]);
         assert_eq!(field(lines[2], "backend"), "\"sketch\"", "{}", lines[2]);
         assert_eq!((summary.errors, summary.queries), (2, 1));
+    }
+
+    #[test]
+    fn parallel_backend_is_an_unknown_backend() {
+        let path = k5_path("k5_parallel_backend.txt");
+        let p = path.display();
+        let requests = format!(
+            "{{\"id\":1,\"algorithm\":\"approx\",\"file\":\"{p}\",\"backend\":\"parallel\"}}\n\
+             {{\"id\":2,\"algorithm\":\"approx\",\"file\":\"{p}\",\"threads\":2}}\n"
+        );
+        let engine = Engine::new();
+        let (summary, out) = run_lines(&engine, &requests);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert_eq!(
+            lines[0],
+            "{\"id\":1,\"ok\":false,\"error\":\"unknown backend 'parallel' \
+             (auto|memory|stream|mapreduce)\"}"
+        );
+        // Two threads plan the serial in-memory peel.
+        assert_eq!(field(lines[1], "ok"), "true", "{}", lines[1]);
+        assert_eq!(field(lines[1], "backend"), "\"memory\"", "{}", lines[1]);
+        assert_eq!(field(lines[1], "threads"), "1", "{}", lines[1]);
+        assert_eq!((summary.errors, summary.queries), (1, 1));
     }
 
     #[test]

@@ -192,19 +192,6 @@ impl NodeSet {
             .zip(&other.words)
             .all(|(a, b)| a & !b == 0)
     }
-
-    /// Recomputes the cached cardinality from the bit words.
-    ///
-    /// Required after bulk mutation through an
-    /// [`crate::atomic::AtomicSetView`], which flips bits without updating
-    /// the cached length.
-    pub fn recount(&mut self) {
-        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
-    }
-
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
 }
 
 impl std::fmt::Debug for NodeSet {

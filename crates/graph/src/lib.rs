@@ -25,10 +25,9 @@
 //! The density definitions of the paper live in [`density`].
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod atomic;
 pub mod bitset;
 pub mod csr;
 pub mod delta;

@@ -12,9 +12,8 @@
 //!   fully in RAM or spill sorted runs to disk above a byte budget
 //!   ([`engine::ShuffleBackend`]) with bit-identical output — the
 //!   Hadoop-style external shuffle that makes out-of-core rounds real.
-//! * [`tasks`] — the worker-claim scaffold the engine's phases run on
-//!   (and the sharded server's spill path schedules onto): scoped
-//!   threads claiming task indices from one atomic cursor.
+//! * [`tasks`] — the worker-claim scaffold the engine's phases run on:
+//!   scoped threads claiming task indices from one atomic cursor.
 //! * [`densest`] — the paper's §5.2 dataflow: per-pass (1) a degree /
 //!   density job, and (2) the two-round node-removal job (mark with `$`
 //!   tombstones, pivot on each endpoint), looped until the node set

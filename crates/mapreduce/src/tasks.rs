@@ -3,13 +3,12 @@
 //! atomic cursor and fold each claimed task into a per-worker
 //! accumulator.
 //!
-//! Extracting the pattern (it appeared verbatim in the map, combined
-//! map, and reduce phases) makes `dsg-mapreduce` usable as a general
-//! execution substrate — the sharded server's spill path schedules a
-//! promoted query's peeling passes over exactly this scaffold — and
-//! keeps the claim discipline in one audited place: the cursor is the
-//! only shared mutable state, so workers never contend on anything
-//! else.
+//! The pattern appeared verbatim in the map, combined map, and reduce
+//! phases; extracting it keeps the claim discipline in one audited
+//! place: the cursor is the only shared mutable state, so workers never
+//! contend on anything else. Each call starts its own threads, so one
+//! phase costs `num_workers` thread spawns (`dsg-engine`'s planner caps
+//! a request's worker count).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

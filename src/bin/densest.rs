@@ -2,8 +2,8 @@
 //!
 //! The binary is a thin parser over the `dsg-engine` query engine: flags
 //! become a [`Query`] + [`ResourcePolicy`], the engine's planner picks
-//! the execution backend (in-memory serial, parallel CSR, file-streamed,
-//! sketched; in-RAM vs spill-to-disk shuffle for MapReduce), and one
+//! the execution backend (in-memory, file-streamed, sketched, MapReduce
+//! with an in-RAM or spill-to-disk shuffle), and one
 //! unified [`Report`] drives both the human and `--json` output. Run
 //! `densest --help` for the full usage, including the long-running
 //! `serve` mode that answers repeated JSONL queries against a
@@ -25,7 +25,7 @@ use densest_subgraph::graph::NodeSet;
 const USAGE: &str =
     "usage: densest <approx|atleast-k|directed|charikar|exact|enumerate> <edge-file> \
      [--epsilon f] [--k n] [--delta f] [--threads n] [--sketch b] [--stream] [--binary] \
-     [--directed-input] [--backend auto|memory|parallel|stream|mapreduce] [--memory-budget bytes] \
+     [--directed-input] [--backend auto|memory|stream|mapreduce] [--memory-budget bytes] \
      [--flow-backend dinic|push-relabel] [--json] [--quiet]\n\
        densest serve [--socket <path>] [--workers n] [--max-connections n] [--shards n] \
      [--threads n] [--memory-budget bytes] [--max-graphs n] \
@@ -64,13 +64,13 @@ query options:
   --quiet              print only the summary line
 
 planner options (one-shot and serve):
-  --threads <n>        worker threads (default 1 = serial; > 1 plans the
-                       deterministic parallel CSR backend where one exists)
+  --threads <n>        MapReduce worker threads, 1 to 256 (default 1); every
+                       other backend runs serially
   --memory-budget <b>  working-set budget in bytes (suffixes k/m/g allowed);
                        graphs whose in-memory estimate exceeds it are planned
                        on the out-of-core streamed backend automatically
   --backend <s>        force a backend instead of planning: auto (default),
-                       memory, parallel, stream, mapreduce
+                       memory, stream, mapreduce
   --stream             shorthand for --backend stream (approx, atleast-k):
                        run straight over the file, one re-read per pass,
                        O(n) memory — the edge list is never materialized
@@ -310,7 +310,7 @@ fn parse_options(algorithm: String, path: String, args: impl Iterator<Item = Str
                 o.backend = BackendRequest::parse(&raw).unwrap_or_else(|| {
                     eprintln!(
                         "invalid value '{raw}' for --backend \
-                         (auto|memory|parallel|stream|mapreduce)"
+                         (auto|memory|stream|mapreduce)"
                     );
                     exit(2);
                 });
@@ -520,24 +520,6 @@ fn run_query(algorithm: String, path: String, rest: impl Iterator<Item = String>
         directed_input: o.directed_input,
     };
 
-    // Warn when --threads cannot take effect, instead of silently
-    // ignoring the flag.
-    if o.threads > 1 {
-        if o.stream {
-            eprintln!("warning: --threads has no effect with --stream (semi-streaming is serial)");
-        } else if !query.algorithm.parallelizable() {
-            eprintln!(
-                "warning: --threads has no effect for '{}'{} (serial run)",
-                o.algorithm,
-                if o.algorithm == "approx" {
-                    " with --sketch"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
-
     let engine = Engine::new();
     // A one-shot process can never replay a cached result; a zero
     // budget makes the engine skip the report deep-clone entirely.
@@ -545,6 +527,11 @@ fn run_query(algorithm: String, path: String, rest: impl Iterator<Item = String>
     let report = engine
         .execute(&source, &query, &policy)
         .unwrap_or_else(|e| fail(&o, e));
+    // Warn when --threads could not take effect, instead of silently
+    // ignoring the flag: only the MapReduce backend uses threads.
+    if o.threads > 1 && query.backend != Some(BackendRequest::MapReduce) {
+        eprintln!("warning: --threads has no effect without --backend mapreduce (serial run)");
+    }
 
     if !o.quiet && !o.json {
         if matches!(report.plan.backend.name(), "stream" | "sketch-stream") {

@@ -194,8 +194,46 @@ fn threads_flag_matches_serial_output() {
         "--quiet",
     ]);
     assert!(ok1 && ok2);
-    assert_eq!(serial, par, "parallel backend must match serial output");
+    assert_eq!(serial, par, "--threads must not change the output");
     assert!(serial.contains("density 2.000000 on 5 nodes"), "{serial}");
+}
+
+const THREADS_WARNING: &str =
+    "warning: --threads has no effect without --backend mapreduce (serial run)";
+
+#[test]
+fn threads_without_mapreduce_warn_and_run_serially() {
+    let path = clique_fixture("threads_without_mapreduce_warn_and_run_serially");
+    let p = path.to_str().unwrap();
+    let (serial, serial_err, ok1) = run(&["approx", p, "--epsilon", "0.1"]);
+    let (threaded, stderr, ok2) = run(&["approx", p, "--epsilon", "0.1", "--threads", "2"]);
+    assert!(ok1 && ok2, "{serial_err}{stderr}");
+    assert!(!serial_err.contains("warning"), "{serial_err}");
+    assert!(stderr.contains(THREADS_WARNING), "{stderr}");
+    assert_eq!(serial, threaded);
+    assert!(
+        threaded.contains("density 2.000000 on 5 nodes"),
+        "{threaded}"
+    );
+}
+
+#[test]
+fn threads_with_mapreduce_do_not_warn() {
+    let path = clique_fixture("threads_with_mapreduce_do_not_warn");
+    let p = path.to_str().unwrap();
+    let (stdout, stderr, ok) = run(&[
+        "approx",
+        p,
+        "--backend",
+        "mapreduce",
+        "--threads",
+        "2",
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(!stderr.contains("warning"), "{stderr}");
+    assert_eq!(json_field(stdout.trim(), "backend"), "\"mapreduce\"");
+    assert_eq!(json_field(stdout.trim(), "threads"), "2");
 }
 
 #[test]
@@ -359,7 +397,7 @@ fn json_summary_is_one_parseable_line() {
     assert!(line.contains("\"algorithm\":\"approx\""), "{line}");
     assert!(line.contains("\"density\":2"), "{line}");
     assert!(line.contains("\"nodes\":5"), "{line}");
-    assert!(line.contains("\"threads\":2"), "{line}");
+    assert!(line.contains("\"threads\":1"), "{line}");
     assert!(line.contains("\"elapsed_ms\":"), "{line}");
 }
 
@@ -466,12 +504,16 @@ fn planner_flags_choose_backends_and_are_reported() {
     let (forced, _, ok) = run(&["approx", p, "--backend", "stream", "--json"]);
     assert!(ok);
     assert_eq!(json_field(forced.trim(), "backend"), "\"stream\"");
-    let (_, stderr, ok) = run(&["approx", p, "--backend", "gpu"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("invalid value 'gpu' for --backend"),
-        "{stderr}"
-    );
+    for bad in ["gpu", "parallel"] {
+        let (_, stderr, ok) = run(&["approx", p, "--backend", bad]);
+        assert!(!ok);
+        assert!(
+            stderr.contains(&format!(
+                "invalid value '{bad}' for --backend (auto|memory|stream|mapreduce)"
+            )),
+            "{stderr}"
+        );
+    }
     // k/m/g suffixes parse.
     let (out, _, ok) = run(&["approx", p, "--memory-budget", "1g", "--json"]);
     assert!(ok, "{out}");

@@ -107,8 +107,7 @@ fn approx_parity_across_every_backend() {
     );
     assert_run_parity(&report, &direct, "serial");
 
-    // Parallel CSR.
-    let direct_par = dsg_core::undirected::approx_densest_csr_parallel(&csr, EPS, 3);
+    // More threads: the same serial in-memory peel.
     let report = run_engine(
         &engine,
         &source,
@@ -117,9 +116,10 @@ fn approx_parity_across_every_backend() {
             memory_budget_bytes: None,
             threads: 3,
         },
-        "parallel",
+        "memory",
     );
-    assert_run_parity(&report, &direct_par, "parallel");
+    assert_run_parity(&report, &direct, "3 threads");
+    assert_eq!(report.threads, 1);
 
     // File-streamed (forced, and again via a tight budget).
     let mut stream = TextFileStream::open_auto(&path).unwrap();
@@ -252,7 +252,6 @@ fn atleast_k_parity_across_backends() {
     );
     assert_run_parity(&report, &direct_weighted, "serial weighted");
 
-    let direct_par = dsg_core::large::approx_densest_at_least_k_csr_parallel(&csr, k, eps_used, 4);
     let report = run_engine(
         &engine,
         &source,
@@ -261,9 +260,9 @@ fn atleast_k_parity_across_backends() {
             memory_budget_bytes: None,
             threads: 4,
         },
-        "parallel",
+        "memory",
     );
-    assert_run_parity(&report, &direct_par, "parallel");
+    assert_run_parity(&report, &direct_csr, "4 threads");
 
     let mut stream = TextFileStream::open_auto(&path).unwrap();
     let direct_stream =
@@ -310,7 +309,7 @@ fn directed_parity_serial_and_parallel() {
     assert_eq!(sweep.best.passes, direct.best.passes);
     assert_eq!(sweep.per_c, direct.per_c);
 
-    let direct_par = dsg_core::directed::sweep_c_csr_parallel(&csr, delta, eps, 3);
+    // A parallel request runs the same serial sweep.
     let report = run_engine(
         &engine,
         &source,
@@ -319,18 +318,61 @@ fn directed_parity_serial_and_parallel() {
             memory_budget_bytes: None,
             threads: 3,
         },
-        "parallel",
+        "memory",
     );
     let Outcome::Sweep(sweep) = &report.outcome else {
         panic!("directed query must yield a sweep");
     };
     assert_eq!(
         sweep.best.best_density.to_bits(),
-        direct_par.best.best_density.to_bits()
+        direct.best.best_density.to_bits()
     );
-    assert_eq!(sweep.best.best_s, direct_par.best.best_s);
-    assert_eq!(sweep.best.best_t, direct_par.best.best_t);
-    assert_eq!(sweep.best.passes, direct_par.best.passes);
+    assert_eq!(sweep.best.best_s, direct.best.best_s);
+    assert_eq!(sweep.best.best_t, direct.best.best_t);
+    assert_eq!(sweep.best.passes, direct.best.passes);
+    assert_eq!(sweep.per_c, direct.per_c);
+}
+
+#[test]
+fn report_threads_counts_the_threads_the_run_used() {
+    let list = test_graph();
+    let path = write_fixture("report_threads.txt", &list);
+    let source = file_source(&path);
+    let engine = Engine::new();
+    let approx = Algorithm::Approx {
+        epsilon: EPS,
+        sketch: None,
+    };
+    let four = ResourcePolicy {
+        memory_budget_bytes: None,
+        threads: 4,
+    };
+    let sketched = Query::new(Algorithm::Approx {
+        epsilon: EPS,
+        sketch: Some(64),
+    });
+    let mapreduce = Query {
+        backend: Some(BackendRequest::MapReduce),
+        ..Query::new(approx)
+    };
+    // Only the MapReduce backend runs its peel on the policy's threads.
+    for (query, backend, threads) in [
+        (sketched, "sketch", 1),
+        (Query::new(approx), "memory", 1),
+        (mapreduce, "mapreduce", 4),
+    ] {
+        let report = run_engine(&engine, &source, query, four, backend);
+        assert_eq!(report.threads, threads, "{backend}");
+        let line = report.json_object(false);
+        assert!(line.contains(&format!("\"threads\":{threads}")), "{line}");
+        let serial_note = "4 threads size MapReduce workers only → serial run";
+        assert_eq!(
+            report.plan.reasons.last().map(String::as_str) == Some(serial_note),
+            threads == 1,
+            "{backend}: {}",
+            report.plan.explain()
+        );
+    }
 }
 
 #[test]
@@ -746,7 +788,7 @@ fn warm_restart_is_byte_identical_to_cold_recompute() {
     );
     assert!(inc.hits >= 1, "incremental tier never fired: {inc:?}");
 
-    // Parallel backend parity on the session graph too.
+    // A threads > 1 policy on the session graph matches cold too.
     let par_policy = ResourcePolicy {
         memory_budget_bytes: None,
         threads: 3,

@@ -1,59 +1,51 @@
-//! Determinism-parity tests for the unified peeling kernel: the parallel
-//! CSR backend must produce traces identical to the serial backends —
-//! bit-identical on unweighted graphs (including the paper's Lemma 5–7
-//! worst-case instances), and identical up to floating-point rounding on
-//! weighted ones — for several ε values and thread counts.
+//! Determinism-parity tests for the unified peeling kernel: the
+//! decremental CSR store must produce traces identical to a streaming
+//! recomputation of the same graph — bit-identical on unweighted graphs
+//! (including the paper's Lemma 5–7 worst-case instances), and identical
+//! up to floating-point rounding on weighted ones — for several ε values.
 
-use densest_subgraph::core::directed::{
-    approx_densest_directed_csr, approx_densest_directed_csr_parallel,
-};
-use densest_subgraph::core::large::{
-    approx_densest_at_least_k_csr, approx_densest_at_least_k_csr_parallel,
-};
-use densest_subgraph::core::undirected::{
-    approx_densest, approx_densest_csr, approx_densest_csr_parallel,
-};
+use densest_subgraph::core::directed::{approx_densest_directed, approx_densest_directed_csr};
+use densest_subgraph::core::large::{approx_densest_at_least_k, approx_densest_at_least_k_csr};
+use densest_subgraph::core::undirected::{approx_densest, approx_densest_csr};
 use densest_subgraph::core::UndirectedRun;
 use densest_subgraph::graph::gen;
 use densest_subgraph::graph::stream::MemoryStream;
 use densest_subgraph::graph::{CsrDirected, CsrUndirected, EdgeList};
 
 const EPSILONS: [f64; 4] = [0.0, 0.3, 0.5, 1.5];
-const THREADS: [usize; 4] = [1, 2, 4, 6];
 
-fn assert_bit_identical(serial: &UndirectedRun, par: &UndirectedRun, what: &str) {
-    assert_eq!(serial.passes, par.passes, "{what}: pass count");
-    assert_eq!(serial.best_pass, par.best_pass, "{what}: best pass");
+fn assert_bit_identical(csr: &UndirectedRun, streamed: &UndirectedRun, what: &str) {
+    assert_eq!(csr.passes, streamed.passes, "{what}: pass count");
+    assert_eq!(csr.best_pass, streamed.best_pass, "{what}: best pass");
     assert_eq!(
-        serial.best_density.to_bits(),
-        par.best_density.to_bits(),
+        csr.best_density.to_bits(),
+        streamed.best_density.to_bits(),
         "{what}: best density ({} vs {})",
-        serial.best_density,
-        par.best_density
+        csr.best_density,
+        streamed.best_density
     );
     assert_eq!(
-        serial.best_set.to_vec(),
-        par.best_set.to_vec(),
+        csr.best_set.to_vec(),
+        streamed.best_set.to_vec(),
         "{what}: best set"
     );
-    assert_eq!(serial.trace.len(), par.trace.len(), "{what}: trace length");
-    for (a, b) in serial.trace.iter().zip(&par.trace) {
+    assert_eq!(
+        csr.trace.len(),
+        streamed.trace.len(),
+        "{what}: trace length"
+    );
+    for (a, b) in csr.trace.iter().zip(&streamed.trace) {
         assert_eq!(a, b, "{what}: trace record {}", a.pass);
     }
 }
 
-fn check_undirected_all_backends(list: &EdgeList, what: &str) {
+fn check_undirected_stream_vs_csr(list: &EdgeList, what: &str) {
     let csr = CsrUndirected::from_edge_list(list);
     for eps in EPSILONS {
-        let serial = approx_densest_csr(&csr, eps);
-        // The streaming backend agrees with the decremental one.
+        let in_memory = approx_densest_csr(&csr, eps);
         let mut stream = MemoryStream::new(list.clone());
         let streamed = approx_densest(&mut stream, eps);
-        assert_bit_identical(&serial, &streamed, &format!("{what} ε={eps} stream"));
-        for threads in THREADS {
-            let par = approx_densest_csr_parallel(&csr, eps, threads);
-            assert_bit_identical(&serial, &par, &format!("{what} ε={eps} t={threads}"));
-        }
+        assert_bit_identical(&in_memory, &streamed, &format!("{what} ε={eps}"));
     }
 }
 
@@ -61,16 +53,16 @@ fn check_undirected_all_backends(list: &EdgeList, what: &str) {
 fn unweighted_random_graphs_bit_identical() {
     for seed in 0..3 {
         let list = gen::gnp(200, 0.05, seed);
-        check_undirected_all_backends(&list, &format!("gnp seed {seed}"));
+        check_undirected_stream_vs_csr(&list, &format!("gnp seed {seed}"));
     }
 }
 
 #[test]
 fn planted_and_powerlaw_graphs_bit_identical() {
     let pg = gen::planted_dense_subgraph(500, 2500, 30, 0.7, 11);
-    check_undirected_all_backends(&pg.graph, "planted");
+    check_undirected_stream_vs_csr(&pg.graph, "planted");
     let pa = gen::preferential_attachment(400, 3, 5);
-    check_undirected_all_backends(&pa, "preferential attachment");
+    check_undirected_stream_vs_csr(&pa, "preferential attachment");
 }
 
 #[test]
@@ -78,7 +70,7 @@ fn lemma5_regular_union_bit_identical() {
     // The Lemma 5 pass-count worst case: a union of regular layers that
     // forces Ω(log n / log log n) passes — many passes, many frontiers.
     let list = gen::regular_union(4);
-    check_undirected_all_backends(&list, "lemma5 regular union");
+    check_undirected_stream_vs_csr(&list, "lemma5 regular union");
 }
 
 #[test]
@@ -86,27 +78,27 @@ fn lemma7_disjointness_gadgets_bit_identical() {
     // The Lemma 7 communication-bound gadgets, YES and NO instances.
     for yes in [false, true] {
         let (list, _) = gen::disjointness_gadget(40, 6, yes, 9);
-        check_undirected_all_backends(&list, &format!("lemma7 yes={yes}"));
+        check_undirected_stream_vs_csr(&list, &format!("lemma7 yes={yes}"));
     }
 }
 
 #[test]
 fn lemma6_weighted_powerlaw_matches_within_rounding() {
-    // Lemma 6's instance is weighted: the parallel backend recomputes
-    // degrees per pass instead of maintaining them decrementally, so the
-    // serial comparison is up-to-rounding — but thread counts must not
-    // change the result at all.
+    // Lemma 6's instance is weighted: the stream recomputes degrees per
+    // pass while the CSR store maintains them decrementally, so the two
+    // agree on every set but only up to rounding on the densities.
     let list = gen::weighted_powerlaw(120, 0.5, 3000.0);
     let csr = CsrUndirected::from_edge_list(&list);
     for eps in [0.3, 0.5, 1.0] {
-        let serial = approx_densest_csr(&csr, eps);
-        let reference = approx_densest_csr_parallel(&csr, eps, 1);
-        assert_eq!(serial.passes, reference.passes, "ε={eps}");
-        assert_eq!(serial.best_set.to_vec(), reference.best_set.to_vec());
-        assert!((serial.best_density - reference.best_density).abs() < 1e-9);
-        for threads in [2, 3, 5, 8] {
-            let par = approx_densest_csr_parallel(&csr, eps, threads);
-            assert_bit_identical(&reference, &par, &format!("weighted ε={eps} t={threads}"));
+        let in_memory = approx_densest_csr(&csr, eps);
+        let mut stream = MemoryStream::new(list.clone());
+        let streamed = approx_densest(&mut stream, eps);
+        assert_eq!(in_memory.passes, streamed.passes, "ε={eps}");
+        assert_eq!(in_memory.best_pass, streamed.best_pass, "ε={eps}");
+        assert_eq!(in_memory.best_set.to_vec(), streamed.best_set.to_vec());
+        assert!((in_memory.best_density - streamed.best_density).abs() < 1e-9);
+        for (a, b) in in_memory.trace.iter().zip(&streamed.trace) {
+            assert_eq!((a.nodes, a.removed), (b.nodes, b.removed), "ε={eps}");
         }
     }
 }
@@ -116,11 +108,10 @@ fn algorithm2_k_floor_bit_identical() {
     let pg = gen::planted_clique(300, 900, 18, 7);
     let csr = CsrUndirected::from_edge_list(&pg.graph);
     for (k, eps) in [(1usize, 0.4), (30, 0.4), (150, 1.0)] {
-        let serial = approx_densest_at_least_k_csr(&csr, k, eps);
-        for threads in THREADS {
-            let par = approx_densest_at_least_k_csr_parallel(&csr, k, eps, threads);
-            assert_bit_identical(&serial, &par, &format!("alg2 k={k} t={threads}"));
-        }
+        let in_memory = approx_densest_at_least_k_csr(&csr, k, eps);
+        let mut stream = MemoryStream::new(pg.graph.clone());
+        let streamed = approx_densest_at_least_k(&mut stream, k, eps);
+        assert_bit_identical(&in_memory, &streamed, &format!("alg2 k={k} ε={eps}"));
     }
 }
 
@@ -130,22 +121,29 @@ fn directed_runs_bit_identical() {
         let list = gen::directed_gnp(250, 0.02, seed);
         let csr = CsrDirected::from_edge_list(&list);
         for (c, eps) in [(0.5, 0.0), (1.0, 0.5), (4.0, 1.5)] {
-            let serial = approx_densest_directed_csr(&csr, c, eps);
-            for threads in THREADS {
-                let par = approx_densest_directed_csr_parallel(&csr, c, eps, threads);
-                let what = format!("directed seed={seed} c={c} t={threads}");
-                assert_eq!(serial.passes, par.passes, "{what}: passes");
-                assert_eq!(
-                    serial.best_density.to_bits(),
-                    par.best_density.to_bits(),
-                    "{what}: density"
-                );
-                assert_eq!(serial.best_s.to_vec(), par.best_s.to_vec(), "{what}: S");
-                assert_eq!(serial.best_t.to_vec(), par.best_t.to_vec(), "{what}: T");
-                assert_eq!(serial.trace.len(), par.trace.len(), "{what}: trace");
-                for (a, b) in serial.trace.iter().zip(&par.trace) {
-                    assert_eq!(a, b, "{what}: trace record {}", a.pass);
-                }
+            let in_memory = approx_densest_directed_csr(&csr, c, eps);
+            let mut stream = MemoryStream::new(list.clone());
+            let streamed = approx_densest_directed(&mut stream, c, eps);
+            let what = format!("directed seed={seed} c={c} ε={eps}");
+            assert_eq!(in_memory.passes, streamed.passes, "{what}: passes");
+            assert_eq!(
+                in_memory.best_density.to_bits(),
+                streamed.best_density.to_bits(),
+                "{what}: density"
+            );
+            assert_eq!(
+                in_memory.best_s.to_vec(),
+                streamed.best_s.to_vec(),
+                "{what}: S"
+            );
+            assert_eq!(
+                in_memory.best_t.to_vec(),
+                streamed.best_t.to_vec(),
+                "{what}: T"
+            );
+            assert_eq!(in_memory.trace.len(), streamed.trace.len(), "{what}: trace");
+            for (a, b) in in_memory.trace.iter().zip(&streamed.trace) {
+                assert_eq!(a, b, "{what}: trace record {}", a.pass);
             }
         }
     }
@@ -155,12 +153,15 @@ fn directed_runs_bit_identical() {
 fn skewed_celebrity_directed_bit_identical() {
     let list = gen::skewed_celebrity(500, 5, 0.7, 300, 2);
     let csr = CsrDirected::from_edge_list(&list);
-    let serial = approx_densest_directed_csr(&csr, 8.0, 0.5);
-    for threads in THREADS {
-        let par = approx_densest_directed_csr_parallel(&csr, 8.0, 0.5, threads);
-        assert_eq!(serial.passes, par.passes);
-        assert_eq!(serial.best_density.to_bits(), par.best_density.to_bits());
-        assert_eq!(serial.best_s.to_vec(), par.best_s.to_vec());
-        assert_eq!(serial.best_t.to_vec(), par.best_t.to_vec());
-    }
+    let in_memory = approx_densest_directed_csr(&csr, 8.0, 0.5);
+    let mut stream = MemoryStream::new(list);
+    let streamed = approx_densest_directed(&mut stream, 8.0, 0.5);
+    assert_eq!(in_memory.passes, streamed.passes);
+    assert_eq!(
+        in_memory.best_density.to_bits(),
+        streamed.best_density.to_bits()
+    );
+    assert_eq!(in_memory.best_s.to_vec(), streamed.best_s.to_vec());
+    assert_eq!(in_memory.best_t.to_vec(), streamed.best_t.to_vec());
+    assert_eq!(in_memory.trace, streamed.trace);
 }
