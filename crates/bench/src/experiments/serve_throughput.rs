@@ -383,7 +383,8 @@ pub struct ShardRow {
     /// per-shard load at the highest shard count, exactly what
     /// `densest client --graph-per-conn` produces).
     pub clients: usize,
-    /// Router I/O workers; each shard runs this many executors too.
+    /// I/O workers per shard (`densest serve --workers`), each
+    /// answering its connections' requests inline.
     pub workers: usize,
     /// Timed-phase query requests answered per trial.
     pub queries: u64,
@@ -398,7 +399,7 @@ pub struct ShardRow {
     /// `qps / qps(reference row)` — scaling vs the first shard count.
     pub speedup: f64,
     /// Per-shard `routed` counters, `/`-joined (`-` on a 1-shard row,
-    /// which runs every request inline, with no shard queue).
+    /// which keeps no per-shard counters).
     pub routed: String,
     /// Whether every response was byte-identical to the reference
     /// shard count's transcript (asserted — a row only exists if so).

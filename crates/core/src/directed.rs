@@ -131,31 +131,6 @@ pub fn approx_densest_directed_csr(
     directed_csr(g, c, epsilon, false).0
 }
 
-/// Two-level sweep (extension beyond the paper): a coarse δ grid followed
-/// by a fine re-sweep of the interval `[best_c/δ, best_c·δ]` at resolution
-/// `δ^(1/4)`. The paper bounds the grid cost at a factor δ; refining
-/// around the winner recovers most of that factor for 8 extra runs.
-pub fn sweep_c_refined_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64) -> SweepResult {
-    let coarse = sweep_c_csr(g, delta, epsilon);
-    let fine_step = delta.powf(0.25);
-    let center = coarse.best.c;
-    let mut best = coarse.best.clone();
-    let mut per_c = coarse.per_c.clone();
-    for i in -4i32..=4 {
-        if i == 0 {
-            continue; // center already measured by the coarse sweep
-        }
-        let c = center * fine_step.powi(i);
-        let run = approx_densest_directed_csr(g, c, epsilon);
-        per_c.push((c, run.best_density, run.passes));
-        if run.best_density > best.best_density {
-            best = run;
-        }
-    }
-    per_c.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite ratios"));
-    SweepResult { best, per_c }
-}
-
 /// In-memory [`sweep_c`]; `capture` adds one [`PeelTrace`] per ratio,
 /// the seed of incremental re-peeling, as `(c, trace)` pairs in grid
 /// order.
@@ -409,22 +384,6 @@ mod tests {
                     assert_eq!(x.removed_from_s, y.removed_from_s);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn refined_sweep_never_worse_than_coarse() {
-        use dsg_graph::CsrDirected;
-        for seed in 0..4 {
-            let list = gen::directed_gnp(80, 0.06, seed);
-            let csr = CsrDirected::from_edge_list(&list);
-            let coarse = sweep_c_csr(&csr, 4.0, 0.5);
-            let refined = sweep_c_refined_csr(&csr, 4.0, 0.5);
-            assert!(refined.best.best_density + 1e-12 >= coarse.best.best_density);
-            // 8 extra ratios measured.
-            assert_eq!(refined.per_c.len(), coarse.per_c.len() + 8);
-            // Ratios stay sorted.
-            assert!(refined.per_c.windows(2).all(|w| w[0].0 <= w[1].0));
         }
     }
 

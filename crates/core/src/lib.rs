@@ -56,7 +56,7 @@ pub use charikar::charikar_peel;
 pub use cores::CoreDecomposition;
 pub use directed::{
     approx_densest_directed, approx_densest_directed_csr, approx_densest_directed_naive, sweep_c,
-    sweep_c_csr, sweep_c_refined_csr, DirectedRun, SweepResult,
+    sweep_c_csr, DirectedRun, SweepResult,
 };
 pub use enumerate::{enumerate_dense_subgraphs, Community, EnumerateOptions};
 pub use incremental::{

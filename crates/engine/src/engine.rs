@@ -73,7 +73,7 @@ use dsg_sketch::{approx_densest_sketched, try_approx_densest_sketched, SketchPar
 
 use crate::catalog::{CatalogEntry, GraphCatalog, MutateOp, MutationOutcome, NamedGraph};
 use crate::error::{EngineError, Result};
-use crate::incremental::{IncSeed, IncrementalDebug, TraceSet};
+use crate::incremental::{self, IncSeed, IncrementalDebug, TraceSet};
 use crate::planner::{self, Backend, GraphMeta, Plan};
 use crate::query::{Algorithm, Query, ResourcePolicy, Source};
 use crate::report::{Outcome, Report, ShuffleStats};
@@ -321,6 +321,33 @@ impl Engine {
         query: &Query,
         policy: &ResourcePolicy,
     ) -> Result<Report> {
+        Ok(match self.execute_serve(source, query, policy)? {
+            ServeReport::Shared { report, elapsed_ms } => {
+                let mut replay = Report::clone(&report);
+                replay.cache_hit = Some(true);
+                replay.result_cache_hit = Some(true);
+                replay.elapsed_ms = elapsed_ms;
+                replay
+            }
+            ServeReport::Owned(report) => *report,
+        })
+    }
+
+    /// [`execute`](Self::execute) as the serve loop wants it: on the
+    /// replay fast path the stored report is returned **shared** (an
+    /// `Arc` straight out of the result cache) instead of deep-cloned
+    /// and patched — the steady-state serve path then costs one stat,
+    /// two map probes, and zero report allocations. The shared report's
+    /// own `cache_hit`/`result_cache_hit`/`elapsed_ms` fields describe
+    /// the *cold* run; this request's values (both hits true, fresh
+    /// elapsed) ride alongside in [`ServeReport::Shared`], and the
+    /// reply envelope is assembled from those.
+    pub fn execute_serve(
+        &self,
+        source: &Source,
+        query: &Query,
+        policy: &ResourcePolicy,
+    ) -> Result<ServeReport> {
         let started = Instant::now();
         let kind = source.kind_for(&query.algorithm);
         // Replay fast path: when the file's graph is already resident
@@ -332,42 +359,6 @@ impl Engine {
         // this request would get. This keeps the steady-state serve
         // path free of the planner's per-request reason-string
         // allocations and the second metadata stat.
-        let mut replay_checked = false;
-        if let Source::File { path, binary, .. } = source {
-            if let Some(entry) = self.catalog.peek(path, *binary, kind) {
-                let key = CacheKey::new(GraphId::file(entry.fingerprint), kind, query, policy);
-                if let Some(mut replay) = self.results.lookup(&key, &source.label()) {
-                    self.catalog.record_hit();
-                    replay.cache_hit = Some(true);
-                    replay.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                    return Ok(replay);
-                }
-                // A definitive miss: the slow path below must not
-                // consult (and count) the result cache a second time.
-                replay_checked = true;
-            }
-        }
-        self.execute_slow(source, query, policy, started, kind, replay_checked)
-    }
-
-    /// Serve-loop variant of [`execute`](Self::execute): on the replay
-    /// fast path the stored report is returned **shared** (an `Arc`
-    /// straight out of the result cache) instead of deep-cloned and
-    /// patched — the steady-state serve path then costs one stat, two
-    /// map probes, and zero report allocations. The shared report's own
-    /// `cache_hit`/`result_cache_hit`/`elapsed_ms` fields describe the
-    /// *cold* run; this request's values (both hits true, fresh
-    /// elapsed) ride alongside in [`ServeReport::Shared`], and the
-    /// reply envelope is assembled from those. Everything off the fast
-    /// path behaves exactly like `execute`.
-    pub fn execute_serve(
-        &self,
-        source: &Source,
-        query: &Query,
-        policy: &ResourcePolicy,
-    ) -> Result<ServeReport> {
-        let started = Instant::now();
-        let kind = source.kind_for(&query.algorithm);
         if let Source::File { path, binary, .. } = source {
             if let Some(entry) = self.catalog.peek(path, *binary, kind) {
                 let key = CacheKey::new(GraphId::file(entry.fingerprint), kind, query, policy);
@@ -572,9 +563,8 @@ impl Engine {
     /// Decides how a named-graph query relates to its warm seed — see
     /// the module docs for the contract. The seed lock is held only for
     /// the map lookup (a few clones of `Copy` fields and an `Arc`); the
-    /// candidate re-verification — which may build the snapshot's CSR —
-    /// runs after it is released, so concurrent named-graph queries
-    /// never serialize on a CSR build.
+    /// candidate re-verification — a walk over the best set's rows of
+    /// the snapshot's edge list — runs after it is released.
     fn warm_decision(&self, seed_key: &CacheKey, entry: &CatalogEntry) -> WarmDecision {
         let seed = {
             let seeds = self.seeds.lock().expect("warm seed lock poisoned");
@@ -589,8 +579,8 @@ impl Engine {
         };
         if seed.content_hash == entry.content_hash {
             // Candidate re-verification: the seed's dense subgraph is
-            // re-scored against the current snapshot's CSR before the
-            // stored report is trusted. A mismatch (a content-hash
+            // re-scored against the current snapshot before the stored
+            // report is trusted. A mismatch (a content-hash
             // collision, in practice unreachable) falls through to a
             // cold run rather than ever replaying an unverified result.
             if verify_candidate(&seed.report, entry) {
@@ -943,24 +933,23 @@ fn warm_eligible(query: &Query, plan: &Plan) -> bool {
 }
 
 /// Re-scores a seed report's dense subgraph against the current
-/// snapshot: the stored best set's density, recomputed from the CSR,
-/// must match the stored density. Used before any verified replay.
+/// snapshot: the stored best set's density, recounted from the sorted
+/// edge list as the incremental tier recounts its own, must match the
+/// stored density. Used before any verified replay.
 fn verify_candidate(report: &Report, entry: &CatalogEntry) -> bool {
     let n = entry.list.num_nodes as usize;
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
     match &report.outcome {
         Outcome::Run(r) => {
-            let set = resize_set(&r.best_set, n);
-            close(entry.csr_undirected().density_of(&set), r.best_density)
+            incremental::verify_undirected(&resize_set(&r.best_set, n), r.best_density, entry)
+                .is_ok()
         }
-        Outcome::Sweep(s) => {
-            let best_s = resize_set(&s.best.best_s, n);
-            let best_t = resize_set(&s.best.best_t, n);
-            close(
-                entry.csr_directed().density_of(&best_s, &best_t),
-                s.best.best_density,
-            )
-        }
+        Outcome::Sweep(s) => incremental::verify_directed(
+            &resize_set(&s.best.best_s, n),
+            &resize_set(&s.best.best_t, n),
+            s.best.best_density,
+            entry,
+        )
+        .is_ok(),
         _ => false,
     }
 }

@@ -135,7 +135,7 @@ pub(crate) struct IncOutcome {
     pub passes: u32,
 }
 
-/// The replay tier's closeness test, reused for the re-score check.
+/// The closeness test of every re-score check.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
@@ -310,9 +310,9 @@ fn attempt_directed(
     ))
 }
 
-/// Re-scores a simulated undirected best set against the materialized
-/// snapshot.
-fn verify_undirected(
+/// Re-scores an undirected best set against the materialized snapshot:
+/// a simulated one here, a warm seed's before a verified replay.
+pub(crate) fn verify_undirected(
     set: &NodeSet,
     claimed: f64,
     entry: &CatalogEntry,
@@ -325,9 +325,9 @@ fn verify_undirected(
     }
 }
 
-/// Re-scores a simulated best `(S, T)` against the materialized
-/// snapshot.
-fn verify_directed(
+/// Re-scores a best `(S, T)` against the materialized snapshot: a
+/// simulated one here, a warm seed's before a verified replay.
+pub(crate) fn verify_directed(
     s: &NodeSet,
     t: &NodeSet,
     claimed: f64,

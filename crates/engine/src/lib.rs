@@ -27,12 +27,13 @@
 //!   byte-identically (minus `elapsed_ms`) without recomputing.
 //! * [`serve`] — a long-running JSONL request/response loop over
 //!   stdin/stdout or a Unix socket. Socket mode runs an accept thread
-//!   plus a bounded worker pool so many clients are served
+//!   plus a fixed set of I/O event loops, each answering its
+//!   connections' requests inline, so many clients are served
 //!   concurrently against one shared engine.
 //! * [`shard`] — the sharded serve mode (`ServeOptions::shards > 1`):
-//!   N independent engines behind one socket, each request hash-routed
-//!   by graph identity over bounded per-shard queues so shards never
-//!   touch each other's locks.
+//!   N independent engines behind one socket; the event loop hashes
+//!   each request's graph identity to pick the engine it runs on, so
+//!   shards never touch each other's locks.
 //! * **Mutable sessions** — named in-memory graphs created and mutated
 //!   through the catalog ([`NamedGraph`], `create_graph` / `add_edges`
 //!   / `remove_edges` / `compact` ops): every mutation publishes a

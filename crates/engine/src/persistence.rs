@@ -56,9 +56,9 @@
 //! (default 1; 0 disables explicit fsync). A `kill -9` keeps the page
 //! cache, so crash-recovery holds at any setting; the fsync cadence is
 //! the power-loss durability bound. fsync happens on catalog mutation
-//! paths only — a shard's executor, or at one shard the I/O worker that
-//! runs the mutation inline — and dsg-lint's hot-path rule keeps the
-//! serve code itself from ever calling it.
+//! paths only — the I/O event loop that runs the mutation inline calls
+//! into them — and dsg-lint's hot-path rule keeps the serve code itself
+//! from ever calling it.
 //!
 //! ## Crash-injection hook
 //!

@@ -47,7 +47,7 @@ use dsg_core::result::streaming_state_bytes;
 use dsg_mapreduce::ShuffleBackend;
 
 use crate::error::{EngineError, Result};
-use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, MAX_THREADS};
+use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy};
 
 /// What the planner knows about a graph without materializing it: node
 /// and edge counts (binary header, text validation scan, or in-memory
@@ -195,15 +195,7 @@ impl Plan {
 /// Validates the query's parameters, naming the offending one.
 fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
     let bad = |msg: String| Err(EngineError::InvalidQuery(msg));
-    if policy.threads == 0 {
-        return bad("threads must be at least 1".into());
-    }
-    if policy.threads > MAX_THREADS {
-        return bad(format!(
-            "threads must be at most {MAX_THREADS} (got {})",
-            policy.threads
-        ));
-    }
+    policy.validate().map_err(EngineError::InvalidQuery)?;
     match query.algorithm {
         Algorithm::Approx { epsilon, sketch } => {
             if !epsilon.is_finite() || epsilon < 0.0 {
@@ -474,6 +466,7 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::MAX_THREADS;
 
     fn meta(n: u64, m: u64) -> GraphMeta {
         GraphMeta {

@@ -161,6 +161,24 @@ impl Default for ResourcePolicy {
     }
 }
 
+impl ResourcePolicy {
+    /// The policy's own rule, checked by the planner before every plan
+    /// and by a server once for its default policy: `threads` in
+    /// `1..=`[`MAX_THREADS`]. `Err` carries the violation's message.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.threads == 0 {
+            return Err("threads must be at least 1".into());
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS} (got {})",
+                self.threads
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Where the graph comes from.
 #[derive(Clone, Debug)]
 pub enum Source {

@@ -12,26 +12,26 @@
 //!
 //! ## Concurrency
 //!
-//! Socket mode runs an **accept thread plus `workers` I/O event loops**
-//! ([`ServeOptions`]), the same loop for every shard count: each
-//! accepted connection is assigned round-robin to a worker, and every
-//! worker multiplexes its connection set with readiness-based
+//! Socket mode runs an **accept thread plus `workers` I/O event loops
+//! per shard** ([`ServeOptions`]), the same loop for every shard count:
+//! each accepted connection is assigned round-robin to a loop, and
+//! every loop multiplexes its connection set with readiness-based
 //! nonblocking I/O (`poll(2)` via [`crate::readiness`], infinite
 //! timeout). Idle connections cost **zero wakeups** — nobody spins on
 //! read-timeout ticks — and cross-thread signals (a new connection
-//! handed over, a finished shard job, the shutdown latch) arrive
-//! through a self-pipe waker, so graceful shutdown completes as soon as
-//! in-flight requests drain instead of waiting out a timeout tick per
-//! parked connection. `max_connections` bounds the *live* connections
-//! across all workers; at the cap the accept thread parks until one
-//! closes, which is the backpressure (clients queue in the socket
-//! backlog instead of overwhelming the server). The loop answers
-//! `stats` and `shutdown` itself. Every other request runs on its
-//! shard's engine: with one shard (the default) **inline on the I/O
-//! worker**, against the caller's [`Engine`] (`&Engine` — the engine is
-//! internally synchronized); with `shards > 1` it is queued to that
-//! shard's executors (see [`crate::shard`]). A `shutdown` op latches the
-//! shutdown flag, wakes every event loop, and removes the socket file.
+//! handed over, the shutdown latch) arrive through a self-pipe waker,
+//! so graceful shutdown completes as soon as in-flight requests drain
+//! instead of waiting out a timeout tick per parked connection.
+//! `max_connections` bounds the *live* connections across all loops;
+//! at the cap the accept thread parks until one closes, which is the
+//! backpressure (clients queue in the socket backlog instead of
+//! overwhelming the server). The loop answers `stats` and `shutdown`
+//! itself and every other request **inline**, on its shard's engine:
+//! the caller's [`Engine`] at one shard (the default; `&Engine` — the
+//! engine is internally synchronized), else the engine its graph
+//! identity routes to (see [`crate::shard`]). A `shutdown` op latches
+//! the shutdown flag, wakes every event loop, and removes the socket
+//! file.
 //! The socket file is removed by an RAII guard, so it disappears even
 //! when the serve loop exits through an error path or a panic.
 //!
@@ -135,18 +135,18 @@ use crate::report::JsonBuilder;
 /// Worker-pool sizing and durability wiring of the socket serve mode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// I/O worker threads serving connections concurrently (clamped
-    /// ≥ 1). With `shards > 1` this also sizes each shard's executor
-    /// pool.
+    /// I/O event loops per shard, each a thread serving its
+    /// connections (clamped ≥ 1): an n-shard server runs
+    /// `workers × n` of them.
     pub workers: usize,
     /// Most connections open at once across all workers (clamped ≥ 1).
     /// At the cap the accept thread waits until one closes, so further
     /// clients wait in the socket backlog — that is the backpressure.
     pub max_connections: usize,
-    /// Engine shards (clamped ≥ 1). At 1 every request runs inline on
-    /// the I/O worker that read it; above 1 each request is hash-routed
-    /// to one of `shards` independent engines over bounded per-shard
-    /// queues — see [`crate::shard`].
+    /// Engine shards (clamped ≥ 1). Every request runs inline on the
+    /// event loop that read it; above 1 shard that loop first hashes
+    /// the request's graph identity to pick one of `shards` independent
+    /// engines — see [`crate::shard`].
     pub shards: usize,
     /// Root of the durable-session store (`None` = in-memory sessions).
     /// Each shard opens `<data_dir>/shard-<i>` — its own WAL + snapshot
@@ -276,7 +276,7 @@ impl ServeMetrics {
 
 /// One shard's counters beside its engine's own, for the `stats`
 /// breakdown of an n-shard server: the requests routed to the shard,
-/// and the queries, mutations and errors its executors answered.
+/// and the queries, mutations and errors its engine answered.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
     pub(crate) metrics: ServeMetrics,
@@ -396,7 +396,7 @@ fn decode_line(raw: &[u8], scratch: &mut FieldScratch) -> Option<Result<(), Stri
 
 /// A request's op: the binary opcode's, else its `op` field, else
 /// `query`.
-pub(crate) fn op_name<'f>(opcode: Option<&'static str>, fields: &'f [(String, Value)]) -> &'f str {
+fn op_name<'f>(opcode: Option<&'static str>, fields: &'f [(String, Value)]) -> &'f str {
     opcode.unwrap_or_else(|| {
         minijson::get(fields, "op")
             .and_then(Value::as_str)
@@ -578,12 +578,11 @@ fn render_stats(
 
 /// Runs one query or mutation (or rejects an unknown op) on `engine`,
 /// counting the outcome into `metrics`: the per-request core of every
-/// shard count — inline on the I/O worker at one shard, on a shard's
-/// executor at n. Binary requests carry the op in the frame header and
-/// JSONL requests in a field; everything downstream of `op` is
-/// identical, which is what makes binary replies byte-identical in
+/// transport and shard count. Binary requests carry the op in the frame
+/// header and JSONL requests in a field; everything downstream of `op`
+/// is identical, which is what makes binary replies byte-identical in
 /// content to JSONL response lines.
-pub(crate) fn execute(
+fn execute(
     engine: &Engine,
     default_policy: &ResourcePolicy,
     metrics: &ServeMetrics,
@@ -952,7 +951,7 @@ pub fn serve_unix(
     std::fs::rename(&staging, path)?;
     guard.path = path.to_path_buf();
     let metrics = ServeMetrics::new();
-    let runtime = crate::shard::ShardRuntime::new(engine, options, crate::shard::SHARD_QUEUE_CAP)?;
+    let runtime = crate::shard::ShardRuntime::new(engine, options)?;
     run_listener(&runtime, policy, &listener, options, &metrics)?;
     Ok(metrics.summary(runtime.engines(), runtime.counters()))
 }
@@ -1027,30 +1026,18 @@ impl ConnGate {
     }
 }
 
-/// A finished shard job's pre-encoded reply, homed to `(slot, gen)` on
-/// the I/O worker that owns the connection (and dropped if the
-/// connection died and its slot was reused — the generation check).
-#[cfg(unix)]
-pub(crate) struct Completion {
-    pub(crate) slot: usize,
-    pub(crate) gen: u64,
-    pub(crate) bytes: Vec<u8>,
-}
-
-/// One I/O worker's mailboxes: accepted connections in, and (n shards
-/// only) completions back from the shard executors. One waker covers
-/// both.
+/// One I/O event loop's mailbox of accepted connections, and the waker
+/// that tells it about them.
 #[cfg(unix)]
 struct IoSlot {
     arrivals: std::sync::Mutex<Vec<std::os::unix::net::UnixStream>>,
-    completions: std::sync::Mutex<Vec<Completion>>,
     waker: crate::readiness::Waker,
 }
 
-/// Everything the accept thread, the I/O workers and the shard
-/// executors share besides the shard runtime and the metrics.
+/// Everything the accept thread and the I/O event loops share besides
+/// the shard runtime and the metrics.
 #[cfg(unix)]
-pub(crate) struct IoShared {
+struct IoShared {
     slots: Vec<IoSlot>,
     accept_waker: crate::readiness::Waker,
     gate: ConnGate,
@@ -1058,40 +1045,23 @@ pub(crate) struct IoShared {
 
 #[cfg(unix)]
 impl IoShared {
-    /// Mails a finished job's reply to the I/O worker owning its
-    /// connection.
-    pub(crate) fn complete(&self, worker: usize, completion: Completion) {
-        let slot = &self.slots[worker];
-        slot.completions
-            .lock()
-            .expect("completion mailbox poisoned")
-            .push(completion);
-        slot.waker.wake();
-    }
-
-    /// Wakes one I/O worker (a shard queue it parked against has room).
-    pub(crate) fn wake(&self, worker: usize) {
-        self.slots[worker].waker.wake();
-    }
-
-    /// Wakes every parked thread — the I/O workers, the accept thread,
-    /// the gate, and each shard's executors — once shutdown latches.
-    fn wake_all(&self, runtime: &crate::shard::ShardRuntime<'_>) {
+    /// Wakes every parked thread — the event loops, the accept thread
+    /// and the gate — once shutdown latches.
+    fn wake_all(&self) {
         for slot in &self.slots {
             slot.waker.wake();
         }
         self.accept_waker.wake();
         self.gate.poke();
-        runtime.poke_queues();
     }
 }
 
-/// The accept thread, the I/O event loops and (n shards only) the
-/// per-shard executor pools around a bound listener, all under one
-/// scope: the accept loop ends on shutdown or error, latches the stop
-/// flag and wakes everyone, and the scope join is the drain.
+/// The accept thread and `workers` I/O event loops per shard around a
+/// bound listener, all under one scope: the accept loop ends on
+/// shutdown or error, latches the stop flag and wakes everyone, and the
+/// scope join is the drain.
 #[cfg(unix)]
-pub(crate) fn run_listener(
+fn run_listener(
     runtime: &crate::shard::ShardRuntime<'_>,
     policy: &ResourcePolicy,
     listener: &std::os::unix::net::UnixListener,
@@ -1100,16 +1070,15 @@ pub(crate) fn run_listener(
 ) -> std::io::Result<()> {
     use crate::readiness::wake_pair;
 
-    let workers = options.workers.max(1);
+    let loops = options.workers.max(1) * runtime.engines().len();
     listener.set_nonblocking(true)?;
     let (accept_waker, accept_rx) = wake_pair()?;
-    let mut slots = Vec::with_capacity(workers);
-    let mut receivers = Vec::with_capacity(workers);
-    for _ in 0..workers {
+    let mut slots = Vec::with_capacity(loops);
+    let mut receivers = Vec::with_capacity(loops);
+    for _ in 0..loops {
         let (waker, rx) = wake_pair()?;
         slots.push(IoSlot {
             arrivals: std::sync::Mutex::new(Vec::new()),
-            completions: std::sync::Mutex::new(Vec::new()),
             waker,
         });
         receivers.push(rx);
@@ -1119,26 +1088,17 @@ pub(crate) fn run_listener(
         accept_waker,
         gate: ConnGate::new(options.max_connections),
     };
+    let ctx = ServeCtx {
+        runtime,
+        policy,
+        metrics,
+    };
     std::thread::scope(|s| {
-        for (worker, rx) in receivers.into_iter().enumerate() {
-            let ctx = ServeCtx {
-                runtime,
-                policy,
-                metrics,
-                worker,
-            };
-            let shared = &shared;
-            s.spawn(move || io_event_loop(&ctx, shared, rx));
+        for (slot, rx) in shared.slots.iter().zip(receivers) {
+            let (ctx, shared) = (&ctx, &shared);
+            s.spawn(move || io_event_loop(ctx, shared, slot, rx));
         }
-        for shard in 0..runtime.queue_count() {
-            for _ in 0..workers {
-                let shared = &shared;
-                s.spawn(move || {
-                    crate::shard::executor_loop(runtime, shard, policy, metrics, shared)
-                });
-            }
-        }
-        let mut next_worker = 0usize;
+        let mut next_slot = 0usize;
         let accept_result = loop {
             // Backpressure: at `max_connections` live connections this
             // parks until one closes (or shutdown latches).
@@ -1147,8 +1107,8 @@ pub(crate) fn run_listener(
             }
             match accept_next(listener, &accept_rx, metrics) {
                 Ok(Some(conn)) => {
-                    let slot = &shared.slots[next_worker % shared.slots.len()];
-                    next_worker = next_worker.wrapping_add(1);
+                    let slot = &shared.slots[next_slot % shared.slots.len()];
+                    next_slot = next_slot.wrapping_add(1);
                     slot.arrivals.lock().expect("arrivals poisoned").push(conn);
                     slot.waker.wake();
                 }
@@ -1162,11 +1122,11 @@ pub(crate) fn run_listener(
                 }
             }
         };
-        // Stop the workers: latch shutdown and wake every event loop.
-        // In-flight requests still finish and their responses are
+        // Stop the event loops: latch shutdown and wake every one. The
+        // request each is running still finishes and its response is
         // flushed best-effort; the scope join below is the drain.
         metrics.request_shutdown();
-        shared.wake_all(runtime);
+        shared.wake_all();
         accept_result
     })
 }
@@ -1204,38 +1164,38 @@ fn accept_next(
     }
 }
 
-/// Borrow bundle for one I/O worker's per-connection work.
+/// Borrow bundle the event loops share for their per-connection work.
 #[cfg(unix)]
 struct ServeCtx<'a> {
     runtime: &'a crate::shard::ShardRuntime<'a>,
     policy: &'a ResourcePolicy,
     metrics: &'a ServeMetrics,
-    worker: usize,
 }
 
-/// One I/O worker's event loop, the same at every shard count: adopt
-/// handed-over connections, park in `poll(2)` over the set (infinite
-/// timeout — an idle worker costs zero wakeups), splice finished shard
-/// replies home, service whatever turned ready, prune the dead.
+/// One I/O event loop, the same at every shard count: adopt handed-over
+/// connections, park in `poll(2)` over the set (infinite timeout — an
+/// idle loop costs zero wakeups), service whatever turned ready, prune
+/// the dead.
 #[cfg(unix)]
-fn io_event_loop(ctx: &ServeCtx<'_>, shared: &IoShared, wake_rx: crate::readiness::WakeReceiver) {
+fn io_event_loop(
+    ctx: &ServeCtx<'_>,
+    shared: &IoShared,
+    slot: &IoSlot,
+    wake_rx: crate::readiness::WakeReceiver,
+) {
     use crate::readiness::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
     use std::os::fd::AsRawFd;
 
     let metrics = ctx.metrics;
-    let slot = &shared.slots[ctx.worker];
-    // A slab: a connection keeps its index while a shard job is out.
-    let mut conns: Vec<Option<Connection>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut next_gen = 0u64;
+    let mut conns: Vec<Connection> = Vec::new();
     let mut scratch = FieldScratch::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut fd_slots: Vec<usize> = Vec::new();
+    let mut fd_conns: Vec<usize> = Vec::new();
     loop {
         if metrics.shutdown_requested() {
             break;
         }
-        // Adopt newly assigned connections into free slab slots.
+        // Adopt newly assigned connections.
         let adopted: Vec<_> = slot
             .arrivals
             .lock()
@@ -1246,25 +1206,16 @@ fn io_event_loop(ctx: &ServeCtx<'_>, shared: &IoShared, wake_rx: crate::readines
             match stream.set_nonblocking(true) {
                 Ok(()) => {
                     metrics.connection_opened();
-                    next_gen += 1;
-                    let conn = Some(Connection::new(stream, next_gen));
-                    match free.pop() {
-                        Some(index) => conns[index] = conn,
-                        None => conns.push(conn),
-                    }
+                    conns.push(Connection::new(stream));
                 }
                 Err(_) => shared.gate.release(),
             }
         }
-        // Poll only connections that can act on readiness. One awaiting
-        // a shard with nothing to write is deliberately absent — its
-        // wake arrives via the completion mailbox, and polling its fd
-        // would busy-spin on POLLHUP if the client hung up mid-request.
+        // Poll only connections that can act on readiness.
         fds.clear();
-        fd_slots.clear();
+        fd_conns.clear();
         fds.push(PollFd::new(wake_rx.fd(), POLLIN));
         for (index, conn) in conns.iter().enumerate() {
-            let Some(conn) = conn else { continue };
             let mut events = 0i16;
             if conn.wants_read() {
                 events |= POLLIN;
@@ -1274,96 +1225,53 @@ fn io_event_loop(ctx: &ServeCtx<'_>, shared: &IoShared, wake_rx: crate::readines
             }
             if events != 0 {
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                fd_slots.push(index);
+                fd_conns.push(index);
             }
         }
         if poll_fds(&mut fds, -1).is_err() {
             // A poll failure is unrecoverable for this loop; take the
             // whole server down gracefully rather than spinning.
             metrics.request_shutdown();
-            shared.wake_all(ctx.runtime);
+            shared.wake_all();
             break;
         }
         if fds[0].ready(POLLIN) {
             wake_rx.drain();
         }
-        // Splice finished shard replies home first, so the service pass
-        // below flushes them and dispatches each connection's next
-        // request in the same turn.
-        if ctx.runtime.single().is_none() {
-            apply_completions(slot, &mut conns);
-        }
-        for (pfd, &index) in fds[1..].iter().zip(&fd_slots) {
-            if let Some(conn) = conns[index].as_mut() {
-                conn.due |= pfd.revents;
-            }
-        }
         let mut saw_shutdown = false;
-        for (index, entry) in conns.iter_mut().enumerate() {
-            // Parked connections get a turn every wake: the executor that
-            // freed queue capacity woke this loop, and the retry lives in
-            // the dispatch path.
-            let Some(conn) = entry.as_mut().filter(|c| c.due != 0 || c.parked.is_some()) else {
+        for (pfd, &index) in fds[1..].iter().zip(&fd_conns) {
+            if pfd.revents == 0 {
                 continue;
-            };
-            let readable = std::mem::take(&mut conn.due) & (POLLIN | POLLERR | POLLHUP) != 0;
-            conn.turn(ctx, index, readable, &mut scratch, &mut saw_shutdown);
+            }
+            let readable = pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0;
+            conns[index].turn(ctx, readable, &mut scratch, &mut saw_shutdown);
             if saw_shutdown {
                 break;
             }
         }
-        for (index, entry) in conns.iter_mut().enumerate() {
-            if entry.as_ref().is_some_and(|c| c.dead && !c.in_flight) {
-                *entry = None;
-                free.push(index);
-                metrics.connection_closed();
-                shared.gate.release();
-            }
+        let live = conns.len();
+        conns.retain(|conn| !conn.dead);
+        for _ in conns.len()..live {
+            metrics.connection_closed();
+            shared.gate.release();
         }
         if saw_shutdown {
             // The loop already latched the flag; wake everyone so the
             // other event loops (and the accept thread) observe it now
             // instead of at their next natural wakeup.
-            shared.wake_all(ctx.runtime);
+            shared.wake_all();
             break;
         }
     }
-    // Shutdown drain: deliver replies already mailed back, then one
-    // best-effort nonblocking flush per connection (a client that
-    // stopped reading is abandoned immediately — shutdown never blocks
-    // on it), then close everything.
-    apply_completions(slot, &mut conns);
-    for conn in conns.iter_mut().flatten() {
+    // Shutdown drain: one best-effort nonblocking flush per connection
+    // (a client that stopped reading is abandoned immediately — shutdown
+    // never blocks on it), then close everything.
+    for conn in &mut conns {
         if !conn.dead {
             conn.flush();
         }
         metrics.connection_closed();
         shared.gate.release();
-    }
-}
-
-/// Drains this worker's completion mailbox into the owning
-/// connections' write buffers (generation-checked, so a reply for a
-/// dead, reclaimed slot is dropped on the floor).
-#[cfg(unix)]
-fn apply_completions(slot: &IoSlot, conns: &mut [Option<Connection>]) {
-    let completions: Vec<Completion> = slot
-        .completions
-        .lock()
-        .expect("completion mailbox poisoned")
-        .drain(..)
-        .collect();
-    for completion in completions {
-        let Some(conn) = conns.get_mut(completion.slot).and_then(Option::as_mut) else {
-            continue;
-        };
-        if conn.gen != completion.gen {
-            continue;
-        }
-        conn.wbuf.extend_from_slice(&completion.bytes);
-        conn.in_flight = false;
-        // Its fd was not polled for reading while the job was out.
-        conn.due |= crate::readiness::POLLIN;
     }
 }
 
@@ -1378,21 +1286,9 @@ enum WireMode {
     Binary,
 }
 
-/// A reply in the connection's wire format: a reply frame, or a line.
-#[cfg(unix)]
-pub(crate) fn encode_reply(binary: bool, reply: &str, out: &mut Vec<u8>) {
-    if binary {
-        crate::frame::encode_reply(reply, out);
-    } else {
-        out.extend_from_slice(reply.as_bytes());
-        out.push(b'\n');
-    }
-}
-
-/// One multiplexed connection: its stream, detected wire mode, the
+/// One multiplexed connection: its stream, detected wire mode, and the
 /// reusable read/write buffers (both persist across requests, so
-/// steady-state decoding allocates nothing), and — n shards only — its
-/// one request out at a shard.
+/// steady-state decoding allocates nothing).
 #[cfg(unix)]
 struct Connection {
     stream: std::os::unix::net::UnixStream,
@@ -1412,21 +1308,11 @@ struct Connection {
     eof: bool,
     /// Remove from the set at the next prune.
     dead: bool,
-    /// What this turn has to act on: the poll's readiness, plus
-    /// `POLLIN` when a shard reply came home (0 = nothing).
-    due: i16,
-    /// Tells this connection's slab tenure from a later one's.
-    gen: u64,
-    /// A request is at a shard; its reply comes back as a completion.
-    in_flight: bool,
-    /// A job bounced off its shard's full queue, retried before
-    /// anything else (order is sacred).
-    parked: Option<(usize, crate::shard::ShardJob)>,
 }
 
 #[cfg(unix)]
 impl Connection {
-    fn new(stream: std::os::unix::net::UnixStream, gen: u64) -> Self {
+    fn new(stream: std::os::unix::net::UnixStream) -> Self {
         Connection {
             stream,
             mode: WireMode::Undetected,
@@ -1437,10 +1323,6 @@ impl Connection {
             wpos: 0,
             eof: false,
             dead: false,
-            due: 0,
-            gen,
-            in_flight: false,
-            parked: None,
         }
     }
 
@@ -1453,30 +1335,23 @@ impl Connection {
     }
 
     /// Read more bytes only when the connection could act on them: not
-    /// while a request is at a shard or parked, nor while a batch frame
-    /// still holds untaken items — that per-connection backpressure is
-    /// what bounds buffered input.
+    /// over the write high-water mark, nor while a batch frame still
+    /// holds untaken items — that per-connection backpressure is what
+    /// bounds buffered input.
     fn wants_read(&self) -> bool {
-        !self.dead
-            && !self.eof
-            && !self.backlogged()
-            && !self.in_flight
-            && self.parked.is_none()
-            && self.batch.is_empty()
+        !self.dead && !self.eof && !self.backlogged() && self.batch.is_empty()
     }
 
     fn wants_write(&self) -> bool {
         !self.dead && self.pending_write() > 0
     }
 
-    /// One service turn: pull readable bytes, answer or dispatch every
-    /// complete request the per-connection rules allow (stopping at the
-    /// write high-water mark, and at n shards at the one request in
-    /// flight), flush.
+    /// One service turn: pull readable bytes, answer every complete
+    /// request the per-connection rules allow (stopping at the write
+    /// high-water mark), flush.
     fn turn(
         &mut self,
         ctx: &ServeCtx<'_>,
-        slot: usize,
         readable: bool,
         scratch: &mut FieldScratch,
         saw_shutdown: &mut bool,
@@ -1486,7 +1361,7 @@ impl Connection {
         }
         loop {
             let was_backlogged = self.backlogged();
-            let progressed = self.dispatch(ctx, slot, scratch, saw_shutdown);
+            let progressed = self.dispatch(ctx, scratch, saw_shutdown);
             if self.wants_write() {
                 self.flush();
             }
@@ -1506,12 +1381,7 @@ impl Connection {
                 break;
             }
         }
-        if !self.dead
-            && self.eof
-            && self.pending_write() == 0
-            && !self.in_flight
-            && self.parked.is_none()
-        {
+        if !self.dead && self.eof && self.pending_write() == 0 {
             // Peer half-closed, every buffered response is out, and no
             // complete request remains (a trailing partial line/frame at
             // EOF is dropped).
@@ -1549,35 +1419,18 @@ impl Connection {
         }
     }
 
-    /// Advances the connection as far as its rules allow: a parked job
-    /// first, then — while nothing is in flight and the write backlog is
-    /// under the mark — one decoded item after another. Returns whether
-    /// anything moved.
+    /// Advances the connection as far as its rules allow: while the
+    /// write backlog is under the mark, one decoded item after another.
+    /// Returns whether anything moved.
     fn dispatch(
         &mut self,
         ctx: &ServeCtx<'_>,
-        slot: usize,
         scratch: &mut FieldScratch,
         saw_shutdown: &mut bool,
     ) -> bool {
         let mut progressed = false;
         loop {
-            if self.dead || *saw_shutdown {
-                return progressed;
-            }
-            if let Some((shard, job)) = self.parked.take() {
-                match ctx.runtime.try_route(shard, job, ctx.worker) {
-                    Ok(()) => {
-                        self.in_flight = true;
-                        progressed = true;
-                    }
-                    Err(job) => {
-                        self.parked = Some((shard, job));
-                        return progressed;
-                    }
-                }
-            }
-            if self.in_flight || self.backlogged() {
+            if self.dead || *saw_shutdown || self.backlogged() {
                 return progressed;
             }
             let Some(item) = self.next_item(scratch) else {
@@ -1585,7 +1438,7 @@ impl Connection {
             };
             progressed = true;
             match item {
-                Ok(opcode) => self.answer(ctx, slot, opcode, scratch.fields(), saw_shutdown),
+                Ok(opcode) => self.answer(ctx, opcode, scratch.fields(), saw_shutdown),
                 Err(message) => {
                     ctx.metrics.record_error();
                     self.push_reply(&error_response("null", &message));
@@ -1594,11 +1447,11 @@ impl Connection {
         }
     }
 
-    /// Answers one decoded request, or sends it to its shard.
+    /// Answers one decoded request: `stats` and `shutdown` here, any
+    /// other op on the engine the request routes to.
     fn answer(
         &mut self,
         ctx: &ServeCtx<'_>,
-        slot: usize,
         opcode: Option<&'static str>,
         fields: &[(String, Value)],
         saw_shutdown: &mut bool,
@@ -1619,28 +1472,22 @@ impl Connection {
                 self.batch = 0..0;
                 *saw_shutdown = true;
             }
-        } else if let Some(engine) = runtime.single() {
-            let (reply, _) = execute(engine, ctx.policy, ctx.metrics, fields, op);
-            self.push_reply(&reply);
         } else {
-            let shard = runtime.shard_of(fields);
-            let job = crate::shard::ShardJob {
-                worker: ctx.worker,
-                slot,
-                gen: self.gen,
-                fields: fields.to_vec(),
-                opcode,
-                binary: matches!(self.mode, WireMode::Binary),
-            };
-            match runtime.try_route(shard, job, ctx.worker) {
-                Ok(()) => self.in_flight = true,
-                Err(job) => self.parked = Some((shard, job)),
-            }
+            let (engine, metrics) = runtime.route(fields, ctx.metrics);
+            let (reply, _) = execute(engine, ctx.policy, metrics, fields, op);
+            self.push_reply(&reply);
         }
     }
 
+    /// Appends a reply in the connection's wire format: a reply frame,
+    /// or a line.
     fn push_reply(&mut self, reply: &str) {
-        encode_reply(matches!(self.mode, WireMode::Binary), reply, &mut self.wbuf);
+        if matches!(self.mode, WireMode::Binary) {
+            crate::frame::encode_reply(reply, &mut self.wbuf);
+        } else {
+            self.wbuf.extend_from_slice(reply.as_bytes());
+            self.wbuf.push(b'\n');
+        }
     }
 
     /// The one request decoder, for both wire formats: the next item
@@ -3038,7 +2885,7 @@ mod tests {
             }
             all
         });
-        let mut conn = Connection::new(server_side, 1);
+        let mut conn = Connection::new(server_side);
         // A previous turn left the write buffer at the high-water mark:
         // this turn starts backlogged, exactly like a POLLOUT wake.
         conn.wbuf = vec![b'#'; WRITE_HWM];
@@ -3046,21 +2893,15 @@ mod tests {
         // send another byte.
         conn.rbuf = b"{\"op\":\"stats\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n".to_vec();
         let engine = Engine::new();
-        let runtime = crate::shard::ShardRuntime::new(
-            &engine,
-            &ServeOptions::default(),
-            crate::shard::SHARD_QUEUE_CAP,
-        )
-        .unwrap();
+        let runtime = crate::shard::ShardRuntime::new(&engine, &ServeOptions::default()).unwrap();
         let ctx = ServeCtx {
             runtime: &runtime,
             policy: &ResourcePolicy::default(),
             metrics: &ServeMetrics::new(),
-            worker: 0,
         };
         let mut scratch = FieldScratch::new();
         let mut saw_shutdown = false;
-        conn.turn(&ctx, 0, false, &mut scratch, &mut saw_shutdown);
+        conn.turn(&ctx, false, &mut scratch, &mut saw_shutdown);
         assert!(!conn.dead);
         assert!(!saw_shutdown);
         assert!(

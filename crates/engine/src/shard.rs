@@ -6,25 +6,22 @@
 //!
 //! ```text
 //!                        ┌──────────────┐
-//!   accept thread ──────▶│ I/O worker   │──┐
-//!   (one, shared)        │ event loops  │  │ bounded per-shard queue
-//!                        │ (all conn    │  ▼
-//!                        │  I/O lives   │ ┌─────────────────────────┐
-//!                        │  here)       │ │ shard 0: Engine+catalog │
-//!                        │              │ │ + result cache + warm/  │
-//!                        │  hash-route  │ │ incremental state, own  │
-//!                        │  by graph    │ │ executor pool           │
-//!                        │  identity ───┼▶├─────────────────────────┤
-//!                        │              │ │ shard 1: …              │
-//!                        └──────▲───────┘ └───────────┬─────────────┘
-//!                               └── completion mailbox┘
+//!   accept thread ──────▶│ I/O event    │  hash-route by graph identity,
+//!   (one, shared)        │ loops        │  then run inline on that shard:
+//!                        │ (workers per │ ┌─────────────────────────┐
+//!                        │  shard; each │▶│ shard 0: Engine+catalog │
+//!                        │  owns its    │ │ + result cache + warm/  │
+//!                        │  connections)│ │ incremental state       │
+//!                        │              │ ├─────────────────────────┤
+//!                        │              │▶│ shard 1: …              │
+//!                        └──────────────┘ └─────────────────────────┘
 //! ```
 //!
 //! * Each shard owns a full [`Engine`] — its own [`GraphCatalog`],
-//!   [`ResultCache`], and warm-seed/incremental state — served by its
-//!   own executor pool. Shards share **nothing**: no lock is ever taken
-//!   by more than one shard, so one shard's slow query or contended
-//!   session never stalls another shard's throughput.
+//!   [`ResultCache`], and warm-seed/incremental state. Shards share
+//!   **nothing**: no lock is ever taken by more than one shard, so one
+//!   shard's contended catalog or session never slows another shard's
+//!   requests.
 //! * The routing rule is pure and stable: FNV-1a over the request's
 //!   graph identity (`"g:" + name` for session graphs, `"f:" + path`
 //!   for file graphs), mod the shard count. Every `create_graph`,
@@ -32,44 +29,33 @@
 //!   the same shard, which is what keeps all per-session invariants
 //!   (version monotonicity, warm restarts, incremental re-peeling) of
 //!   the single-engine server valid per-shard, unchanged.
-//! * The I/O workers own every connection and its buffers. Requests
-//!   cross to a shard over a bounded queue (`ShardQueue`); replies come
-//!   back pre-encoded through the sending worker's completion mailbox.
-//!   A full queue parks the *connection* (the job is retried once the
-//!   shard drains), never the worker thread — backpressure is
-//!   per-connection, exactly like the write high-water mark.
-//! * Dispatch is **serial per connection**: one request in flight at a
-//!   time, so responses come back in request order on every connection
+//! * The event loop that decodes a request also answers it, inline, on
+//!   the engine of the shard it routes to: the one-shard path plus an
+//!   index. Responses therefore leave each connection in request order,
 //!   and a 1-shard and an N-shard server answer the same single-client
 //!   transcript with byte-identical response *content* (`elapsed_ms`
 //!   differs per run; `loads` counts per-shard catalog loads).
+//! * An N-shard server runs `workers` event loops per shard. A long
+//!   request holds up the other connections of its event loop, at every
+//!   shard count.
 //! * `stats` and `shutdown` never reach a shard: the serve loop answers
 //!   `stats` from every shard's counters (the single-engine schema,
 //!   fields summed, plus a trailing `"shards"` breakdown array) and
 //!   `shutdown` latches the global stop flag directly.
 //!
-//! With one shard there is no queue, no executor and no routing hash:
-//! the `ShardRuntime` holds the caller's engine, and every request
-//! runs inline on the I/O worker that read it.
+//! With one shard there is no routing hash and no per-shard counter:
+//! the `ShardRuntime` holds the caller's engine, and requests count
+//! into the server's own metrics.
 //!
 //! [`GraphCatalog`]: crate::GraphCatalog
 //! [`ResultCache`]: crate::ResultCache
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex};
 
 use crate::catalog::{fnv1a, fnv1a_update};
 use crate::minijson::{self, Value};
-use crate::serve::{
-    encode_reply, execute, op_name, Completion, IoShared, ServeMetrics, ShardCounters,
-};
-use crate::{Engine, ResourcePolicy, ServeOptions};
-
-/// Bound of each shard's request queue. Small on purpose: the queue is
-/// a handoff buffer, not a backlog — a shard that falls this far behind
-/// should push back on its connections, not absorb unbounded work.
-pub(crate) const SHARD_QUEUE_CAP: usize = 256;
+use crate::serve::{ServeMetrics, ShardCounters};
+use crate::{Engine, ServeOptions};
 
 /// Picks the shard serving a request, from the request's graph
 /// identity: the session-graph `name` if present, else the `file` path,
@@ -91,108 +77,6 @@ pub fn routing_shard(graph: Option<&str>, file: Option<&str>, shards: usize) -> 
     (hash % shards as u64) as usize
 }
 
-/// One request crossing from an I/O worker to a shard. `worker`/`slot`/
-/// `gen` address the owning connection so the completion finds its way
-/// back (and is dropped if the connection died and its slot was
-/// reused — the generation check).
-pub(crate) struct ShardJob {
-    pub(crate) worker: usize,
-    pub(crate) slot: usize,
-    pub(crate) gen: u64,
-    pub(crate) fields: Vec<(String, Value)>,
-    /// The binary opcode's op; JSONL requests carry theirs as a field.
-    pub(crate) opcode: Option<&'static str>,
-    /// Encode the reply as a binary frame rather than a JSONL line.
-    pub(crate) binary: bool,
-}
-
-struct QueueState {
-    jobs: VecDeque<ShardJob>,
-    /// I/O workers that hit the bound and parked a connection; the
-    /// executor wakes them as soon as it pops (capacity freed).
-    stalled: Vec<usize>,
-    /// Test-only brake: while set, the shard's executors take nothing —
-    /// used to prove queue backpressure ordering and that other shards
-    /// keep making progress (shard isolation).
-    #[cfg(test)]
-    held: bool,
-}
-
-impl QueueState {
-    fn next_job(&mut self) -> Option<ShardJob> {
-        #[cfg(test)]
-        if self.held {
-            return None;
-        }
-        self.jobs.pop_front()
-    }
-}
-
-/// The bounded handoff queue in front of one shard. The I/O side never
-/// blocks: a push against a full queue fails and the connection parks.
-/// The executor side blocks on `ready` until a job or shutdown arrives.
-struct ShardQueue {
-    backlog: Mutex<QueueState>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl ShardQueue {
-    fn new(cap: usize) -> Self {
-        ShardQueue {
-            backlog: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                stalled: Vec::new(),
-                #[cfg(test)]
-                held: false,
-            }),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Nonblocking push. On a full queue the job comes back to the
-    /// caller (which parks its connection) and `worker` is registered
-    /// for a wake once the executor frees a slot.
-    fn try_push(&self, job: ShardJob, worker: usize) -> Result<(), ShardJob> {
-        let mut state = self.backlog.lock().expect("shard queue poisoned");
-        if state.jobs.len() >= self.cap {
-            if !state.stalled.contains(&worker) {
-                state.stalled.push(worker);
-            }
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; `None` once shutdown latches with nothing to take.
-    /// Also returns the stalled I/O workers to wake now that a slot is
-    /// free.
-    fn pop(&self, metrics: &ServeMetrics) -> Option<(ShardJob, Vec<usize>)> {
-        let mut state = self.backlog.lock().expect("shard queue poisoned");
-        loop {
-            if let Some(job) = state.next_job() {
-                let stalled = std::mem::take(&mut state.stalled);
-                return Some((job, stalled));
-            }
-            if metrics.shutdown_requested() {
-                return None;
-            }
-            state = self.ready.wait(state).expect("shard queue poisoned");
-        }
-    }
-
-    /// Wakes every executor parked in [`ShardQueue::pop`] so it can
-    /// observe the shutdown latch. Taking the mutex first makes the
-    /// wake race-free against a concurrent check-then-wait.
-    fn poke(&self) {
-        let _state = self.backlog.lock().expect("shard queue poisoned");
-        self.ready.notify_all();
-    }
-}
-
 /// The engines a server runs: the caller's own at one shard, or one
 /// built per shard.
 enum Engines<'e> {
@@ -201,13 +85,11 @@ enum Engines<'e> {
 }
 
 /// Everything per-shard, for every shard count. At one shard it holds
-/// the caller's engine and nothing else: no queue, no executor, no
-/// counters beside the engine's own. At n shards it holds n engines,
-/// their queues, and per shard the requests routed there and the ops
-/// its executors answered.
+/// the caller's engine and nothing else. At n shards it holds n engines
+/// and per shard the requests routed there and the ops its engine
+/// answered.
 pub(crate) struct ShardRuntime<'e> {
     engines: Engines<'e>,
-    queues: Vec<ShardQueue>,
     counters: Vec<ShardCounters>,
 }
 
@@ -219,17 +101,12 @@ impl<'e> ShardRuntime<'e> {
     /// `template` itself, which opens `shard-0` unless the caller
     /// already did; at n shards `template` only donates its tuning to
     /// n fresh engines.
-    pub(crate) fn new(
-        template: &'e Engine,
-        options: &ServeOptions,
-        queue_cap: usize,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn new(template: &'e Engine, options: &ServeOptions) -> std::io::Result<Self> {
         let shards = options.shards.max(1);
         if shards == 1 {
             open_shard_dir(template, options, 0)?;
             return Ok(ShardRuntime {
                 engines: Engines::Caller(template),
-                queues: Vec::new(),
                 counters: Vec::new(),
             });
         }
@@ -238,7 +115,6 @@ impl<'e> ShardRuntime<'e> {
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(ShardRuntime {
             engines: Engines::Owned(engines),
-            queues: (0..shards).map(|_| ShardQueue::new(queue_cap)).collect(),
             counters: (0..shards).map(|_| ShardCounters::default()).collect(),
         })
     }
@@ -250,50 +126,30 @@ impl<'e> ShardRuntime<'e> {
         }
     }
 
-    /// The one engine of a one-shard server, which runs requests inline.
-    pub(crate) fn single(&self) -> Option<&Engine> {
-        match self.engines {
-            Engines::Caller(engine) => Some(engine),
-            Engines::Owned(_) => None,
-        }
-    }
-
     /// Per-shard counters; empty at one shard.
     pub(crate) fn counters(&self) -> &[ShardCounters] {
         &self.counters
     }
 
-    /// Shard queues, each served by its own executor pool; 0 at one
-    /// shard.
-    pub(crate) fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The shard a request's graph identity routes to.
-    pub(crate) fn shard_of(&self, fields: &[(String, Value)]) -> usize {
+    /// The engine that answers a request, and the metrics its outcome
+    /// counts into: at one shard the caller's engine and `metrics`; at
+    /// n shards the shard the request's graph identity routes to, whose
+    /// `routed` counter this bumps.
+    pub(crate) fn route<'a>(
+        &'a self,
+        fields: &[(String, Value)],
+        metrics: &'a ServeMetrics,
+    ) -> (&'a Engine, &'a ServeMetrics) {
+        let engines = match &self.engines {
+            Engines::Caller(engine) => return (engine, metrics),
+            Engines::Owned(engines) => engines,
+        };
         let graph = minijson::get(fields, "graph").and_then(Value::as_str);
         let file = minijson::get(fields, "file").and_then(Value::as_str);
-        routing_shard(graph, file, self.queues.len())
-    }
-
-    /// Queues `job` on `shard` for `worker`'s connection; a full queue
-    /// hands the job back.
-    pub(crate) fn try_route(
-        &self,
-        shard: usize,
-        job: ShardJob,
-        worker: usize,
-    ) -> Result<(), ShardJob> {
-        self.queues[shard].try_push(job, worker)?;
-        self.counters[shard].routed.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Wakes every executor so it can observe the shutdown latch.
-    pub(crate) fn poke_queues(&self) {
-        for queue in &self.queues {
-            queue.poke();
-        }
+        let shard = routing_shard(graph, file, engines.len());
+        let counters = &self.counters[shard];
+        counters.routed.fetch_add(1, Ordering::Relaxed);
+        (&engines[shard], &counters.metrics)
     }
 }
 
@@ -343,48 +199,15 @@ fn shard_engine(
     Ok(engine)
 }
 
-/// One shard's executor: pop, run against **this shard's** engine and
-/// counters only (the whole isolation invariant is visible right here),
-/// encode, mail the completion home.
-pub(crate) fn executor_loop(
-    runtime: &ShardRuntime<'_>,
-    shard: usize,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    shared: &IoShared,
-) {
-    while let Some((job, stalled)) = runtime.queues[shard].pop(metrics) {
-        let (reply, _) = execute(
-            &runtime.engines()[shard],
-            policy,
-            &runtime.counters[shard].metrics,
-            &job.fields,
-            op_name(job.opcode, &job.fields),
-        );
-        let mut bytes = Vec::with_capacity(reply.len() + 16);
-        encode_reply(job.binary, &reply, &mut bytes);
-        let completion = Completion {
-            slot: job.slot,
-            gen: job.gen,
-            bytes,
-        };
-        shared.complete(job.worker, completion);
-        // Capacity freed: revive I/O workers whose connections parked
-        // against this queue's bound.
-        for worker in stalled {
-            shared.wake(worker);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serve::ServeSummary;
+    use crate::ResourcePolicy;
     use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::os::unix::net::UnixStream;
     use std::path::{Path, PathBuf};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     fn sock_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("dsg_shard_{name}_{}.sock", std::process::id()))
@@ -432,26 +255,6 @@ mod tests {
                 line.trim_end().to_string()
             })
             .collect()
-    }
-
-    /// `None` (timeout) when the server sent nothing within `wait`.
-    fn try_read_line(stream: &UnixStream, wait: Duration) -> Option<String> {
-        stream.set_read_timeout(Some(wait)).expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        let got = match reader.read_line(&mut line) {
-            Ok(0) => None,
-            Ok(_) => Some(line.trim_end().to_string()),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                None
-            }
-            Err(e) => panic!("read failed: {e}"),
-        };
-        stream.set_read_timeout(None).expect("timeout");
-        got
     }
 
     /// Drops `"key":<value>` (with its leading comma) from a response
@@ -749,9 +552,11 @@ mod tests {
         );
         let mut conn = connect_retry(&sock);
         // "a" routes to shard 1 and "b" to shard 0 of 2 (FNV-1a above),
-        // so this session exercises both engines.
+        // so this session exercises both engines. "ghost" names no graph
+        // and routes to shard 1, whose engine rejects the mutation.
         assert_eq!(routing_shard(Some("a"), None, 2), 1);
         assert_eq!(routing_shard(Some("b"), None, 2), 0);
+        assert_eq!(routing_shard(Some("ghost"), None, 2), 1);
         let lines = exchange(
             &mut conn,
             concat!(
@@ -760,13 +565,20 @@ mod tests {
                 "{\"id\":3,\"op\":\"add_edges\",\"graph\":\"a\",\"edges\":\"2 0\"}\n",
                 "{\"id\":4,\"algorithm\":\"approx\",\"graph\":\"a\"}\n",
                 "{\"id\":5,\"algorithm\":\"approx\",\"graph\":\"b\"}\n",
-                "{\"id\":6,\"op\":\"stats\"}\n",
-                "{\"id\":7,\"op\":\"shutdown\"}\n",
+                "{\"id\":6,\"op\":\"add_edges\",\"graph\":\"ghost\",\"edges\":\"0 1\"}\n",
+                "{\"id\":7,\"op\":\"stats\"}\n",
+                "{\"id\":8,\"op\":\"shutdown\"}\n",
             ),
-            7,
+            8,
         );
-        server.join().expect("server panicked");
-        let stats = &lines[5];
+        let summary = server.join().expect("server panicked");
+        assert!(
+            lines[5].starts_with("{\"id\":6,\"ok\":false"),
+            "{}",
+            lines[5]
+        );
+        assert_eq!(summary.errors, 1, "{summary:?}");
+        let stats = &lines[6];
         // Counters summed across both engines.
         assert!(stats.contains("\"graphs_named\":2"), "{stats}");
         assert!(stats.contains("\"mutations\":1"), "{stats}");
@@ -776,13 +588,14 @@ mod tests {
         let named_a = stats.find("\"name\":\"a\"").expect("named a");
         assert!(named_b < named_a, "{stats}");
         // Per-shard breakdown proves the routing split: shard 0 ran b's
-        // create + query, shard 1 ran a's create + add + query.
+        // create + query, shard 1 ran a's create + add + query and
+        // counted the failed mutation of "ghost" as its own error.
         assert!(
             stats.contains("{\"shard\":0,\"routed\":2,\"queries\":1,\"mutations\":1,\"errors\":0,"),
             "{stats}"
         );
         assert!(
-            stats.contains("{\"shard\":1,\"routed\":3,\"queries\":1,\"mutations\":2,\"errors\":0,"),
+            stats.contains("{\"shard\":1,\"routed\":4,\"queries\":1,\"mutations\":2,\"errors\":1,"),
             "{stats}"
         );
         // The flat prefix keeps the exact single-engine field order, so
@@ -821,178 +634,5 @@ mod tests {
             assert!(at > last, "field {key} out of order in {stats}");
             last = at;
         }
-    }
-
-    /// Raises (`true`) or releases shard `shard`'s executor brake.
-    fn hold(runtime: &ShardRuntime<'_>, shard: usize, held: bool) {
-        let queue = &runtime.queues[shard];
-        queue.backlog.lock().expect("shard queue poisoned").held = held;
-        queue.ready.notify_all();
-    }
-
-    /// Waits until `jobs` jobs sit in shard `shard`'s queue.
-    fn wait_queued(runtime: &ShardRuntime<'_>, shard: usize, jobs: usize) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let queued = |runtime: &ShardRuntime<'_>| {
-            let queue = &runtime.queues[shard];
-            queue
-                .backlog
-                .lock()
-                .expect("shard queue poisoned")
-                .jobs
-                .len()
-        };
-        while queued(runtime) < jobs {
-            assert!(
-                Instant::now() < deadline,
-                "shard {shard} never queued {jobs} jobs"
-            );
-            // Test-only: poll the queue the I/O worker fills.
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Test harness around [`crate::serve::run_listener`] directly: tiny
-    /// queue caps and the per-shard brakes are only reachable this way.
-    fn with_held_router<F: FnOnce(&ShardRuntime, &Path)>(name: &str, queue_cap: usize, body: F) {
-        let sock = sock_path(name);
-        let _ = std::fs::remove_file(&sock);
-        let listener = UnixListener::bind(&sock).expect("bind");
-        let template = Engine::new();
-        let options = ServeOptions {
-            workers: 1,
-            max_connections: 8,
-            shards: 2,
-            ..ServeOptions::default()
-        };
-        let runtime = ShardRuntime::new(&template, &options, queue_cap).expect("shard runtime");
-        let policy = ResourcePolicy::default();
-        let metrics = ServeMetrics::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                crate::serve::run_listener(&runtime, &policy, &listener, &options, &metrics)
-                    .expect("server failed")
-            });
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&runtime, &sock)));
-            if let Err(panic) = result {
-                // A failed body never reached its shutdown op; without
-                // one the scope join below waits on the accept loop
-                // forever and the captured assertion message is never
-                // shown — the failure presents as a silent hang. Release
-                // every brake, stop the server, then re-panic.
-                for shard in 0..runtime.queue_count() {
-                    hold(&runtime, shard, false);
-                }
-                let mut conn = connect_retry(&sock);
-                let _ = conn.write_all(b"{\"op\":\"shutdown\"}\n");
-                let _ = try_read_line(&conn, Duration::from_secs(5));
-                std::panic::resume_unwind(panic);
-            }
-        });
-        let _ = std::fs::remove_file(&sock);
-    }
-
-    #[test]
-    fn mutations_behind_queue_backpressure_keep_their_order() {
-        // Queue cap 1: conn1's job fills shard 1's queue, conn2's job
-        // for the same shard bounces and parks. The mutation and query
-        // pipelined behind it must still apply in order once the shard
-        // drains.
-        with_held_router("backpressure", 1, |runtime, sock| {
-            assert_eq!(routing_shard(Some("a"), None, 2), 1);
-            assert_eq!(routing_shard(Some("c"), None, 2), 1);
-            hold(runtime, 1, true);
-            let mut conn1 = connect_retry(sock);
-            conn1
-                .write_all(
-                    b"{\"id\":11,\"op\":\"create_graph\",\"graph\":\"a\",\"edges\":\"0 1\"}\n",
-                )
-                .expect("send");
-            // conn1's job fills the held queue's one slot, so conn2's
-            // first job below must park.
-            wait_queued(runtime, 1, 1);
-            let mut conn2 = connect_retry(sock);
-            conn2
-                .write_all(
-                    concat!(
-                        "{\"id\":21,\"op\":\"create_graph\",\"graph\":\"c\",\"edges\":\"0 1\"}\n",
-                        "{\"id\":22,\"op\":\"add_edges\",\"graph\":\"c\",\"edges\":\"1 2\"}\n",
-                        "{\"id\":23,\"algorithm\":\"charikar\",\"graph\":\"c\"}\n",
-                    )
-                    .as_bytes(),
-                )
-                .expect("send");
-            // Held shard: nobody gets an answer.
-            assert_eq!(try_read_line(&conn2, Duration::from_millis(200)), None);
-            hold(runtime, 1, false);
-            let replies1 = read_lines(&mut conn1, 1);
-            assert!(
-                replies1[0].starts_with("{\"id\":11,\"ok\":true"),
-                "{}",
-                replies1[0]
-            );
-            let replies2 = read_lines(&mut conn2, 3);
-            assert!(
-                replies2[0].starts_with("{\"id\":21,\"ok\":true"),
-                "{}",
-                replies2[0]
-            );
-            assert!(
-                replies2[1].starts_with("{\"id\":22,\"ok\":true"),
-                "{}",
-                replies2[1]
-            );
-            // The query ran after the mutation it was pipelined behind:
-            // it sees all 3 nodes of the mutated graph.
-            assert!(
-                replies2[2].starts_with("{\"id\":23,\"ok\":true"),
-                "{}",
-                replies2[2]
-            );
-            assert!(replies2[2].contains("\"graph_nodes\":3"), "{}", replies2[2]);
-            exchange(&mut conn1, "{\"op\":\"shutdown\"}\n", 1);
-        });
-    }
-
-    #[test]
-    fn a_saturated_shard_never_stalls_the_other() {
-        with_held_router("barrier", 4, |runtime, sock| {
-            assert_eq!(routing_shard(Some("a"), None, 2), 1);
-            assert_eq!(routing_shard(Some("b"), None, 2), 0);
-            hold(runtime, 1, true);
-            let mut conn1 = connect_retry(sock);
-            conn1
-                .write_all(
-                    b"{\"id\":1,\"op\":\"create_graph\",\"graph\":\"a\",\"edges\":\"0 1\"}\n",
-                )
-                .expect("send");
-            // Shard 1 is saturated (its whole executor pool is parked),
-            // yet shard 0 answers a different connection immediately —
-            // the isolation barrier the shard layer exists for.
-            let mut conn2 = connect_retry(sock);
-            let replies = exchange(
-                &mut conn2,
-                "{\"id\":2,\"op\":\"create_graph\",\"graph\":\"b\",\"edges\":\"0 1\"}\n",
-                1,
-            );
-            assert!(
-                replies[0].starts_with("{\"id\":2,\"ok\":true"),
-                "{}",
-                replies[0]
-            );
-            // conn1 is still waiting on the held shard...
-            assert_eq!(try_read_line(&conn1, Duration::from_millis(200)), None);
-            hold(runtime, 1, false);
-            // ...and completes once it drains.
-            let replies = read_lines(&mut conn1, 1);
-            assert!(
-                replies[0].starts_with("{\"id\":1,\"ok\":true"),
-                "{}",
-                replies[0]
-            );
-            exchange(&mut conn2, "{\"op\":\"shutdown\"}\n", 1);
-        });
     }
 }

@@ -47,9 +47,6 @@ fn analysis_shape_is_sane_not_vacuous() {
         "ResultCache.floors",
         "ConnGate.used",
         "IoSlot.arrivals",
-        "ShardQueue.backlog",
-        "ShardQueue.ready",
-        "IoSlot.completions",
         "Slot.cell",
     ] {
         assert!(
@@ -75,7 +72,7 @@ fn analysis_shape_is_sane_not_vacuous() {
     // decoder, the n-shard routing step and the frame decoder.
     for f in [
         "io_event_loop",
-        "ShardRuntime::try_route",
+        "ShardRuntime::route",
         "Connection::next_item",
         "decode_request_payload",
     ] {

@@ -79,7 +79,8 @@ serve mode:
   densest serve reads one flat JSON request per line (stdin, or a Unix
   socket with --socket) and writes one JSON response per line. Socket
   mode serves many clients concurrently: an accept thread hands
-  connections to --workers worker threads (default 4), and at most
+  connections to --workers worker threads per shard (default 4), each
+  answering its connections' requests itself, one at a time, and at most
   --max-connections connections are open at once (default 64; at the
   cap the accept thread waits until one closes, so further clients wait
   in the socket backlog — that is the backpressure). All workers
@@ -111,14 +112,14 @@ serve mode:
 
 sharded serving (socket mode):
   --shards n (default 1) splits the server into n independent engines —
-  each with its own catalog, result cache, and warm/incremental state on
-  its own executor pool — behind one socket. The worker threads own all
-  connection I/O and route every request by a stable hash of its graph
-  identity (\"graph\" name, else \"file\" path), so a named graph's whole
-  session always lands on the same shard and shards never touch each
-  other's locks. Responses stay byte-identical in content to a 1-shard
-  server; the stats op reports merged counters plus a per-shard
-  \"shards\" breakdown.
+  each with its own catalog, result cache, and warm/incremental state —
+  behind one socket, with --workers worker threads per shard. A worker
+  routes every request it reads by a stable hash of its graph identity
+  (\"graph\" name, else \"file\" path) and answers it on that shard's
+  engine, so a named graph's whole session always lands on the same
+  shard and shards never touch each other's locks. Responses stay
+  byte-identical in content to a 1-shard server; the stats op reports
+  merged counters plus a per-shard \"shards\" breakdown.
 
 mutable graph sessions (serve mode):
   {\"op\":\"create_graph\",\"graph\":\"g\",\"directed\":false,\"edges\":\"0 1, 1 2\"}
@@ -631,8 +632,11 @@ fn run_serve(args: impl Iterator<Item = String>) {
             }
             "--threads" => {
                 policy.threads = parse_value("--threads", &value("--threads"));
-                if policy.threads == 0 {
-                    eprintln!("--threads must be at least 1");
+                // The planner's rule for every query's policy, checked
+                // once for the default that queries without `threads`
+                // inherit.
+                if let Err(message) = policy.validate() {
+                    eprintln!("--threads: {message}");
                     exit(2);
                 }
             }
@@ -730,16 +734,16 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let summary = match &socket {
         Some(path) => {
             if !quiet {
+                let workers = options.workers.max(1);
+                let pool = if options.shards > 1 {
+                    format!("{} engine shards x {workers} workers", options.shards)
+                } else {
+                    format!("{workers} workers")
+                };
                 eprintln!(
-                    "serving JSONL queries on socket {} ({} workers, {} pending connections max{})",
+                    "serving JSONL queries on socket {} ({pool}, {} connections max)",
                     path.display(),
-                    options.workers.max(1),
                     options.max_connections.max(1),
-                    if options.shards > 1 {
-                        format!(", {} engine shards", options.shards)
-                    } else {
-                        String::new()
-                    }
                 );
             }
             densest_subgraph::engine::serve_unix(&engine, &policy, path, &options)

@@ -759,6 +759,30 @@ fn serve_and_client_flags_are_validated_by_name() {
     }
 }
 
+/// A serve default the planner would reject in every query that omits
+/// `threads` is rejected once, at startup, with the planner's message.
+/// Stdin is closed and no query is sent, so no MapReduce worker starts
+/// even where the server does.
+#[test]
+fn serve_rejects_out_of_range_threads_at_startup() {
+    use std::process::Stdio;
+
+    for (threads, message) in [
+        ("300", "threads must be at most 256 (got 300)"),
+        ("0", "threads must be at least 1"),
+    ] {
+        let out = Command::new(densest_bin())
+            .args(["serve", "--quiet", "--threads", threads])
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        assert!(stderr.contains("--threads"), "{stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+    }
+}
+
 #[test]
 fn help_documents_the_concurrency_flags() {
     let (stdout, _, ok) = run(&["--help"]);
