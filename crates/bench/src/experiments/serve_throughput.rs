@@ -11,11 +11,11 @@
 //! nondeterministic `elapsed_ms` — must be **byte-identical** to the
 //! JSONL transcript of the same case (fresh servers make the cache
 //! counters deterministic, so this is an exact comparison, not a
-//! fuzzy one). Then `clients` client threads each issue `repeat`
-//! rounds over one connection via [`dsg_engine::client_unix_opts`],
-//! exactly like `densest client --repeat M --parallel N [--binary]
-//! [--pipeline K]`, and per-request latencies from every connection
-//! are folded into the p50/p99 columns. The timed phase runs `TRIALS`
+//! fuzzy one). Then [`dsg_engine::client_fan_out`] opens `clients`
+//! connections that each send `repeat` rounds, the fan-out behind
+//! `densest client --parallel N [--binary] [--pipeline K]`, and
+//! per-request latencies from every connection are folded into the
+//! p50/p99 columns. The timed phase runs `TRIALS`
 //! times and the fastest trial is reported (min-time benchmarking:
 //! scheduler noise only ever slows a trial down).
 //!
@@ -41,13 +41,13 @@
 //! trips and syscalls rather than adding parallelism.
 
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dsg_datasets::{flickr_standin, livejournal_standin, Scale};
 use dsg_engine::minijson::{self, Value};
 use dsg_engine::{
-    client_unix, client_unix_opts, percentile, routing_shard, serve_unix, ClientOptions, Engine,
-    ResourcePolicy, ServeOptions,
+    client_fan_out, client_unix_opts, percentile, routing_shard, serve_unix, ClientOptions, Engine,
+    FanOutConn, ResourcePolicy, ServeOptions,
 };
 use dsg_graph::io::write_text;
 
@@ -126,6 +126,38 @@ fn strip_elapsed(text: &str) -> String {
         })
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Folds a timed phase's connections: total exchanges, each connection's
+/// transcript, and every latency sample. A failed connection panics,
+/// naming `what`.
+fn fold_conns(conns: Vec<FanOutConn>, what: &str) -> (u64, Vec<String>, Vec<f64>) {
+    let mut exchanges = 0;
+    let mut transcripts = Vec::with_capacity(conns.len());
+    let mut latencies = Vec::new();
+    for conn in conns {
+        if let Some(e) = conn.error {
+            panic!("{what} failed: {e}");
+        }
+        exchanges += conn.stats.exchanges;
+        latencies.extend(conn.stats.latencies_ms);
+        transcripts.push(String::from_utf8(conn.transcript).expect("utf8 response"));
+    }
+    (exchanges, transcripts, latencies)
+}
+
+/// Sends `stats` then `shutdown` over one lockstep JSONL connection and
+/// returns both replies.
+fn stats_then_shutdown(sock: &Path) -> String {
+    let mut out = Vec::new();
+    client_unix_opts(
+        sock,
+        Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n"),
+        &mut out,
+        &ClientOptions::default(),
+    )
+    .expect("stats client failed");
+    String::from_utf8(out).expect("utf8 stats")
 }
 
 /// The three transports under measurement.
@@ -241,47 +273,21 @@ pub fn run(scale: Scale) -> Vec<Row> {
                 // per-request latencies folded across all connections.
                 // Run [`TRIALS`] times against the same server and keep
                 // the fastest trial (and its latencies).
-                let requests: String = round.repeat(repeat);
+                let requests = vec![round.repeat(repeat); clients];
                 let expected = (clients * repeat * graphs.len()) as u64;
                 let mut wall_ms = f64::INFINITY;
                 let mut latencies: Vec<f64> = Vec::new();
                 for _trial in 0..TRIALS {
                     let started = std::time::Instant::now();
-                    let (exchanged, trial_lats): (u64, Vec<f64>) = std::thread::scope(|cs| {
-                        let handles: Vec<_> = (0..clients)
-                            .map(|_| {
-                                let (sock, requests, client_options) =
-                                    (&sock, &requests, &client_options);
-                                cs.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let stats = client_unix_opts(
-                                        sock,
-                                        Cursor::new(requests.clone()),
-                                        &mut out,
-                                        client_options,
-                                    )
-                                    .expect("client failed");
-                                    let out = String::from_utf8(out).expect("utf8 response");
-                                    for line in out.lines() {
-                                        assert!(
-                                            line.contains("\"ok\":true"),
-                                            "query failed under load: {line}"
-                                        );
-                                    }
-                                    stats
-                                })
-                            })
-                            .collect();
-                        let mut total = 0u64;
-                        let mut lats = Vec::new();
-                        for h in handles {
-                            let stats = h.join().unwrap();
-                            total += stats.exchanges;
-                            lats.extend(stats.latencies_ms);
-                        }
-                        (total, lats)
-                    });
+                    let conns = client_fan_out(&sock, &requests, &client_options);
                     let trial_wall = started.elapsed().as_secs_f64() * 1e3;
+                    let (exchanged, transcripts, trial_lats) = fold_conns(conns, "client");
+                    for line in transcripts.iter().flat_map(|t| t.lines()) {
+                        assert!(
+                            line.contains("\"ok\":true"),
+                            "query failed under load: {line}"
+                        );
+                    }
                     assert_eq!(exchanged, expected, "every request must be answered");
                     if trial_wall < wall_ms {
                         wall_ms = trial_wall;
@@ -290,16 +296,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
                 }
 
                 // Read the counters, then shut the server down.
-                let mut out = Vec::new();
-                client_unix(
-                    &sock,
-                    Cursor::new(
-                        "{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n".to_string(),
-                    ),
-                    &mut out,
-                )
-                .expect("stats client failed");
-                let out = String::from_utf8(out).expect("utf8 stats");
+                let out = stats_then_shutdown(&sock);
                 let stats_line = out.lines().next().expect("stats response");
                 let fields = minijson::parse_object(stats_line).expect("stats parses");
                 let summary = server.join().expect("server thread panicked");
@@ -379,9 +376,8 @@ pub fn run(scale: Scale) -> Vec<Row> {
 pub struct ShardRow {
     /// Engine shards behind the socket (`densest serve --shards`).
     pub shards: usize,
-    /// Concurrent client connections (one per graph file — disjoint
-    /// per-shard load at the highest shard count, exactly what
-    /// `densest client --graph-per-conn` produces).
+    /// Concurrent client connections (one per graph file, so the load
+    /// on each shard is disjoint at the highest shard count).
     pub clients: usize,
     /// I/O workers per shard (`densest serve --workers`), each
     /// answering its connections' requests inline.
@@ -549,57 +545,39 @@ pub fn run_sharded(scale: Scale, shard_counts: &[usize]) -> Vec<ShardRow> {
             // across shard counts.
             let warmup = {
                 let mut out = Vec::new();
-                client_unix(&sock, Cursor::new(round.clone()), &mut out)
-                    .expect("sharded warm-up client failed");
+                client_unix_opts(
+                    &sock,
+                    Cursor::new(round.clone()),
+                    &mut out,
+                    &ClientOptions::default(),
+                )
+                .expect("sharded warm-up client failed");
                 strip_run_dependent(&String::from_utf8(out).expect("utf8 response"))
             };
             // Timed phase: one pipelined binary connection per file.
+            let requests: Vec<String> = files
+                .iter()
+                .map(|key| {
+                    format!("{{\"algorithm\":\"approx\",\"file\":\"{key}\",\"epsilon\":0.5}}\n")
+                        .repeat(repeat)
+                })
+                .collect();
             let expected = (clients * repeat) as u64;
             let mut wall_ms = f64::INFINITY;
             let mut latencies: Vec<f64> = Vec::new();
             let mut transcripts: Vec<String> = Vec::new();
             for trial in 0..TRIALS {
                 let started = std::time::Instant::now();
-                let results: Vec<(u64, Vec<f64>, String)> = std::thread::scope(|cs| {
-                    let handles: Vec<_> = files
-                        .iter()
-                        .map(|key| {
-                            let (sock, timed_options) = (&sock, &timed_options);
-                            let requests = format!(
-                                "{{\"algorithm\":\"approx\",\"file\":\"{key}\",\"epsilon\":0.5}}\n"
-                            )
-                            .repeat(repeat);
-                            cs.spawn(move || {
-                                let mut out = Vec::new();
-                                let stats = client_unix_opts(
-                                    sock,
-                                    Cursor::new(requests),
-                                    &mut out,
-                                    timed_options,
-                                )
-                                .expect("sharded client failed");
-                                (
-                                    stats.exchanges,
-                                    stats.latencies_ms,
-                                    String::from_utf8(out).expect("utf8 response"),
-                                )
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
+                let conns = client_fan_out(&sock, &requests, &timed_options);
                 let trial_wall = started.elapsed().as_secs_f64() * 1e3;
-                let total: u64 = results.iter().map(|(n, _, _)| n).sum();
+                let (total, outs, trial_lats) = fold_conns(conns, "sharded client");
                 assert_eq!(total, expected, "every sharded request must be answered");
                 if trial == 0 {
-                    transcripts = results
-                        .iter()
-                        .map(|(_, _, out)| strip_run_dependent(out))
-                        .collect();
+                    transcripts = outs.iter().map(|out| strip_run_dependent(out)).collect();
                 }
                 if trial_wall < wall_ms {
                     wall_ms = trial_wall;
-                    latencies = results.into_iter().flat_map(|(_, l, _)| l).collect();
+                    latencies = trial_lats;
                 }
             }
 
@@ -608,14 +586,7 @@ pub fn run_sharded(scale: Scale, shard_counts: &[usize]) -> Vec<ShardRow> {
             // array follows, and its `routed` counters must match the
             // per-file request counts exactly — every request touched
             // its home shard and no other (zero cross-shard traffic).
-            let mut out = Vec::new();
-            client_unix(
-                &sock,
-                Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n".to_string()),
-                &mut out,
-            )
-            .expect("sharded stats client failed");
-            let out = String::from_utf8(out).expect("utf8 stats");
+            let out = stats_then_shutdown(&sock);
             let stats_line = out.lines().next().expect("stats response").to_string();
             let summary = server.join().expect("sharded server thread panicked");
             assert!(summary.shutdown, "sharded server must exit via shutdown");

@@ -386,7 +386,7 @@ pub struct MutationOutcome {
     /// Outstanding delta log size after the op.
     pub delta_edges: u64,
     /// Whether this op compacted the logs (explicitly or because the
-    /// delta ratio crossed the configured threshold).
+    /// delta ratio crossed [`DEFAULT_COMPACT_RATIO`]).
     pub compacted: bool,
 }
 
@@ -499,8 +499,6 @@ pub struct GraphCatalog {
     /// `(fingerprint, version)` result-cache key can never alias two
     /// different graph states.
     version_counter: AtomicU64,
-    /// `f64` bits of the auto-compaction delta ratio.
-    compact_ratio_bits: AtomicU64,
     /// The durability layer, set at most once by
     /// [`GraphCatalog::open_data_dir`]. `None` = purely in-memory
     /// sessions (the pre-durability behavior, and still the default).
@@ -525,7 +523,6 @@ impl Default for GraphCatalog {
             clock: AtomicU64::new(0),
             max_entries: AtomicUsize::new(DEFAULT_MAX_ENTRIES),
             version_counter: AtomicU64::new(0),
-            compact_ratio_bits: AtomicU64::new(DEFAULT_COMPACT_RATIO.to_bits()),
             durability: OnceLock::new(),
             replayed_ops: AtomicU64::new(0),
             dropped_tail_records: AtomicU64::new(0),
@@ -805,18 +802,6 @@ impl GraphCatalog {
 
     // ----- named session graphs -------------------------------------
 
-    /// The auto-compaction threshold: a mutation whose outstanding delta
-    /// logs exceed `ratio × base edges` folds them into a fresh base.
-    pub fn set_compact_ratio(&self, ratio: f64) {
-        self.compact_ratio_bits
-            .store(ratio.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// The configured auto-compaction delta ratio.
-    pub fn compact_ratio(&self) -> f64 {
-        f64::from_bits(self.compact_ratio_bits.load(Ordering::Relaxed))
-    }
-
     /// Mutations applied to named graphs so far (ops that changed
     /// nothing are not counted).
     pub fn mutations(&self) -> u64 {
@@ -889,7 +874,7 @@ impl GraphCatalog {
         }
         let mut delta = DeltaGraph::new_empty(kind);
         let applied = delta.add_edges(edges)? as u64;
-        let compacted = delta.maybe_compact(self.compact_ratio());
+        let compacted = delta.maybe_compact(DEFAULT_COMPACT_RATIO);
         let delta_edges = delta.delta_edges() as u64;
         let fingerprint = fnv1a(name.as_bytes());
         let version = self.version_counter.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1015,7 +1000,7 @@ impl GraphCatalog {
             }
         };
         if matches!(op, MutateOp::Add(_) | MutateOp::Remove(_)) && applied > 0 {
-            compacted = state.maybe_compact(self.compact_ratio());
+            compacted = state.maybe_compact(DEFAULT_COMPACT_RATIO);
         }
         let changed = applied > 0 || compacted;
         // Journal the logical edit (under the state mutex, so journal
@@ -1120,7 +1105,7 @@ impl GraphCatalog {
             ));
         }
         let durability = Durability::open(dir, fsync_every, snapshot_every.max(1))?;
-        let recovered = durability.recover(self.compact_ratio())?;
+        let recovered = durability.recover()?;
         let mut stats = RecoveryStats::default();
         {
             let mut map = self.named.write().expect("catalog lock poisoned");
@@ -1495,28 +1480,27 @@ mod tests {
     #[test]
     fn named_graphs_auto_compact_past_the_ratio() {
         let cat = GraphCatalog::new();
-        cat.set_compact_ratio(0.5);
         cat.create_named(
             "g",
             GraphKind::Undirected,
             &[(0, 1), (1, 2), (2, 3), (3, 4)],
         )
         .unwrap();
-        // A small delta stays in the logs...
-        let out = cat.mutate_named("g", MutateOp::Add(&[(0, 2)])).unwrap();
-        assert!(!out.compacted);
-        assert_eq!(out.delta_edges, 1);
-        // ...but crossing ratio x base folds them.
+        // A delta up to the base's size stays in the logs...
         let out = cat
-            .mutate_named("g", MutateOp::Add(&[(0, 3), (0, 4)]))
+            .mutate_named("g", MutateOp::Add(&[(0, 2), (0, 3), (0, 4), (1, 3)]))
             .unwrap();
-        assert!(out.compacted, "3 delta edges > 0.5 x 4 base edges");
+        assert!(!out.compacted);
+        assert_eq!(out.delta_edges, 4);
+        // ...but crossing ratio x base folds them.
+        let out = cat.mutate_named("g", MutateOp::Add(&[(1, 4)])).unwrap();
+        assert!(out.compacted, "5 delta edges > 1.0 x 4 base edges");
         assert_eq!(out.delta_edges, 0);
         let stats = &cat.named_stats()[0];
         // Two compactions: the seeded create itself (4 delta edges over
         // an empty base) plus the ratio-crossing add above.
         assert_eq!(stats.compactions, 2);
-        assert_eq!(stats.edges, 7);
+        assert_eq!(stats.edges, 9);
     }
 
     #[test]

@@ -392,23 +392,6 @@ pub fn encode_batch_item(
     Ok(())
 }
 
-/// Appends a standalone request frame from an already-encoded payload
-/// (see [`encode_request_payload`]) — a pipelining client encodes each
-/// request once and reuses the payload bytes across repeats.
-pub fn encode_request_from_payload(opcode: Opcode, payload: &[u8], out: &mut Vec<u8>) {
-    let len_at = begin_frame(opcode, out);
-    out.extend_from_slice(payload);
-    end_frame(out, len_at);
-}
-
-/// Appends one already-encoded item to a batch payload under
-/// construction (the pre-encoded counterpart of [`encode_batch_item`]).
-pub fn encode_batch_item_from_payload(opcode: Opcode, payload: &[u8], batch_payload: &mut Vec<u8>) {
-    batch_payload.push(opcode.byte());
-    batch_payload.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    batch_payload.extend_from_slice(payload);
-}
-
 /// Encodes a reply frame wrapping the JSON response object the JSONL
 /// path would have written as a line.
 pub fn encode_reply(json: &str, out: &mut Vec<u8>) {

@@ -93,10 +93,10 @@ pub use query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
 pub use report::{JsonBuilder, Outcome, Report, ShuffleStats};
 pub use result_cache::{GraphId, ResultCache, ResultCacheStats};
 #[cfg(unix)]
-pub use serve::{client_unix, client_unix_opts, serve_unix};
+pub use serve::{client_fan_out, client_unix_opts, serve_unix};
 pub use serve::{
-    percentile, serve_loop, serve_stdio, ClientOptions, ClientStats, ServeMetrics, ServeOptions,
-    ServeSummary,
+    percentile, serve_loop, serve_stdio, ClientOptions, ClientStats, FanOutConn, ServeMetrics,
+    ServeOptions, ServeSummary,
 };
 #[cfg(unix)]
 pub use shard::routing_shard;

@@ -558,7 +558,7 @@ impl Durability {
     /// lineage — a crash before the create record survived — is skipped:
     /// that create was never acknowledged, so the pre-op state is "the
     /// graph does not exist".
-    pub fn recover(&self, compact_ratio: f64) -> crate::error::Result<Vec<RecoveredGraph>> {
+    pub fn recover(&self) -> crate::error::Result<Vec<RecoveredGraph>> {
         let graphs_root = self.root.join("graphs");
         let mut out = Vec::new();
         let entries = std::fs::read_dir(&graphs_root).map_err(|e| io_err("scan data dir", e))?;
@@ -568,18 +568,14 @@ impl Durability {
             .collect();
         dirs.sort();
         for dir in dirs {
-            if let Some(g) = self.recover_one(&dir, compact_ratio)? {
+            if let Some(g) = self.recover_one(&dir)? {
                 out.push(g);
             }
         }
         Ok(out)
     }
 
-    fn recover_one(
-        &self,
-        dir: &Path,
-        compact_ratio: f64,
-    ) -> crate::error::Result<Option<RecoveredGraph>> {
+    fn recover_one(&self, dir: &Path) -> crate::error::Result<Option<RecoveredGraph>> {
         let name = match std::fs::read(dir.join("name")) {
             Ok(bytes) => match String::from_utf8(bytes) {
                 Ok(s) if !s.is_empty() => s,
@@ -637,7 +633,7 @@ impl Durability {
                         }
                         (Some(s), _) => s,
                     };
-                    rec.op.replay(state_ref, compact_ratio).map_err(|e| {
+                    rec.op.replay(state_ref).map_err(|e| {
                         crate::error::EngineError::Persistence(format!(
                             "replay of '{name}' failed: {e}"
                         ))
@@ -753,11 +749,11 @@ mod tests {
             SessionOp::Compact,
         ];
         for (i, op) in script.iter().enumerate() {
-            op.replay(&mut live, 0.5).unwrap();
+            op.replay(&mut live).unwrap();
             wal.append(i as u64 + 1, op, &live).unwrap();
         }
         drop(wal);
-        let recovered = d.recover(0.5).unwrap();
+        let recovered = d.recover().unwrap();
         assert_eq!(recovered.len(), 1);
         let g = &recovered[0];
         assert_eq!(g.name, "g");
@@ -782,10 +778,10 @@ mod tests {
             kind: GraphKind::Undirected,
             edges: Cow::Owned(vec![(0, 1)]),
         };
-        create.replay(&mut live, 0.5).unwrap();
+        create.replay(&mut live).unwrap();
         wal.append(1, &create, &live).unwrap();
         let add = op_add(vec![(1, 2)]);
-        add.replay(&mut live, 0.5).unwrap();
+        add.replay(&mut live).unwrap();
         wal.append(2, &add, &live).unwrap();
         drop(wal);
         let wal_path = root.join("graphs").join("g").join("wal.log");
@@ -795,7 +791,7 @@ mod tests {
         let first_len = decode_record(&full).unwrap().len;
         for cut in first_len..full.len() {
             std::fs::write(&wal_path, &full[..cut]).unwrap();
-            let recovered = d.recover(0.5).unwrap();
+            let recovered = d.recover().unwrap();
             assert_eq!(recovered.len(), 1, "cut {cut}");
             let g = &recovered[0];
             let expected_tail = (cut != first_len) as u64;
@@ -830,14 +826,14 @@ mod tests {
             op_add(vec![(4, 5)]),
         ];
         for op in &script {
-            op.replay(&mut live, 0.5).unwrap();
+            op.replay(&mut live).unwrap();
             version += 1;
             wal.append(version, op, &live).unwrap();
         }
         let stats = wal.wal_stats();
         assert!(stats.snapshot_version >= 2, "rotation must have happened");
         drop(wal);
-        let recovered = d.recover(0.5).unwrap();
+        let recovered = d.recover().unwrap();
         let g = &recovered[0];
         assert_eq!(g.version, script.len() as u64);
         let mut a = live.materialize();
@@ -881,7 +877,7 @@ mod tests {
         std::fs::write(dir.join("wal.log"), b"").unwrap();
         // Dir with no name file at all.
         std::fs::create_dir_all(root.join("graphs").join("junk")).unwrap();
-        assert!(d.recover(0.5).unwrap().is_empty());
+        assert!(d.recover().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
 

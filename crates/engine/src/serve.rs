@@ -120,6 +120,13 @@
 //! next line is read. The loop ends cleanly on EOF (stdin mode: client
 //! closed the pipe — the SIGTERM-equivalent close) or on a `shutdown`
 //! op (socket mode, where EOF only ends one connection).
+//!
+//! ## Client
+//!
+//! [`client_unix_opts`] is the one client, for both wire formats and
+//! every pipeline depth (see [`ClientOptions`]); only its window encoder
+//! and its reply reader differ by format. [`client_fan_out`] runs one
+//! per request text, all at once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -245,9 +252,8 @@ impl ServeMetrics {
 
     /// The server's summary: connection accounting and op counts from
     /// these metrics (every op at one shard, decode errors at n), plus
-    /// the op counts of `shards` and the incremental-tier counters of
-    /// `engines`.
-    #[cfg(unix)]
+    /// the op counts of `shards` and the catalog, cache and tier
+    /// counters summed over `engines`.
     fn summary(&self, engines: &[Engine], shards: &[ShardCounters]) -> ServeSummary {
         let (mut queries, mut mutations, mut errors) = self.op_counts();
         for shard in shards {
@@ -266,7 +272,12 @@ impl ServeMetrics {
             ..ServeSummary::default()
         };
         for engine in engines {
+            let catalog = engine.catalog().stats();
             let inc = engine.incremental_stats();
+            summary.loads += catalog.loads;
+            summary.cache_hits += catalog.hits;
+            summary.result_hits += engine.results().stats().hits;
+            summary.warm_hits += engine.warm_stats().hits;
             summary.incremental_hits += inc.hits;
             summary.incremental_fallbacks += inc.fallbacks;
         }
@@ -299,6 +310,15 @@ pub struct ServeSummary {
     pub connections: u64,
     /// Most connections served concurrently at any instant.
     pub peak_connections: u64,
+    /// Graph files read and canonicalized, over every engine.
+    pub loads: u64,
+    /// Queries answered from an already-loaded graph.
+    pub cache_hits: u64,
+    /// Queries replayed from a result cache.
+    pub result_hits: u64,
+    /// Named-graph queries answered by verified replay or a full
+    /// re-peel of a seeded query (warm restarts).
+    pub warm_hits: u64,
     /// Named-graph queries answered by the incremental tier (delta
     /// re-peel verified against the published snapshot).
     pub incremental_hits: u64,
@@ -307,10 +327,10 @@ pub struct ServeSummary {
 }
 
 /// Runs the JSONL loop over arbitrary reader/writer pairs until EOF or a
-/// `shutdown` op, updating `metrics` as it goes. This is the stdio serve
-/// mode; lines are decoded by the same rule as socket JSONL lines (see
-/// [`serve_unix`]), so invalid UTF-8 gets an error reply rather than
-/// ending the loop.
+/// `shutdown` op, updating `metrics` as it goes, and returns their
+/// summary (one connection). This is the stdio serve mode; lines are
+/// decoded by the same rule as socket JSONL lines (see [`serve_unix`]),
+/// so invalid UTF-8 gets an error reply rather than ending the loop.
 pub fn serve_loop<R: BufRead, W: Write>(
     engine: &Engine,
     default_policy: &ResourcePolicy,
@@ -318,11 +338,6 @@ pub fn serve_loop<R: BufRead, W: Write>(
     writer: &mut W,
     metrics: &ServeMetrics,
 ) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary {
-        connections: 1,
-        peak_connections: 1,
-        ..ServeSummary::default()
-    };
     let engines = std::slice::from_ref(engine);
     let mut scratch = FieldScratch::new();
     let mut line = Vec::new();
@@ -332,7 +347,7 @@ pub fn serve_loop<R: BufRead, W: Write>(
             break;
         }
         let raw = line.strip_suffix(b"\n").unwrap_or(&line);
-        let (response, outcome) = match decode_line(raw, &mut scratch) {
+        let response = match decode_line(raw, &mut scratch) {
             None => continue,
             Some(Ok(())) => {
                 let fields = scratch.fields();
@@ -342,38 +357,21 @@ pub fn serve_loop<R: BufRead, W: Write>(
             }
             Some(Err(message)) => {
                 metrics.record_error();
-                (error_response("null", &message), LineOutcome::Error)
+                error_response("null", &message)
             }
         };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        match outcome {
-            LineOutcome::QueryOk => summary.queries += 1,
-            LineOutcome::MutationOk => summary.mutations += 1,
-            LineOutcome::OpOk => {}
-            LineOutcome::Error => summary.errors += 1,
-            LineOutcome::Shutdown => {
-                summary.shutdown = true;
-                break;
-            }
+        if metrics.shutdown_requested() {
+            break;
         }
     }
-    let inc = engine.incremental_stats();
-    summary.incremental_hits = inc.hits;
-    summary.incremental_fallbacks = inc.fallbacks;
-    Ok(summary)
-}
-
-/// How one request was disposed of (drives the summary counters:
-/// `stats`/`shutdown` ops are answered but are not *queries*; graph
-/// mutations are counted on their own).
-pub(crate) enum LineOutcome {
-    QueryOk,
-    MutationOk,
-    OpOk,
-    Error,
-    Shutdown,
+    Ok(ServeSummary {
+        connections: 1,
+        peak_connections: 1,
+        ..metrics.summary(engines, &[])
+    })
 }
 
 /// The JSONL line rule of both transports: invalid UTF-8 is decoded
@@ -417,26 +415,24 @@ fn envelope(fields: &[(String, Value)]) -> JsonBuilder {
 
 /// `shutdown` and `stats` concern the whole server, so the serve loop
 /// answers them itself; every other op gets `None` and runs on its
-/// shard's engine ([`execute`]).
+/// shard's engine ([`execute`]). A `shutdown` latches the metrics'
+/// shutdown flag.
 fn answer_control(
     op: &str,
     fields: &[(String, Value)],
     engines: &[Engine],
     shards: &[ShardCounters],
     metrics: &ServeMetrics,
-) -> Option<(String, LineOutcome)> {
+) -> Option<String> {
     match op {
         "shutdown" => {
             metrics.request_shutdown();
             let mut j = envelope(fields);
             j.raw_field("ok", "true");
             j.raw_field("bye", "true");
-            Some((j.finish(), LineOutcome::Shutdown))
+            Some(j.finish())
         }
-        "stats" => Some((
-            render_stats(fields, engines, shards, metrics),
-            LineOutcome::OpOk,
-        )),
+        "stats" => Some(render_stats(fields, engines, shards, metrics)),
         _ => None,
     }
 }
@@ -588,30 +584,26 @@ fn execute(
     metrics: &ServeMetrics,
     fields: &[(String, Value)],
     op: &str,
-) -> (String, LineOutcome) {
+) -> String {
     let mut j = envelope(fields);
     j.raw_field("ok", "true");
-    let outcome = match op {
+    let counter = match op {
         "create_graph" | "add_edges" | "remove_edges" | "compact" => {
-            run_mutation(engine, op, fields, &mut j).map(|()| LineOutcome::MutationOk)
+            run_mutation(engine, op, fields, &mut j).map(|()| &metrics.mutations)
         }
-        "query" => run_query(engine, default_policy, fields, &mut j).map(|()| LineOutcome::QueryOk),
+        "query" => run_query(engine, default_policy, fields, &mut j).map(|()| &metrics.queries),
         other => Err(format!("unknown op '{other}'")),
     };
-    match outcome {
-        Ok(outcome) => {
-            let counter = match outcome {
-                LineOutcome::MutationOk => &metrics.mutations,
-                _ => &metrics.queries,
-            };
+    match counter {
+        Ok(counter) => {
             counter.fetch_add(1, Ordering::Relaxed);
-            (j.finish(), outcome)
+            j.finish()
         }
         Err(e) => {
             // Error paths are cold and re-derive the id themselves.
             metrics.record_error();
             let id = minijson::get(fields, "id").map_or("null".to_string(), Value::to_json);
-            (error_response(&id, &e), LineOutcome::Error)
+            error_response(&id, &e)
         }
     }
 }
@@ -1458,7 +1450,7 @@ impl Connection {
     ) {
         let runtime = ctx.runtime;
         let op = op_name(opcode, fields);
-        if let Some((reply, outcome)) = answer_control(
+        if let Some(reply) = answer_control(
             op,
             fields,
             runtime.engines(),
@@ -1466,7 +1458,7 @@ impl Connection {
             ctx.metrics,
         ) {
             self.push_reply(&reply);
-            if matches!(outcome, LineOutcome::Shutdown) {
+            if op == "shutdown" {
                 // Requests after a shutdown go unanswered.
                 self.rpos = self.rbuf.len();
                 self.batch = 0..0;
@@ -1474,7 +1466,7 @@ impl Connection {
             }
         } else {
             let (engine, metrics) = runtime.route(fields, ctx.metrics);
-            let (reply, _) = execute(engine, ctx.policy, metrics, fields, op);
+            let reply = execute(engine, ctx.policy, metrics, fields, op);
             self.push_reply(&reply);
         }
     }
@@ -1624,50 +1616,15 @@ fn decode_payload(
         .map_err(|e| e.to_string())
 }
 
-/// The matching client: forwards each line of `requests` to the server
-/// at `path` and writes each response line to `responses`. Returns the
-/// number of exchanges. Used by `densest client` and the CI smoke test.
-#[cfg(unix)]
-pub fn client_unix<R: BufRead, W: Write>(
-    path: &Path,
-    requests: R,
-    responses: &mut W,
-) -> std::io::Result<u64> {
-    use std::os::unix::net::UnixStream;
-
-    let stream = UnixStream::connect(path)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut exchanges = 0u64;
-    for line in requests.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut response = String::new();
-        if reader.read_line(&mut response)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-exchange",
-            ));
-        }
-        responses.write_all(response.as_bytes())?;
-        exchanges += 1;
-    }
-    Ok(exchanges)
-}
-
 /// Transport selection and pipelining depth for [`client_unix_opts`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClientOptions {
     /// Speak the binary frame protocol instead of JSONL.
     pub binary: bool,
-    /// Requests kept in flight: windows of up to this many requests go
-    /// out before their responses are read (1 = lockstep). Binary mode
-    /// packs each window into one batch frame.
+    /// Most requests per window (clamped ≥ 1). 1 is strict lockstep:
+    /// each request is read, sent and answered before the next is read.
+    /// Above 1 the next window goes out before this one's replies are
+    /// read; a binary window of two or more travels as one batch frame.
     pub pipeline: usize,
 }
 
@@ -1686,10 +1643,12 @@ pub struct ClientStats {
     /// Request/response exchanges completed.
     pub exchanges: u64,
     /// Per-request latency samples in milliseconds, completion order:
-    /// from handing the request's window to the OS to receiving that
-    /// request's response. Under pipelining this includes queueing
-    /// behind the window's earlier responses — exactly the latency a
-    /// caller of the pipelined connection experiences.
+    /// from just before the write of the request's window to the
+    /// arrival of that request's reply. The window was read, parsed and
+    /// encoded before that instant, so client-side encoding is never
+    /// counted. Under pipelining this includes queueing behind the
+    /// window's earlier replies — exactly the latency a caller of the
+    /// pipelined connection experiences.
     pub latencies_ms: Vec<f64>,
 }
 
@@ -1711,17 +1670,18 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The full-featured client: JSONL or binary frames, lockstep or
-/// pipelined, with per-request latency accounting. Response lines
-/// written to `responses` are byte-identical across transports (a
-/// binary reply frame carries the same JSON text a JSONL response line
-/// would), so callers can switch transports without re-parsing.
+/// The client: forwards each non-blank line of `requests` to the server
+/// at `path`, as JSONL or binary frames, lockstep or pipelined, and
+/// writes each response line to `responses`. Response lines are
+/// byte-identical across transports (a binary reply frame carries the
+/// same JSON text a JSONL response line would), so callers can switch
+/// transports without re-parsing.
 ///
-/// Unlike [`client_unix`] (which streams requests one at a time and so
-/// supports interactive use), this reads **all** requests up front to
-/// form pipeline windows. Binary mode parses each request line locally
-/// to encode it; a line that is not valid flat JSON is an
-/// `InvalidInput` error before anything is sent.
+/// Request lines are read as the session goes: a lockstep session
+/// answers each line before it reads the next, so it stays interactive.
+/// Binary mode parses each line locally to encode it; a line that is not
+/// valid flat JSON ends the session with an `InvalidInput` error, after
+/// the requests before it were answered.
 #[cfg(unix)]
 pub fn client_unix_opts<R: BufRead, W: Write>(
     path: &Path,
@@ -1729,196 +1689,272 @@ pub fn client_unix_opts<R: BufRead, W: Write>(
     responses: &mut W,
     options: &ClientOptions,
 ) -> std::io::Result<ClientStats> {
-    use std::os::unix::net::UnixStream;
-    use std::time::Instant;
-
-    let lines: Vec<String> = requests
-        .lines()
-        .collect::<std::io::Result<Vec<_>>>()?
-        .into_iter()
-        .filter(|l| !l.trim().is_empty())
-        .collect();
-    let window = options.pipeline.max(1);
-    // Binary mode parses and encodes every request line exactly once up
-    // front; the send loop below only assembles window frames from the
-    // pre-encoded payloads, so a repeated request set costs no
-    // re-parsing or re-encoding per round.
-    let encoded: Vec<(crate::frame::Opcode, Vec<u8>)> = if options.binary {
-        lines
-            .iter()
-            .map(|line| {
-                let (op, fields) = parse_request_line(line)?;
-                let opcode = crate::frame::Opcode::from_op_name(&op)
-                    .ok_or_else(|| frame_to_io(crate::frame::FrameError::UnknownOp(op.clone())))?;
-                let mut payload = Vec::new();
-                crate::frame::encode_request_payload(&fields, &mut payload).map_err(frame_to_io)?;
-                Ok((opcode, payload))
-            })
-            .collect::<std::io::Result<_>>()?
-    } else {
-        Vec::new()
-    };
-    let stream = UnixStream::connect(path)?;
-    let mut reader = BufReader::with_capacity(1 << 16, stream.try_clone()?);
-    let mut writer = stream;
     let mut stats = ClientStats::default();
-    let mut frame_buf: Vec<u8> = Vec::new();
-    let mut reply_buf: Vec<u8> = Vec::new();
-    if options.binary {
-        // With `--pipeline N`, this is true pipelining, not batched
-        // stop-and-wait: the *next* window goes on the wire before this
-        // window's replies are drained, so the server never idles
-        // between windows waiting a round trip for the client to read.
-        // The send-ahead is capped to one window of bounded wire size so
-        // the kernel socket buffer always absorbs the write even while
-        // the server back-pressures — the client never blocks on a send
-        // while it owes reads. A window of one (`pipeline == 1`) stays
-        // strict lockstep so the plain binary transport measures framing
-        // alone, not hidden pipelining.
-        let windows: Vec<&[(crate::frame::Opcode, Vec<u8>)]> = encoded.chunks(window).collect();
-        let mut sent_at: Vec<Instant> = Vec::with_capacity(windows.len());
-        let mut next_to_send = 0usize;
-        for (wi, items) in windows.iter().enumerate() {
-            // This window must be on the wire before its replies can
-            // exist (first iteration, or the send-ahead was skipped).
-            while next_to_send <= wi {
-                write_binary_window(&mut writer, windows[next_to_send], &mut frame_buf)?;
-                sent_at.push(Instant::now());
-                next_to_send += 1;
-            }
-            if window > 1
-                && next_to_send == wi + 1
-                && next_to_send < windows.len()
-                && window_wire_len(windows[next_to_send]) <= SEND_AHEAD_MAX_BYTES
-            {
-                write_binary_window(&mut writer, windows[next_to_send], &mut frame_buf)?;
-                sent_at.push(Instant::now());
-                next_to_send += 1;
-            }
-            for _ in items.iter() {
-                read_reply_frame(&mut reader, &mut reply_buf)?;
-                stats
-                    .latencies_ms
-                    .push(sent_at[wi].elapsed().as_secs_f64() * 1e3);
-                reply_buf.push(b'\n');
-                responses.write_all(&reply_buf)?;
-                stats.exchanges += 1;
-            }
-        }
-    } else {
-        // The JSONL window is bounded by wire bytes exactly like the
-        // binary send-ahead: an unbounded `--pipeline` burst whose
-        // requests outrun the server's write high-water mark plus the
-        // kernel socket buffers would leave the server parked (not
-        // reading) while the client is still blocked in `write_all` and
-        // not yet reading replies — a mutual deadlock. Splitting the
-        // window so at most SEND_AHEAD_MAX_BYTES is unacknowledged
-        // keeps every burst inside the kernel buffer. A single line
-        // over the cap still goes alone.
-        let mut start = 0usize;
-        while start < lines.len() {
-            let mut end = start;
-            let mut burst = 0usize;
-            while end < lines.len() && end - start < window {
-                let line_bytes = lines[end].len() + 1;
-                if end > start && burst + line_bytes > SEND_AHEAD_MAX_BYTES {
-                    break;
-                }
-                burst += line_bytes;
-                end += 1;
-            }
-            let chunk = &lines[start..end];
-            start = end;
-            let sent_at = Instant::now();
-            for line in chunk {
-                writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-            writer.flush()?;
-            let mut response = String::new();
-            for _ in chunk {
-                response.clear();
-                if reader.read_line(&mut response)? == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-exchange",
-                    ));
-                }
-                stats
-                    .latencies_ms
-                    .push(sent_at.elapsed().as_secs_f64() * 1e3);
-                responses.write_all(response.as_bytes())?;
-                stats.exchanges += 1;
-            }
-        }
-    }
+    client_session(path, requests, responses, options, &mut stats)?;
     Ok(stats)
 }
 
-/// A pipelined window is sent ahead (before the previous window's
-/// replies are drained) only when its wire size stays under this bound,
-/// so the send always fits the kernel socket buffer even if the server
-/// has stopped reading under write backpressure.
+/// One connection of a [`client_fan_out`].
+#[derive(Debug, Default)]
+pub struct FanOutConn {
+    /// The response lines received, in request order — up to the
+    /// failure, when one ended the connection early.
+    pub transcript: Vec<u8>,
+    /// Exchanges and latencies completed, failure or not.
+    pub stats: ClientStats,
+    /// What ended the connection early, if anything did.
+    pub error: Option<std::io::Error>,
+}
+
+/// Opens one [`client_unix_opts`] connection per entry of `requests`,
+/// all at once on scoped threads, each sending its own request text.
+/// Every connection dials the socket, even one with no requests, and a
+/// failed connection keeps its partial transcript and stats.
+#[cfg(unix)]
+pub fn client_fan_out(
+    path: &Path,
+    requests: &[String],
+    options: &ClientOptions,
+) -> Vec<FanOutConn> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|text| {
+                s.spawn(move || {
+                    let mut conn = FanOutConn::default();
+                    conn.error = client_session(
+                        path,
+                        text.as_bytes(),
+                        &mut conn.transcript,
+                        options,
+                        &mut conn.stats,
+                    )
+                    .err();
+                    conn
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    })
+}
+
+/// A window is cut before it passes this many wire bytes (a longer
+/// request goes alone), and only a window within it is sent ahead of the
+/// previous window's replies: that send always fits the kernel socket
+/// buffer, even while the server has stopped reading under write
+/// backpressure, so the client never blocks on a send while it owes
+/// reads.
 #[cfg(unix)]
 const SEND_AHEAD_MAX_BYTES: usize = 64 * 1024;
 
-/// Wire bytes of one window: a single request frame, or one batch frame
-/// with a `[opcode][u32 len]` header per item.
+/// The body of [`client_unix_opts`], counting into `stats` as it goes so
+/// a failed session still reports what it completed.
 #[cfg(unix)]
-fn window_wire_len(items: &[(crate::frame::Opcode, Vec<u8>)]) -> usize {
-    match items {
-        [(_, payload)] => crate::frame::HEADER_LEN + payload.len(),
-        _ => {
-            crate::frame::HEADER_LEN
-                + items
-                    .iter()
-                    .map(|(_, p)| BATCH_ITEM_HEADER + p.len())
-                    .sum::<usize>()
-        }
-    }
-}
-
-/// Assembles one window of pre-encoded requests into `frame_buf` (a
-/// plain request frame for a window of one, a batch frame otherwise)
-/// and writes it out.
-#[cfg(unix)]
-fn write_binary_window<W: Write>(
-    writer: &mut W,
-    items: &[(crate::frame::Opcode, Vec<u8>)],
-    frame_buf: &mut Vec<u8>,
+fn client_session<R: BufRead, W: Write>(
+    path: &Path,
+    mut requests: R,
+    responses: &mut W,
+    options: &ClientOptions,
+    stats: &mut ClientStats,
 ) -> std::io::Result<()> {
-    frame_buf.clear();
-    if let [(opcode, payload)] = items {
-        crate::frame::encode_request_from_payload(*opcode, payload, frame_buf);
-    } else {
-        let len_at = crate::frame::begin_frame(crate::frame::Opcode::Batch, frame_buf);
-        for (opcode, payload) in items {
-            crate::frame::encode_batch_item_from_payload(*opcode, payload, frame_buf);
+    use std::os::unix::net::UnixStream;
+
+    let stream = UnixStream::connect(path)?;
+    let mut replies = BufReader::with_capacity(1 << 16, stream.try_clone()?);
+    let mut writer = stream;
+    let binary = options.binary;
+    let pipelined = options.pipeline > 1;
+    let mut cutter = WindowCutter {
+        binary,
+        max_requests: options.pipeline.max(1),
+        line: String::new(),
+        scratch: FieldScratch::new(),
+        carried: Vec::new(),
+        eof: false,
+    };
+    let (mut window, mut next) = (Window::default(), Window::default());
+    let mut reply = Vec::new();
+    cutter.fill(&mut requests, &mut window)?;
+    while window.requests > 0 {
+        let sent_at = match window.sent_at {
+            Some(at) => at,
+            None => window.send(binary, &mut writer)?,
+        };
+        // Pipelining: the next window goes out before this one's replies
+        // are read, so the server never idles a round trip between
+        // windows — if it fits the send-ahead cap. Lockstep reads the
+        // next request only once this reply is out.
+        if pipelined {
+            cutter.fill(&mut requests, &mut next)?;
+            if next.requests > 0 && next.bytes.len() <= SEND_AHEAD_MAX_BYTES {
+                next.send(binary, &mut writer)?;
+            }
         }
-        crate::frame::end_frame(frame_buf, len_at);
+        for _ in 0..window.requests {
+            read_reply(binary, &mut replies, &mut reply)?;
+            stats
+                .latencies_ms
+                .push(sent_at.elapsed().as_secs_f64() * 1e3);
+            responses.write_all(&reply)?;
+            stats.exchanges += 1;
+        }
+        if !pipelined {
+            cutter.fill(&mut requests, &mut next)?;
+        }
+        std::mem::swap(&mut window, &mut next);
     }
-    writer.write_all(frame_buf)?;
-    writer.flush()
+    Ok(())
+}
+
+/// Reads request lines and cuts them into windows: at most
+/// `max_requests` requests and at most [`SEND_AHEAD_MAX_BYTES`] of wire
+/// bytes each.
+#[cfg(unix)]
+struct WindowCutter {
+    binary: bool,
+    max_requests: usize,
+    line: String,
+    scratch: FieldScratch,
+    /// The encoded request that would have pushed the last window past
+    /// the cap: it opens the next one.
+    carried: Vec<u8>,
+    /// `requests` is exhausted: never read it again (an interactive
+    /// stdin would wait for more input after its end).
+    eof: bool,
 }
 
 #[cfg(unix)]
-fn parse_request_line(line: &str) -> std::io::Result<(String, Vec<(String, Value)>)> {
-    let fields = minijson::parse_object(line).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("cannot encode request as a frame: {e}"),
-        )
-    })?;
-    let op = minijson::get(&fields, "op")
-        .and_then(Value::as_str)
-        .unwrap_or("query")
-        .to_string();
-    Ok((op, fields))
+impl WindowCutter {
+    /// Refills `window` with the next requests; it holds none at the end
+    /// of the input.
+    fn fill<R: BufRead>(&mut self, requests: &mut R, window: &mut Window) -> std::io::Result<()> {
+        window.bytes.clear();
+        window.requests = 0;
+        window.sent_at = None;
+        if self.binary {
+            // The batch header; `Window::send` rewrites it for a window
+            // of one.
+            crate::frame::begin_frame(crate::frame::Opcode::Batch, &mut window.bytes);
+        }
+        if !self.carried.is_empty() {
+            window.bytes.append(&mut self.carried);
+            window.requests = 1;
+        }
+        while window.requests < self.max_requests && !self.eof {
+            self.line.clear();
+            if requests.read_line(&mut self.line)? == 0 {
+                self.eof = true;
+                break;
+            }
+            let line = self
+                .line
+                .strip_suffix('\n')
+                .map_or(self.line.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+            if line.trim().is_empty() {
+                continue;
+            }
+            let start = window.bytes.len();
+            encode_request(self.binary, line, &mut self.scratch, &mut window.bytes)?;
+            if window.requests > 0 && window.bytes.len() > SEND_AHEAD_MAX_BYTES {
+                self.carried.extend_from_slice(&window.bytes[start..]);
+                window.bytes.truncate(start);
+                break;
+            }
+            window.requests += 1;
+        }
+        Ok(())
+    }
+}
+
+/// One window of requests, encoded into the buffer one write sends.
+#[cfg(unix)]
+#[derive(Default)]
+struct Window {
+    /// JSONL lines, or a batch frame of `[opcode][u32 len][payload]`
+    /// items.
+    bytes: Vec<u8>,
+    requests: usize,
+    sent_at: Option<std::time::Instant>,
 }
 
 #[cfg(unix)]
-fn frame_to_io(e: crate::frame::FrameError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+impl Window {
+    /// Writes the window with one call and returns its send time, taken
+    /// just before the write. A binary window of one goes as a plain
+    /// request frame, whose header ends where the item's length field
+    /// ends: that field is already in place, and the magic, version,
+    /// opcode and reserved byte go in the four bytes before it.
+    fn send<W: Write>(
+        &mut self,
+        binary: bool,
+        writer: &mut W,
+    ) -> std::io::Result<std::time::Instant> {
+        use crate::frame::{end_frame, HEADER_LEN, MAGIC, VERSION};
+
+        let start = match (binary, self.requests) {
+            (false, _) => 0,
+            (true, 1) => {
+                let opcode = self.bytes[HEADER_LEN];
+                let start = HEADER_LEN - 3;
+                self.bytes[start..HEADER_LEN + 1].copy_from_slice(&[MAGIC, VERSION, opcode, 0]);
+                start
+            }
+            (true, _) => {
+                end_frame(&mut self.bytes, HEADER_LEN - 4);
+                0
+            }
+        };
+        let sent_at = std::time::Instant::now();
+        self.sent_at = Some(sent_at);
+        writer.write_all(&self.bytes[start..])?;
+        Ok(sent_at)
+    }
+}
+
+/// The window encoder: appends one request line to `out`, as a JSONL
+/// line or (`binary`) as a batch item.
+#[cfg(unix)]
+fn encode_request(
+    binary: bool,
+    line: &str,
+    scratch: &mut FieldScratch,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    if !binary {
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
+        return Ok(());
+    }
+    let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+    minijson::parse_object_into(line, scratch)
+        .map_err(|e| invalid(format!("cannot encode request as a frame: {e}")))?;
+    let fields = scratch.fields();
+    crate::frame::encode_batch_item(op_name(None, fields), fields, out)
+        .map_err(|e| invalid(e.to_string()))
+}
+
+/// The reply reader: one reply into `line`, newline-terminated — a JSONL
+/// response line, or the JSON text of a reply frame.
+#[cfg(unix)]
+fn read_reply<R: BufRead>(
+    binary: bool,
+    replies: &mut R,
+    line: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    line.clear();
+    if binary {
+        read_reply_frame(replies, line)?;
+        line.push(b'\n');
+    } else if replies.read_until(b'\n', line)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection mid-exchange",
+        ));
+    }
+    Ok(())
 }
 
 /// Reads one reply frame into `buf` (header stripped, payload = the
@@ -2431,7 +2467,13 @@ mod tests {
             path.display()
         );
         let mut out = Vec::new();
-        client_unix(&sock, Cursor::new(requests), &mut out).unwrap();
+        client_unix_opts(
+            &sock,
+            Cursor::new(requests),
+            &mut out,
+            &ClientOptions::default(),
+        )
+        .unwrap();
         let summary = server.join().unwrap();
         assert!(summary.shutdown);
         let out = String::from_utf8(out).unwrap();
@@ -2464,8 +2506,14 @@ mod tests {
             p = path.display()
         );
         let mut out = Vec::new();
-        let n = client_unix(&sock, Cursor::new(requests), &mut out).unwrap();
-        assert_eq!(n, 3);
+        let stats = client_unix_opts(
+            &sock,
+            Cursor::new(requests),
+            &mut out,
+            &ClientOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(stats.exchanges, 3);
         let summary = server.join().unwrap();
         assert!(summary.shutdown);
         assert_eq!(summary.queries, 2, "the shutdown op is not a query");
@@ -2515,7 +2563,7 @@ mod tests {
                             })
                             .collect::<String>();
                         let mut out = Vec::new();
-                        client_unix(&sock, Cursor::new(requests), &mut out).unwrap();
+                        client_unix_opts(&sock, Cursor::new(requests), &mut out, &ClientOptions::default()).unwrap();
                         String::from_utf8(out).unwrap()
                     })
                 })
@@ -2544,10 +2592,11 @@ mod tests {
 
         // Stats, then shutdown.
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n".to_string()),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let out = String::from_utf8(out).unwrap();
@@ -2594,10 +2643,11 @@ mod tests {
         // the server open across a shutdown.
         let idle = UnixStream::connect(&sock).unwrap();
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new("{\"op\":\"shutdown\"}\n".to_string()),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let summary = server.join().unwrap();
@@ -2648,10 +2698,11 @@ mod tests {
         let _ = rude.write_all(burst.as_bytes());
         // Keep the rude connection open (unread) across the shutdown.
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new("{\"op\":\"shutdown\"}\n".to_string()),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let summary = server.join().unwrap();
@@ -2787,10 +2838,11 @@ mod tests {
         // The JSONL client that follows hits both caches the binary
         // client warmed.
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new(format!("{query}{{\"op\":\"shutdown\"}}\n")),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let jsonl_line = String::from_utf8(out)
@@ -2853,6 +2905,111 @@ mod tests {
         }
         assert_eq!(field(lines[n], "id"), "\"bye\"");
         assert!(stats.percentile_ms(50.0) <= stats.percentile_ms(99.0));
+    }
+
+    /// A lockstep session reads a request line only once every earlier
+    /// line's reply has reached `responses`, in both wire formats — what
+    /// keeps `densest client` interactive.
+    #[cfg(unix)]
+    #[test]
+    fn lockstep_client_reads_each_line_after_the_previous_reply() {
+        use std::cell::RefCell;
+        use std::io::Read;
+        use std::rc::Rc;
+
+        /// Hands out its lines in order, and fails rather than start a
+        /// line while fewer replies than earlier lines have arrived.
+        struct GatedLines {
+            lines: Vec<String>,
+            handed: usize,
+            offset: usize,
+            replies: Rc<RefCell<Vec<u8>>>,
+        }
+        impl Read for GatedLines {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = {
+                    let available = self.fill_buf()?;
+                    let n = available.len().min(buf.len());
+                    buf[..n].copy_from_slice(&available[..n]);
+                    n
+                };
+                self.consume(n);
+                Ok(n)
+            }
+        }
+        impl BufRead for GatedLines {
+            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+                let answered = self
+                    .replies
+                    .borrow()
+                    .iter()
+                    .filter(|&&b| b == b'\n')
+                    .count();
+                if self.offset == 0 && self.handed < self.lines.len() && answered < self.handed {
+                    return Err(std::io::Error::other(format!(
+                        "line {} read before reply {}",
+                        self.handed + 1,
+                        self.handed
+                    )));
+                }
+                Ok(self
+                    .lines
+                    .get(self.handed)
+                    .map_or(&[][..], |line| &line.as_bytes()[self.offset..]))
+            }
+            fn consume(&mut self, n: usize) {
+                self.offset += n;
+                if self.lines.get(self.handed).map(String::len) == Some(self.offset) {
+                    self.handed += 1;
+                    self.offset = 0;
+                }
+            }
+        }
+        struct SharedOut(Rc<RefCell<Vec<u8>>>);
+        impl Write for SharedOut {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.borrow_mut().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let (sock, server) = spawn_server("gated.sock", ServeOptions::default());
+        for (binary, last) in [
+            (false, "{\"op\":\"stats\",\"id\":3}"),
+            (true, "{\"op\":\"shutdown\"}"),
+        ] {
+            let replies = Rc::new(RefCell::new(Vec::new()));
+            let lines = [
+                "{\"op\":\"stats\",\"id\":1}",
+                "{\"op\":\"stats\",\"id\":2}",
+                last,
+            ];
+            let requests = GatedLines {
+                lines: lines.iter().map(|l| format!("{l}\n")).collect(),
+                handed: 0,
+                offset: 0,
+                replies: Rc::clone(&replies),
+            };
+            let options = ClientOptions {
+                binary,
+                pipeline: 1,
+            };
+            let stats = client_unix_opts(
+                &sock,
+                requests,
+                &mut SharedOut(Rc::clone(&replies)),
+                &options,
+            )
+            .unwrap();
+            assert_eq!(stats.exchanges, 3, "binary {binary}");
+            let out = String::from_utf8(replies.take()).unwrap();
+            let ids: Vec<&str> = out.lines().map(|l| field(l, "id")).collect();
+            assert_eq!(ids[..2], ["1", "2"], "binary {binary}: {out}");
+        }
+        assert!(server.join().unwrap().shutdown);
     }
 
     /// Regression: a service turn entered already over the write
@@ -2964,6 +3121,34 @@ mod tests {
         assert_eq!(field(lines[n], "id"), "\"bye\"");
     }
 
+    /// Binary windows are cut at the same wire-byte cap as JSONL ones:
+    /// a pipeline deeper than the cap allows goes out as several batch
+    /// frames, each cut request opening the next one, and every reply
+    /// still arrives in order.
+    #[cfg(unix)]
+    #[test]
+    fn binary_windows_are_cut_at_the_send_ahead_cap() {
+        let (sock, server) = spawn_server("binary_cut.sock", ServeOptions::default());
+        let n = 2000usize;
+        let pad = "x".repeat(180);
+        let requests: String = (0..n)
+            .map(|i| format!("{{\"op\":\"stats\",\"id\":{i},\"pad\":\"{pad}\"}}\n"))
+            .chain(std::iter::once("{\"op\":\"shutdown\"}\n".to_string()))
+            .collect();
+        let mut out = Vec::new();
+        let options = ClientOptions {
+            binary: true,
+            pipeline: n + 1,
+        };
+        let stats = client_unix_opts(&sock, Cursor::new(requests), &mut out, &options).unwrap();
+        assert!(server.join().unwrap().shutdown);
+        assert_eq!(stats.exchanges as usize, n + 1);
+        let out = String::from_utf8(out).unwrap();
+        let ids: Vec<&str> = out.lines().map(|l| field(l, "id")).collect();
+        let want: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+        assert_eq!(ids[..n], want);
+    }
+
     /// With many idle connections parked, a graceful shutdown must
     /// complete in well under one legacy 50 ms poll tick — idle
     /// connections are woken by the self-pipe, not by timeout ticks.
@@ -2990,10 +3175,11 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         let started = Instant::now();
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new("{\"op\":\"shutdown\"}\n".to_string()),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let summary = server.join().unwrap();
@@ -3047,10 +3233,11 @@ mod tests {
         }
         // The server still serves a well-behaved client afterwards.
         let mut out = Vec::new();
-        client_unix(
+        client_unix_opts(
             &sock,
             Cursor::new("{\"op\":\"stats\",\"id\":1}\n{\"op\":\"shutdown\"}\n".to_string()),
             &mut out,
+            &ClientOptions::default(),
         )
         .unwrap();
         let out = String::from_utf8(out).unwrap();

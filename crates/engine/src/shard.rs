@@ -178,9 +178,7 @@ fn open_shard_dir(engine: &Engine, options: &ServeOptions, index: usize) -> std:
 
 /// A fresh engine stamped with `template`'s tuning — every knob the
 /// serve CLI exposes is copied so an N-shard server behaves like N
-/// independently configured 1-shard servers. Tuning is copied before
-/// the data dir opens so recovery replays under the configured
-/// compaction ratio.
+/// independently configured 1-shard servers.
 fn shard_engine(
     template: &Engine,
     options: &ServeOptions,
@@ -190,9 +188,6 @@ fn shard_engine(
     engine
         .catalog()
         .set_max_entries(template.catalog().max_entries());
-    engine
-        .catalog()
-        .set_compact_ratio(template.catalog().compact_ratio());
     engine.results().set_budget(template.results().budget());
     engine.set_incremental_threshold(template.incremental_threshold());
     open_shard_dir(&engine, options, index)?;

@@ -124,7 +124,7 @@ proptest! {
         drop(durability);
 
         let reopened = Durability::open(&root, fsync_every, snapshot_every).unwrap();
-        let recovered = reopened.recover(ratio).unwrap();
+        let recovered = reopened.recover().unwrap();
         prop_assert_eq!(recovered.len(), 1);
         let g = &recovered[0];
         prop_assert_eq!(g.name.as_str(), "session");
@@ -184,7 +184,7 @@ proptest! {
             std::fs::write(dir.join("graphs/g/name"), b"g").unwrap();
             std::fs::write(dir.join("graphs/g/wal.log"), &full[..cut]).unwrap();
             let d = Durability::open(&dir, 0, 1_000).unwrap();
-            let recovered = d.recover(ratio).unwrap();
+            let recovered = d.recover().unwrap();
             // Longest intact record prefix at or below the cut.
             let intact = boundaries.iter().filter(|&&b| b <= cut).count();
             let torn = boundaries.binary_search(&cut).is_err();
@@ -273,6 +273,47 @@ fn restart_resumes_exact_versions_and_content() {
         next.version,
         va.max(vb)
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A seeded create auto-compacts (its seed outnumbers the empty base),
+/// and recovery from the WAL alone must replay that compaction too: the
+/// same delta and compaction counts as the live graph, and the next
+/// mutation answers as it does on an uninterrupted catalog.
+#[test]
+fn wal_only_recovery_replays_the_seed_compaction() {
+    let root = tmpdir("seed-compaction");
+    let seed = [(0, 1), (1, 2), (2, 3), (3, 4)];
+    let counts = |cat: &GraphCatalog| {
+        let g = &cat.named_stats()[0];
+        (g.delta_edges, g.compactions)
+    };
+
+    let live = GraphCatalog::new();
+    live.open_data_dir(&root, 1, 100).unwrap();
+    live.create_named("g", GraphKind::Undirected, &seed)
+        .unwrap();
+    assert_eq!(counts(&live), (0, 1));
+    drop(live);
+
+    // One record, far below the snapshot cadence: no snapshot exists.
+    let recovered = GraphCatalog::new();
+    let stats = recovered.open_data_dir(&root, 1, 100).unwrap();
+    assert_eq!(stats.replayed_ops, 1);
+    assert_eq!(counts(&recovered), (0, 1), "WAL-only recovery");
+
+    let uninterrupted = GraphCatalog::new();
+    uninterrupted
+        .create_named("g", GraphKind::Undirected, &seed)
+        .unwrap();
+    let want = uninterrupted
+        .mutate_named("g", MutateOp::Add(&[(0, 2)]))
+        .unwrap();
+    let got = recovered
+        .mutate_named("g", MutateOp::Add(&[(0, 2)]))
+        .unwrap();
+    assert_eq!((want.compacted, want.delta_edges), (false, 1));
+    assert_eq!((got.compacted, got.delta_edges), (false, 1));
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -33,8 +33,9 @@ use std::collections::HashSet;
 
 use crate::{EdgeList, GraphError, GraphKind, NodeId, Result, SplitMix64};
 
-/// Default log-to-base ratio past which [`DeltaGraph::maybe_compact`]
-/// folds the logs into a fresh base.
+/// The log-to-base ratio past which a session's logs are folded into a
+/// fresh base ([`DeltaGraph::maybe_compact`]) after each create, add and
+/// remove — live and in WAL replay alike.
 pub const DEFAULT_COMPACT_RATIO: f64 = 1.0;
 
 /// A mutable graph: canonical base + add/remove logs with tombstones.

@@ -23,7 +23,7 @@
 
 use std::borrow::Cow;
 
-use crate::delta::DeltaGraph;
+use crate::delta::{DeltaGraph, DEFAULT_COMPACT_RATIO};
 use crate::edgelist::GraphKind;
 use crate::{GraphError, NodeId, Result};
 
@@ -142,32 +142,31 @@ impl SessionOp<'_> {
     }
 
     /// Replays this op against `state`, mirroring the catalog's live
-    /// mutation path: a create replaces `state` with a fresh session, an
-    /// add applies the batch and then the same `maybe_compact` policy the
-    /// live path runs, a remove applies tombstones, a compact folds the
-    /// delta. Returns how many edges the op changed (0 for compact).
-    ///
-    /// `compact_ratio` must be the catalog's configured auto-compaction
-    /// ratio so replay reproduces the live path's compaction decisions.
-    pub fn replay(&self, state: &mut DeltaGraph, compact_ratio: f64) -> Result<usize> {
+    /// mutation path: a create replaces `state` with a fresh seeded
+    /// session, an add applies the batch and a remove its tombstones,
+    /// each followed by the same [`DEFAULT_COMPACT_RATIO`] auto-compaction
+    /// the live path runs, and a compact folds the delta. Returns how
+    /// many edges the op changed (0 for compact).
+    pub fn replay(&self, state: &mut DeltaGraph) -> Result<usize> {
         match self {
             SessionOp::Create { kind, edges } => {
                 let mut fresh = DeltaGraph::new_empty(*kind);
                 let applied = fresh.add_edges(edges)?;
+                fresh.maybe_compact(DEFAULT_COMPACT_RATIO);
                 *state = fresh;
                 Ok(applied)
             }
             SessionOp::Add(edges) => {
                 let applied = state.add_edges(edges)?;
                 if applied > 0 {
-                    state.maybe_compact(compact_ratio);
+                    state.maybe_compact(DEFAULT_COMPACT_RATIO);
                 }
                 Ok(applied)
             }
             SessionOp::Remove(edges) => {
                 let removed = state.remove_edges(edges);
                 if removed > 0 {
-                    state.maybe_compact(compact_ratio);
+                    state.maybe_compact(DEFAULT_COMPACT_RATIO);
                 }
                 Ok(removed)
             }
@@ -299,9 +298,9 @@ mod tests {
             SessionOp::Add(Cow::Owned(vec![(0, 4)])),
         ];
         for op in &script {
-            op.replay(&mut live, 0.5).unwrap();
+            op.replay(&mut live).unwrap();
             let roundtripped = roundtrip(op);
-            roundtripped.replay(&mut replayed, 0.5).unwrap();
+            roundtripped.replay(&mut replayed).unwrap();
         }
         let mut a = live.materialize();
         a.canonicalize();

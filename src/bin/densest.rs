@@ -11,13 +11,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::exit;
 
 use densest_subgraph::engine::{
-    percentile, Algorithm, BackendRequest, ClientOptions, ClientStats, Engine, EngineError,
-    Outcome, Query, Report, ResourcePolicy, ServeOptions, Source,
+    percentile, Algorithm, BackendRequest, ClientOptions, Engine, EngineError, Outcome, Query,
+    Report, ResourcePolicy, ServeOptions, Source,
 };
 use densest_subgraph::flow::FlowBackend;
 use densest_subgraph::graph::NodeSet;
@@ -29,10 +28,10 @@ const USAGE: &str =
      [--flow-backend dinic|push-relabel] [--json] [--quiet]\n\
        densest serve [--socket <path>] [--workers n] [--max-connections n] [--shards n] \
      [--threads n] [--memory-budget bytes] [--max-graphs n] \
-     [--result-cache bytes] [--incremental-threshold f] [--compact-ratio f] \
-     [--data-dir <path>] [--fsync-every n] [--snapshot-every n] [--quiet]\n\
-       densest client --socket <path> [--repeat n] [--parallel n] [--graph-per-conn] \
-     [--binary] [--pipeline n]\n\
+     [--result-cache bytes] [--incremental-threshold f] [--data-dir <path>] \
+     [--fsync-every n] [--snapshot-every n] [--quiet]\n\
+       densest client --socket <path> [--repeat n] [--parallel n] [--binary] \
+     [--pipeline n]\n\
        densest --help";
 
 const HELP: &str = "densest — densest-subgraph queries over edge-list files
@@ -137,9 +136,9 @@ mutable graph sessions (serve mode):
   the affected set at that fraction of the nodes, default 0.05; 0
   disables the tier). Past that, and for every atleast-k query, a warm
   restart re-peels the already-materialized snapshot (delta logs
-  auto-compact past --compact-ratio x base edges, default 1). The stats
-  op reports per-graph version/delta_edges/compactions plus warm and
-  incremental hit/fallback counters.
+  auto-compact once they outnumber the base edges). The stats op reports
+  per-graph version/delta_edges/compactions plus warm and incremental
+  hit/fallback counters.
 
 durable sessions (serve mode):
   --data-dir <path> makes named graphs survive restarts: every session
@@ -159,20 +158,18 @@ durable sessions (serve mode):
 
 client mode:
   densest client forwards each stdin line to the server and prints each
-  response line. --repeat n sends the whole request set n times;
-  --parallel n spreads those rounds across n concurrent connections
-  (round-robin — total work is repeat x request-set regardless of the
-  connection count; responses are printed grouped per connection, and a
-  throughput summary with per-connection p50/p99 latency goes to
-  stderr). --graph-per-conn partitions the request set by graph identity
-  instead, with the server's own routing hash: connection c carries
-  exactly the requests an n-shard server would route to shard c, and
-  sends them --repeat times — disjoint-shard load for the throughput
-  grid.
+  response line; without other flags it reads the next line only once
+  the previous response is printed. --repeat n sends the whole request
+  set n times; --parallel n spreads those rounds across n concurrent
+  connections (round-robin — total work is repeat x request-set
+  regardless of the connection count; responses are printed grouped per
+  connection, and a throughput summary with per-connection p50/p99
+  latency goes to stderr).
   --binary switches the connection to the length-prefixed binary frame
   protocol (the server detects it per connection; response lines stay
-  byte-identical to JSONL), and --pipeline n keeps up to n requests in
-  flight per connection — in binary mode each window travels as one
+  byte-identical to JSONL), and --pipeline n sends windows of up to n
+  requests (at most 64 KiB each), the next one before the previous
+  one's responses are read — in binary mode a window travels as one
   batch frame. The throughput experiment and the CI concurrent-serve
   smoke are built on these flags.
 
@@ -584,7 +581,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let mut max_graphs = densest_subgraph::engine::catalog::DEFAULT_MAX_ENTRIES;
     let mut result_cache_bytes = densest_subgraph::engine::result_cache::DEFAULT_RESULT_CACHE_BYTES;
     let mut incremental_threshold: Option<f64> = None;
-    let mut compact_ratio: Option<f64> = None;
     let mut quiet = false;
     let mut it = args.collect::<Vec<_>>().into_iter();
     while let Some(flag) = it.next() {
@@ -663,14 +659,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
                 }
                 incremental_threshold = Some(t);
             }
-            "--compact-ratio" => {
-                let r: f64 = parse_value("--compact-ratio", &value("--compact-ratio"));
-                if !r.is_finite() || r < 0.0 {
-                    eprintln!("--compact-ratio must be a finite number >= 0 (got {r})");
-                    exit(2);
-                }
-                compact_ratio = Some(r);
-            }
             "--quiet" => quiet = true,
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -683,9 +671,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     engine.results().set_budget(result_cache_bytes);
     if let Some(t) = incremental_threshold {
         engine.set_incremental_threshold(t);
-    }
-    if let Some(r) = compact_ratio {
-        engine.catalog().set_compact_ratio(r);
     }
     if options.shards > 1 && socket.is_none() {
         eprintln!("--shards requires --socket (stdin mode is one connection)");
@@ -760,9 +745,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
         exit(1);
     });
     if !quiet {
-        let stats = engine.catalog().stats();
-        let results = engine.results().stats();
-        let warm = engine.warm_stats();
         eprintln!(
             "served {} queries and {} mutations ({} errors) over {} connections (peak {} \
              concurrent): {} graph loads, {} cache hits, {} result-cache hits, {} incremental \
@@ -772,12 +754,12 @@ fn run_serve(args: impl Iterator<Item = String>) {
             summary.errors,
             summary.connections,
             summary.peak_connections,
-            stats.loads,
-            stats.hits,
-            results.hits,
+            summary.loads,
+            summary.cache_hits,
+            summary.result_hits,
             summary.incremental_hits,
             summary.incremental_fallbacks,
-            warm.hits,
+            summary.warm_hits,
             if summary.shutdown {
                 "shutdown requested"
             } else {
@@ -795,7 +777,6 @@ fn run_client(args: impl Iterator<Item = String>) {
     let mut socket: Option<PathBuf> = None;
     let mut repeat: usize = 1;
     let mut parallel: usize = 1;
-    let mut graph_per_conn = false;
     let mut client_options = ClientOptions::default();
     let mut it = args.collect::<Vec<_>>().into_iter();
     while let Some(flag) = it.next() {
@@ -821,7 +802,6 @@ fn run_client(args: impl Iterator<Item = String>) {
                     exit(2);
                 }
             }
-            "--graph-per-conn" => graph_per_conn = true,
             "--binary" => client_options.binary = true,
             "--pipeline" => {
                 client_options.pipeline = parse_value("--pipeline", &value("--pipeline"));
@@ -841,24 +821,26 @@ fn run_client(args: impl Iterator<Item = String>) {
         exit(2);
     });
     let stdin = std::io::stdin();
-    let plain = repeat == 1 && parallel == 1;
-    if plain && !client_options.binary && client_options.pipeline == 1 {
-        // Plain JSONL lockstep streams stdin line by line (stays
-        // interactive — responses appear as requests are typed).
+    if repeat == 1 && parallel == 1 && client_options == ClientOptions::default() {
+        // Plain mode streams stdin: the lockstep client answers each
+        // line before it reads the next, so it stays interactive.
         let mut stdout = std::io::stdout().lock();
-        if let Err(e) = densest_subgraph::engine::client_unix(
+        if let Err(e) = densest_subgraph::engine::client_unix_opts(
             &socket,
-            BufReader::new(stdin.lock()),
+            stdin.lock(),
             &mut stdout,
+            &client_options,
         ) {
             eprintln!("client failed: {e}");
             exit(1);
         }
         return;
     }
-    // Every other mode reads the whole request set first, then each of
-    // `parallel` connections sends it `repeat` times through
-    // `client_unix_opts` (binary framing and pipelining live there).
+    // Every other mode reads the whole request set first. It is
+    // repeated `repeat` times and the rounds are spread round-robin
+    // across the `parallel` connections — total work is repeat x
+    // request-set no matter the connection count, so the throughput
+    // grid varies concurrency without varying load.
     let requests: String = {
         use std::io::Read;
         let mut buf = String::new();
@@ -868,91 +850,26 @@ fn run_client(args: impl Iterator<Item = String>) {
         }
         buf
     };
-    // The request set is repeated `repeat` times and the rounds are
-    // spread across the `parallel` connections — total work is
-    // repeat x request-set no matter the connection count, so the
-    // throughput grid varies concurrency without varying load. With
-    // --graph-per-conn the split is by graph identity instead, using
-    // the server's own routing hash: connection c carries exactly the
-    // requests an n-shard server routes to shard c (disjoint-shard
-    // load), sent `repeat` times.
-    let per_conn_requests: Vec<String> = {
-        let lines: Vec<&str> = requests.lines().filter(|l| !l.trim().is_empty()).collect();
-        if graph_per_conn {
-            use densest_subgraph::engine::minijson::{self, Value};
-            let mut parts = vec![String::new(); parallel];
-            for line in &lines {
-                let conn = minijson::parse_object(line)
-                    .map(|fields| {
-                        let graph = minijson::get(&fields, "graph").and_then(Value::as_str);
-                        let file = minijson::get(&fields, "file").and_then(Value::as_str);
-                        densest_subgraph::engine::routing_shard(graph, file, parallel)
-                    })
-                    .unwrap_or(0);
-                parts[conn].push_str(line);
-                parts[conn].push('\n');
-            }
-            parts.into_iter().map(|part| part.repeat(repeat)).collect()
-        } else {
-            let mut round = String::with_capacity(requests.len() + 1);
-            for line in &lines {
-                round.push_str(line);
-                round.push('\n');
-            }
-            (0..parallel)
-                .map(|conn| {
-                    let rounds = repeat / parallel + usize::from(conn < repeat % parallel);
-                    round.repeat(rounds)
-                })
-                .collect()
-        }
-    };
-    // Per connection: the responses received so far (flushed to stdout
-    // even when the connection later died), the latency stats, and the
-    // error if the connection failed mid-round — a failed worker must
-    // surface *which* connection died after *how many* exchanges, and
-    // the process must exit non-zero, not just report throughput.
-    let expected_per_conn: Vec<u64> = per_conn_requests
-        .iter()
-        .map(|r| r.lines().count() as u64)
+    let mut round = String::with_capacity(requests.len() + 1);
+    for line in requests.lines().filter(|l| !l.trim().is_empty()) {
+        round.push_str(line);
+        round.push('\n');
+    }
+    let per_conn_requests: Vec<String> = (0..parallel)
+        .map(|conn| round.repeat(repeat / parallel + usize::from(conn < repeat % parallel)))
         .collect();
+    let expected_per_conn: Vec<usize> = per_conn_requests
+        .iter()
+        .map(|r| r.lines().count())
+        .collect();
+    // Per connection: the responses received so far (printed even when
+    // the connection later died), the latency stats, and the error if it
+    // failed mid-round — a failed connection must surface *which* one
+    // died after *how many* exchanges, and the process must exit
+    // non-zero, not just report throughput.
     let started = std::time::Instant::now();
-    type ConnOutput = (Vec<u8>, ClientStats, Option<std::io::Error>);
-    let outputs: Vec<ConnOutput> = std::thread::scope(|s| {
-        let handles: Vec<_> = per_conn_requests
-            .iter()
-            .map(|conn_requests| {
-                let socket = &socket;
-                let options = &client_options;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    match densest_subgraph::engine::client_unix_opts(
-                        socket,
-                        std::io::Cursor::new(conn_requests.as_bytes()),
-                        &mut out,
-                        options,
-                    ) {
-                        Ok(stats) => (out, stats, None),
-                        Err(e) => {
-                            // Responses stream into `out` as they
-                            // arrive, so the partial transcript
-                            // survives the failure.
-                            let partial = out.iter().filter(|&&b| b == b'\n').count() as u64;
-                            let stats = ClientStats {
-                                exchanges: partial,
-                                ..ClientStats::default()
-                            };
-                            (out, stats, Some(e))
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
+    let outputs =
+        densest_subgraph::engine::client_fan_out(&socket, &per_conn_requests, &client_options);
     let elapsed = started.elapsed().as_secs_f64();
     let mut total_exchanges = 0u64;
     let mut all_latencies: Vec<f64> = Vec::new();
@@ -960,13 +877,14 @@ fn run_client(args: impl Iterator<Item = String>) {
     {
         use std::io::Write;
         let mut stdout = std::io::stdout().lock();
-        for (conn, (out, stats, error)) in outputs.iter().enumerate() {
+        for (conn, out) in outputs.iter().enumerate() {
+            let stats = &out.stats;
             total_exchanges += stats.exchanges;
             all_latencies.extend_from_slice(&stats.latencies_ms);
-            if stdout.write_all(out).is_err() {
+            if stdout.write_all(&out.transcript).is_err() {
                 failures += 1;
             }
-            if let Some(e) = error {
+            if let Some(e) = &out.error {
                 failures += 1;
                 eprintln!(
                     "client connection {conn} failed after {}/{} exchanges: {e}",

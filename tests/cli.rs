@@ -759,6 +759,62 @@ fn serve_and_client_flags_are_validated_by_name() {
     }
 }
 
+/// An n-shard server's exit line counts what its shard engines did: the
+/// engine it was configured on serves no request at `--shards 2`.
+#[cfg(unix)]
+#[test]
+fn sharded_serve_exit_line_sums_the_shard_engines() {
+    use std::io::{Read, Write};
+    use std::process::Stdio;
+
+    let path = clique_fixture("sharded_serve_exit_line_sums_the_shard_engines");
+    let sock = std::env::temp_dir().join(format!("dsg_cli_shard_exit_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut server = KillOnDrop(
+        Command::new(densest_bin())
+            .args(["serve", "--shards", "2", "--socket", sock.to_str().unwrap()])
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve starts"),
+    );
+    for _ in 0..300 {
+        if sock.exists() {
+            break;
+        }
+        // Test-only: wait for the spawned server process to bind.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let mut client = Command::new(densest_bin())
+        .args(["client", "--socket", sock.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("client starts");
+    {
+        let stdin = client.stdin.as_mut().unwrap();
+        let query = format!(
+            "{{\"id\":1,\"algorithm\":\"approx\",\"file\":\"{}\"}}",
+            path.display()
+        );
+        writeln!(stdin, "{query}\n{query}\n{{\"op\":\"shutdown\"}}").unwrap();
+    }
+    drop(client.stdin.take());
+    assert!(client.wait_with_output().unwrap().status.success());
+    let mut stderr = String::new();
+    server
+        .0
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(server.0.wait().unwrap().success(), "{stderr}");
+    assert!(stderr.contains("served 2 queries"), "{stderr}");
+    assert!(stderr.contains(" 1 graph loads,"), "{stderr}");
+    assert!(stderr.contains(" 1 result-cache hits,"), "{stderr}");
+}
+
 /// A serve default the planner would reject in every query that omits
 /// `threads` is rejected once, at startup, with the planner's message.
 /// Stdin is closed and no query is sent, so no MapReduce worker starts
