@@ -4,8 +4,8 @@
 //! that makes the paper's scale story real:
 //!
 //! 1. **Semi-streaming**: Algorithm 1 and Algorithm 2 straight over the
-//!    on-disk file (`TextFileStream` / `BinaryFileStream`, one re-read
-//!    per pass, O(n) state) versus the in-memory CSR runs — the rows
+//!    on-disk file (a text and a binary `FileStream`, one re-read per
+//!    pass, O(n) state) versus the in-memory CSR runs — the rows
 //!    assert parity of density, best set, and pass count, and report the
 //!    streamed state footprint next to the in-memory footprint.
 //! 2. **External MapReduce shuffle**: the §5.2 driver with a spill
@@ -27,7 +27,7 @@ use dsg_core::undirected::{approx_densest_csr, try_approx_densest};
 use dsg_datasets::Scale;
 use dsg_graph::gen;
 use dsg_graph::io::{write_binary, write_text};
-use dsg_graph::stream::{BinaryFileStream, EdgeStream, TextFileStream};
+use dsg_graph::stream::{EdgeStream, FileStream};
 use dsg_graph::CsrUndirected;
 use dsg_mapreduce::{mr_densest_undirected, MapReduceConfig, ShuffleBackend};
 
@@ -164,7 +164,7 @@ pub fn run(scale: Scale) -> Report {
             && a.best_set == b.best_set
     };
 
-    let mut text_stream = TextFileStream::open_auto(&text_path).expect("open text stream");
+    let mut text_stream = FileStream::open(&text_path, false).expect("open text stream");
     let (text_run, text_ms) =
         time_ms(|| try_approx_densest(&mut text_stream, epsilon).expect("text stream run"));
     rows.push(Row {
@@ -180,7 +180,7 @@ pub fn run(scale: Scale) -> Report {
         wall_ms: text_ms,
     });
 
-    let mut bin_stream = BinaryFileStream::open(&bin_path).expect("open binary stream");
+    let mut bin_stream = FileStream::open(&bin_path, true).expect("open binary stream");
     let (bin_run, bin_ms) =
         time_ms(|| try_approx_densest(&mut bin_stream, epsilon).expect("binary stream run"));
     rows.push(Row {
@@ -201,7 +201,7 @@ pub fn run(scale: Scale) -> Report {
         "binary stream pass accounting"
     );
 
-    let mut bin_stream_k = BinaryFileStream::open(&bin_path).expect("open binary stream");
+    let mut bin_stream_k = FileStream::open(&bin_path, true).expect("open binary stream");
     let (k_run, k_ms) = time_ms(|| {
         try_approx_densest_at_least_k(&mut bin_stream_k, k, epsilon).expect("streamed atleast-k")
     });

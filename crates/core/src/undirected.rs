@@ -71,11 +71,10 @@ pub fn approx_densest<S: EdgeStream + ?Sized>(stream: &mut S, epsilon: f64) -> U
 
 /// Fallible form of [`approx_densest`] for file-backed streams.
 ///
-/// A `TextFileStream`/`BinaryFileStream` whose file fails mid-run (I/O
-/// error, or the file was modified between passes) aborts the failing
-/// pass and parks the error on the stream
-/// ([`EdgeStream::take_error`]); the run that was computed across it is
-/// garbage. This wrapper checks the stream after the run and returns the
+/// A `FileStream` whose file fails mid-run (I/O error, or the file was
+/// modified between passes) aborts the failing pass and parks the error
+/// on the stream ([`EdgeStream::take_error`]); the run that was computed
+/// across it is garbage. This wrapper checks the stream after the run and returns the
 /// error instead of the invalid result. On always-valid streams
 /// (`MemoryStream`) it never fails.
 pub fn try_approx_densest<S: EdgeStream + ?Sized>(

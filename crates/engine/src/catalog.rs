@@ -9,7 +9,9 @@
 //! as undirected canonicalizes differently, so the orientations are
 //! distinct entries. A cheap `(file length, mtime)` check revalidates
 //! entries on every hit; a changed file is transparently reloaded and
-//! re-fingerprinted.
+//! re-fingerprinted. A load reads its file once: the record loop runs
+//! over a reader that folds every byte it yields into the FNV-1a
+//! fingerprint.
 //!
 //! ## Concurrency model
 //!
@@ -33,7 +35,13 @@
 //!
 //! [`GraphCatalog::stat`] answers the planner's question — how big is
 //! this graph? — *without* materializing: the binary header or a text
-//! validation scan (O(1) memory), cached per path.
+//! validation scan (O(1) memory), cached per path and file stamp. The
+//! cache also keeps the validated [`FileStream`] of each file version
+//! (a text file's stat scan, a binary file's first streamed open), and
+//! streamed queries run copies of it: the engine opens no edge file
+//! outside the catalog, and a streamed query reads its file once per
+//! pass. A cold text load reads its file twice (stat scan, load), a
+//! cold binary load once.
 //!
 //! ## Versioning and named session graphs
 //!
@@ -56,14 +64,15 @@
 // the threat model.
 use rustc_hash::FxHashMap;
 use std::fs::File;
-use std::io::Read;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::SystemTime;
 
 use dsg_graph::delta::DEFAULT_COMPACT_RATIO;
-use dsg_graph::io::{read_binary, read_text, scan_text, BinaryHeader};
+use dsg_graph::io::{read_binary_from, read_text_from, BinaryHeader};
+use dsg_graph::stream::{EdgeStream, FileStream};
 use dsg_graph::{
     CsrDirected, CsrUndirected, DeltaGraph, EdgeList, GraphError, GraphKind, Result as GraphResult,
 };
@@ -79,7 +88,7 @@ use crate::planner::GraphMeta;
 pub struct CatalogEntry {
     /// The canonicalized edge list (exactly what the one-shot CLI built).
     pub list: EdgeList,
-    /// FNV-1a fingerprint of the raw file bytes at load time (0 for
+    /// FNV-1a fingerprint of the raw file bytes the load read (0 for
     /// memory-sourced entries).
     pub fingerprint: u64,
     /// Size/weightedness metadata of the loaded graph.
@@ -91,11 +100,11 @@ pub struct CatalogEntry {
     /// from to detect a file edit racing between stat and load — a
     /// mismatched plan must not enter the result cache.
     pub stored_meta: GraphMeta,
-    /// `false` when the file's stamp changed *during* the load (between
-    /// the parse and the fingerprint), so `list` and `fingerprint` may
-    /// describe different file versions: the entry still answers
-    /// queries, but its reports must not enter the result cache.
-    /// Always `true` for memory entries and undisturbed loads.
+    /// `false` when the file's stamp changed *during* the load, so the
+    /// one read behind `list` and `fingerprint` may have seen parts of
+    /// two file versions: the entry still answers queries, but its
+    /// reports must not enter the result cache. Always `true` for memory
+    /// entries and undisturbed loads.
     pub cacheable: bool,
     /// Catalog version of this snapshot: 0 for file-backed and memory
     /// entries (files are versioned by content fingerprint), a
@@ -413,42 +422,16 @@ fn stamp(path: &Path) -> GraphResult<FileStamp> {
     })
 }
 
-/// FNV-1a over the raw file bytes.
-fn fingerprint_file(path: &Path) -> GraphResult<u64> {
-    let mut f = File::open(path).map_err(GraphError::Io)?;
-    let mut hash = FNV_OFFSET;
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = f.read(&mut buf).map_err(GraphError::Io)?;
-        if n == 0 {
-            break;
-        }
-        hash = fnv1a_update(hash, &buf[..n]);
-    }
-    Ok(hash)
-}
+/// A reader and the FNV-1a state of every byte it has yielded: the load
+/// runs its record loop over one, so the read that parses a file also
+/// fingerprints it.
+struct Fnv1aReader<R>(R, u64);
 
-/// `GraphError` does not implement `Clone` (it wraps `std::io::Error`),
-/// but a single-flight load's failure is shared by every waiter. This
-/// reconstructs an owned error from the shared one, preserving the
-/// variant (and the `io::ErrorKind`) so callers still match on it.
-fn clone_graph_error(e: &GraphError) -> GraphError {
-    match e {
-        GraphError::NodeOutOfRange { node, num_nodes } => GraphError::NodeOutOfRange {
-            node: *node,
-            num_nodes: *num_nodes,
-        },
-        GraphError::Io(io) => GraphError::Io(std::io::Error::new(io.kind(), io.to_string())),
-        GraphError::Parse { line, msg } => GraphError::Parse {
-            line: *line,
-            msg: msg.clone(),
-        },
-        GraphError::Format(msg) => GraphError::Format(msg.clone()),
-        GraphError::TooLarge { what, value, max } => GraphError::TooLarge {
-            what,
-            value: *value,
-            max: *max,
-        },
+impl<R: Read> Read for Fnv1aReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.0.read(buf)?;
+        self.1 = fnv1a_update(self.1, &buf[..n]);
+        Ok(n)
     }
 }
 
@@ -461,7 +444,8 @@ pub struct CatalogStats {
     /// Number of queries answered from a cached entry (including
     /// waiters that shared a single-flight load).
     pub hits: u64,
-    /// Number of meta-only stat scans performed.
+    /// Number of stat misses: file versions whose counts were read
+    /// (a binary header, or a text file's validation scan).
     pub stat_scans: u64,
     /// Number of entries evicted to respect [`GraphCatalog::set_max_entries`].
     pub evictions: u64,
@@ -477,15 +461,22 @@ pub const DEFAULT_MAX_ENTRIES: usize = 32;
 struct Slot {
     stamp: FileStamp,
     last_used: AtomicU64,
-    cell: OnceLock<Result<Arc<CatalogEntry>, Arc<GraphError>>>,
+    cell: OnceLock<GraphResult<Arc<CatalogEntry>>>,
 }
+
+/// What [`GraphCatalog::stat`] keeps of a file's stamped version: its
+/// counts and, once validated, its stream (a text stat's scan, a binary
+/// file's first streamed open), of which streamed queries run copies.
+type FileStat = (FileStamp, GraphMeta, Option<FileStream>);
 
 /// The catalog itself: internally synchronized, `Send + Sync`, shared by
 /// reference (or `Arc`) across however many worker threads the serve
 /// mode runs.
 pub struct GraphCatalog {
     entries: RwLock<FxHashMap<Key, Arc<Slot>>>,
-    meta_cache: RwLock<FxHashMap<Key, (GraphMeta, FileStamp)>>,
+    /// The stat of each `(path, binary)` file. Counts do not depend on
+    /// how edges are oriented, so both orientations share one stat.
+    meta_cache: RwLock<FxHashMap<(PathBuf, bool), FileStat>>,
     named: RwLock<FxHashMap<String, Arc<NamedGraph>>>,
     loads: AtomicU64,
     hits: AtomicU64,
@@ -655,13 +646,11 @@ impl GraphCatalog {
         let mut loaded_here = false;
         let outcome = slot.cell.get_or_init(|| {
             loaded_here = true;
-            match load_entry(path, binary, kind, current) {
-                Ok(entry) => {
-                    self.loads.fetch_add(1, Ordering::Relaxed);
-                    Ok(entry)
-                }
-                Err(e) => Err(Arc::new(e)),
+            let loaded = load_entry(path, binary, kind, current);
+            if loaded.is_ok() {
+                self.loads.fetch_add(1, Ordering::Relaxed);
             }
+            loaded
         });
         match outcome {
             Ok(entry) => {
@@ -679,7 +668,7 @@ impl GraphCatalog {
                         map.remove(&key);
                     }
                 }
-                Err(clone_graph_error(e))
+                Err(e.clone())
             }
         }
     }
@@ -743,7 +732,7 @@ impl GraphCatalog {
 
     /// Size metadata for planning, **without** materializing the graph:
     /// binary header, or a text validation scan with O(1) memory. Cached
-    /// per `(path, format, orientation)` and revalidated by file stamp.
+    /// per `(path, format)` and revalidated by file stamp.
     ///
     /// The counts always describe the file **as stored** — never the
     /// canonicalized in-memory entry — so a plan is a pure function of
@@ -753,35 +742,63 @@ impl GraphCatalog {
     /// query plan differently hot vs cold, and serve-mode results could
     /// then diverge from one-shot runs.)
     pub fn stat(&self, path: &Path, binary: bool) -> GraphResult<GraphMeta> {
-        // Node/edge counts and weightedness do not depend on how the
-        // edges will be oriented, so there is no orientation parameter:
-        // a directed query after an undirected one (or vice versa) is
-        // served from the same cached scan.
-        let key = Key {
-            path: path.to_path_buf(),
-            binary,
-            kind: GraphKind::Undirected,
-        };
+        Ok(self.stat_version(path, binary, false)?.0)
+    }
+
+    /// A copy of the validated stream over the current version of
+    /// `path`. It reads the file only if no stat validated this version
+    /// yet (a binary stat reads just the header). Each pass checks the
+    /// file against that validation, so even a rewrite the stamp misses
+    /// fails as drift.
+    pub(crate) fn stream(&self, path: &Path, binary: bool) -> GraphResult<FileStream> {
+        let (_, stream) = self.stat_version(path, binary, true)?;
+        Ok(stream.expect("a streamed stat returns its stream"))
+    }
+
+    /// Drops the stat of `path` (its counts and validated stream), so the
+    /// next query rescans the file.
+    pub(crate) fn forget_stat(&self, path: &Path, binary: bool) {
+        let mut cache = self.meta_cache.write().expect("catalog lock poisoned");
+        cache.remove(&(path.to_path_buf(), binary));
+    }
+
+    /// The stat of the current version of `path`, with a copy of its
+    /// validated stream when `want_stream`.
+    fn stat_version(
+        &self,
+        path: &Path,
+        binary: bool,
+        want_stream: bool,
+    ) -> GraphResult<(GraphMeta, Option<FileStream>)> {
+        let key = (path.to_path_buf(), binary);
         let current = stamp(path)?;
-        {
+        let cached = {
             let cache = self.meta_cache.read().expect("catalog lock poisoned");
-            if let Some((meta, cached)) = cache.get(&key) {
-                if *cached == current {
-                    return Ok(*meta);
-                }
+            cache
+                .get(&key)
+                .filter(|(stamp, ..)| *stamp == current)
+                .map(|(_, meta, stream)| (*meta, stream.as_ref().filter(|_| want_stream).cloned()))
+        };
+        match cached {
+            Some((meta, stream)) if !want_stream || stream.is_some() => return Ok((meta, stream)),
+            // A binary stat reads only the header: validate on first use.
+            Some(_) => {}
+            None => {
+                self.stat_scans.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Scans run without any lock held: two threads racing on the
-        // same cold path may both scan (each counted), and the last
-        // insert wins — both computed the same answer from the same
-        // stamped file.
-        self.stat_scans.fetch_add(1, Ordering::Relaxed);
-        let (nodes, edges, weighted) = if binary {
-            let (header, _) = BinaryHeader::read(path)?;
-            (header.num_nodes, header.num_edges, header.weighted)
-        } else {
-            let scan = scan_text(path)?;
-            (scan.num_nodes()?, scan.edges, scan.weighted)
+        // same cold path may both scan, and the last insert wins — both
+        // computed the same answer from the same stamped file.
+        let stream = (want_stream || !binary)
+            .then(|| FileStream::open(path, binary))
+            .transpose()?;
+        let (nodes, edges, weighted) = match &stream {
+            Some(s) => (s.num_nodes(), s.num_edges(), s.is_weighted()),
+            None => {
+                let (header, _) = BinaryHeader::read(path)?;
+                (header.num_nodes, header.num_edges, header.weighted)
+            }
         };
         let meta = GraphMeta {
             nodes: u64::from(nodes),
@@ -789,15 +806,16 @@ impl GraphCatalog {
             weighted,
             file_bytes: current.len,
         };
+        let handed = stream.as_ref().filter(|_| want_stream).cloned();
         let mut cache = self.meta_cache.write().expect("catalog lock poisoned");
-        // The meta cache holds a few fixed-size words per key; bound it
-        // all the same so a server stat-ing endless distinct paths
-        // cannot grow without limit.
+        // A stat holds a few words and a path per key; bound the map all
+        // the same so a server stat-ing endless distinct paths cannot
+        // grow without limit.
         if cache.len() >= 4 * self.max_entries.load(Ordering::Relaxed) {
             cache.clear();
         }
-        cache.insert(key, (meta, current));
-        Ok(meta)
+        cache.insert(key, (current, meta, stream));
+        Ok((meta, handed))
     }
 
     // ----- named session graphs -------------------------------------
@@ -1171,31 +1189,37 @@ impl GraphCatalog {
     }
 }
 
-/// The load sequence: read, orient, canonicalize, fingerprint. Runs at
-/// most once per `(key, stamp)` thanks to the slot's `OnceLock`.
+/// The load sequence: read and fingerprint, orient, canonicalize. Runs
+/// at most once per `(key, stamp)` thanks to the slot's `OnceLock`.
 ///
-/// The parse and the fingerprint are two separate reads of the file, so
-/// an edit landing between them would pair one version's edges with the
-/// other version's hash. The stamp is re-taken afterwards to detect
-/// that: a changed stamp marks the entry `cacheable = false`, so it can
-/// still answer queries (some consistent-enough version of the file)
-/// but its reports never enter the result cache under a fingerprint
-/// that may describe different bytes.
+/// The file is read once, through [`Fnv1aReader`], so the edges and the
+/// fingerprint always describe the same bytes. The stamp is re-taken
+/// afterwards: an edit landing during the read may have torn it across
+/// two versions, so a changed stamp marks the entry `cacheable = false`
+/// — it can still answer queries, but its reports never enter the
+/// result cache.
 fn load_entry(
     path: &Path,
     binary: bool,
     kind: GraphKind,
     before: FileStamp,
 ) -> GraphResult<Arc<CatalogEntry>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut bytes = Fnv1aReader(file, FNV_OFFSET);
     let mut list = if binary {
-        read_binary(path)?
+        read_binary_from(&mut bytes, len)?
     } else {
-        read_text(path, kind)?
+        read_text_from(&mut bytes, kind)?
     };
+    // The text loop reads to the end of the file. The binary loop stops
+    // after the records its header counts, which end the file unless it
+    // grew during the load: hash any such tail too.
+    io::copy(&mut bytes, &mut io::sink())?;
     // As-stored accounting of exactly the bytes just read — the same
-    // numbers `stat` reports for this file version (`read_text` and
-    // `scan_text` run one record loop and one `max id + 1` rule; binary
-    // counts come from the header).
+    // numbers `stat` reports for this file version (a text stat and
+    // `read_text_from` run one record loop and one `max id + 1` rule;
+    // binary counts come from the header).
     let stored_meta = GraphMeta {
         nodes: list.num_nodes as u64,
         edges: list.num_edges() as u64,
@@ -1204,9 +1228,8 @@ fn load_entry(
     };
     list.kind = kind;
     list.canonicalize();
-    let fingerprint = fingerprint_file(path)?;
     let after = stamp(path)?;
-    let mut entry = CatalogEntry::from_list(list, before.len, fingerprint);
+    let mut entry = CatalogEntry::from_list(list, before.len, bytes.1);
     entry.stored_meta = stored_meta;
     entry.cacheable = after == before;
     Ok(Arc::new(entry))
@@ -1365,6 +1388,61 @@ mod tests {
             cat.get_or_load(&path, false, GraphKind::Undirected),
             Err(GraphError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn a_load_fingerprints_the_bytes_it_parses() {
+        // One read parses and hashes: the fingerprint is FNV-1a of the
+        // whole file, in both formats, across several read buffers.
+        let mut g = EdgeList::new_undirected(1000);
+        for i in 0..20_000u32 {
+            g.push_weighted(i % 1000, (i * 7 + 1) % 1000, 0.5 + f64::from(i % 3));
+        }
+        let text = fixture("fingerprint.txt", "");
+        dsg_graph::io::write_text(&text, &g).unwrap();
+        let bin = text.with_extension("bin");
+        dsg_graph::io::write_binary(&bin, &g).unwrap();
+        let cat = GraphCatalog::new();
+        for (path, binary) in [(&text, false), (&bin, true)] {
+            let (entry, _) = cat
+                .get_or_load(path, binary, GraphKind::Undirected)
+                .unwrap();
+            let bytes = std::fs::read(path).unwrap();
+            assert!(bytes.len() > 3 * 64 * 1024, "several buffers");
+            assert_eq!(entry.fingerprint, fnv1a(&bytes), "binary {binary}");
+            assert!(entry.cacheable);
+        }
+    }
+
+    #[test]
+    fn a_stat_keeps_the_validated_stream() {
+        // Text: the stat scan is the stream's validation, so streaming
+        // reads nothing more. Binary: the header stat reads no records;
+        // the first stream validates and is kept. Forgetting the stat
+        // makes the next stream rescan.
+        let text = fixture("stat_stream.txt", "0 1\n1 2\n");
+        let bin = text.with_extension("bin");
+        let mut g = EdgeList::new_undirected(3);
+        g.push(0, 1);
+        dsg_graph::io::write_binary(&bin, &g).unwrap();
+        let cat = GraphCatalog::new();
+        for (path, binary) in [(&text, false), (&bin, true)] {
+            let scans = cat.stats().stat_scans;
+            let meta = cat.stat(path, binary).unwrap();
+            let stream = cat.stream(path, binary).unwrap();
+            assert_eq!(cat.stats().stat_scans, scans + 1, "binary {binary}");
+            assert_eq!(
+                (u64::from(stream.num_nodes()), stream.num_edges()),
+                (meta.nodes, meta.edges)
+            );
+            assert_eq!(stream.passes(), 0);
+            cat.stream(path, binary).unwrap();
+            assert_eq!(cat.stats().stat_scans, scans + 1);
+            cat.forget_stat(path, binary);
+            cat.stream(path, binary).unwrap();
+            assert_eq!(cat.stats().stat_scans, scans + 2);
+        }
+        assert_eq!(cat.stats().loads, 0);
     }
 
     #[test]

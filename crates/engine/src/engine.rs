@@ -66,7 +66,7 @@ use std::time::Instant;
 
 use dsg_core::enumerate::EnumerateOptions;
 use dsg_core::result::streaming_state_bytes;
-use dsg_graph::stream::{BinaryFileStream, EdgeStream, MemoryStream, TextFileStream};
+use dsg_graph::stream::{EdgeStream, MemoryStream};
 use dsg_graph::{EdgeList, GraphKind, NodeSet};
 use dsg_mapreduce::{mr_densest_undirected, MapReduceConfig, MrUndirectedResult};
 use dsg_sketch::{approx_densest_sketched, try_approx_densest_sketched, SketchParams};
@@ -303,18 +303,20 @@ impl Engine {
 
     /// Plans and executes `query`, returning the unified [`Report`].
     ///
-    /// Cost model: planning a cold **text** file costs one extra O(1)-
-    /// memory validation scan before execution (binary files read only
-    /// the header), and the first materialized load also fingerprints
-    /// the file's bytes. Both are per-file one-offs — the scan result
-    /// is cached by `(length, mtime)` stamp and the load by the
-    /// catalog — so the long-running serve mode amortizes them to zero;
-    /// a one-shot CLI run pays one extra sequential read in exchange
-    /// for a budget-aware plan. A repeated materialized query over an
-    /// unchanged file additionally skips the computation entirely: the
-    /// result cache replays the stored report (byte-identical minus
-    /// `elapsed_ms`), still re-stamping the file so an edit is never
-    /// served stale.
+    /// Cost model: planning a cold **text** file costs one O(1)-memory
+    /// validation scan before execution (binary files read only the
+    /// header). A materialized load then reads the file once,
+    /// fingerprinting the bytes as it parses them; a streamed run reads
+    /// it once per pass, over the stream the scan validated (a binary
+    /// file's first streamed run validates it in one more read). The
+    /// scan and its stream are cached per `(length, mtime)` stamp and
+    /// the load by the catalog — per-file one-offs the long-running
+    /// serve mode amortizes to zero; a one-shot CLI run pays one extra
+    /// sequential read in exchange for a budget-aware plan. A repeated
+    /// materialized query over an unchanged file additionally skips the
+    /// computation entirely: the result cache replays the stored report
+    /// (byte-identical minus `elapsed_ms`), still re-stamping the file
+    /// so an edit is never served stale.
     pub fn execute(
         &self,
         source: &Source,
@@ -432,7 +434,7 @@ impl Engine {
         let mut exec = Execution::default();
         let outcome = match plan.backend {
             Backend::Streamed | Backend::Sketched { streamed: true, .. } => {
-                let named_entry = named_ctx.as_ref().map(|(_, entry)| entry.clone());
+                let named_entry = named_ctx.as_ref().map(|(_, entry)| &**entry);
                 self.run_streamed(source, named_entry, query, &plan, &mut exec)?
             }
             _ => {
@@ -729,45 +731,48 @@ impl Engine {
     }
 
     /// Out-of-core path: run straight over the source's edge stream,
-    /// never materializing the edge list. Named graphs stream the
-    /// snapshot `execute` already resolved (`named_entry`), like memory
-    /// sources — never a re-fetched one, so the plan and the stream
-    /// always describe the same version even under concurrent
-    /// mutations or eviction.
+    /// never materializing the edge list. A file streams a copy of the
+    /// catalog's validated stream of its current version, so the run
+    /// reads the file once per pass; when a pass finds the file changed
+    /// (even under an unchanged stamp), the run fails and the catalog
+    /// forgets the version, so the next query rescans it. Memory sources
+    /// and named graphs stream their list borrowed — for a named graph
+    /// the snapshot `execute` already resolved (`named_entry`), never a
+    /// re-fetched one, so the plan and the stream always describe the
+    /// same version even under concurrent mutations or eviction.
     fn run_streamed(
         &self,
         source: &Source,
-        named_entry: Option<Arc<CatalogEntry>>,
+        named_entry: Option<&CatalogEntry>,
         query: &Query,
         plan: &Plan,
         exec: &mut Execution,
     ) -> Result<Outcome> {
-        let (mut stream, num_edges): (Box<dyn EdgeStream>, u64) = match source {
+        let (mut stream, num_edges): (Box<dyn EdgeStream + '_>, u64) = match source {
             Source::File { path, binary, .. } => {
-                if *binary {
-                    let s = BinaryFileStream::open(path)?;
-                    let m = s.num_edges();
-                    (Box::new(s), m)
-                } else {
-                    let s = TextFileStream::open_auto(path)?;
-                    let m = s.num_edges();
-                    (Box::new(s), m)
-                }
+                let s = self.catalog.stream(path, *binary)?;
+                let m = s.num_edges();
+                (Box::new(s), m)
             }
-            Source::Memory { list, .. } => {
-                let m = list.num_edges() as u64;
-                (Box::new(MemoryStream::new(list.clone())), m)
-            }
+            Source::Memory { list, .. } => (
+                Box::new(MemoryStream::borrowed(list)),
+                list.num_edges() as u64,
+            ),
             Source::Named { .. } => {
                 let entry = named_entry.expect("execute resolves named sources up front");
                 let m = entry.list.num_edges() as u64;
-                (Box::new(MemoryStream::new(entry.list.clone())), m)
+                (Box::new(MemoryStream::borrowed(&entry.list)), m)
             }
         };
         let n = stream.num_nodes() as u64;
         exec.graph_nodes = n;
         exec.graph_edges = num_edges;
-        let fail = EngineError::StreamFailed;
+        let fail = |e| {
+            if let Source::File { path, binary, .. } = source {
+                self.catalog.forget_stat(path, *binary);
+            }
+            EngineError::StreamFailed(e)
+        };
 
         match (query.algorithm, plan.backend) {
             (
@@ -858,7 +863,7 @@ impl Engine {
                     streamed: false,
                 },
             ) => {
-                let mut stream = MemoryStream::new(list.clone());
+                let mut stream = MemoryStream::borrowed(list);
                 let sk =
                     approx_densest_sketched(&mut stream, epsilon, SketchParams::paper(width, 0));
                 exec.sketch_words = Some((sk.sketch_words as u64, sk.exact_words as u64));
@@ -869,7 +874,7 @@ impl Engine {
                     num_workers: workers,
                     num_reducers: workers * 4,
                     combine: true,
-                    shuffle: shuffle.to_backend(),
+                    shuffle,
                 };
                 let splits = mr_edge_splits(list, workers);
                 let result = mr_densest_undirected(&config, list.num_nodes, splits, epsilon);

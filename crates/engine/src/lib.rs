@@ -88,7 +88,7 @@ pub use engine::{mr_edge_splits, Engine, ServeReport, WarmStats, DEFAULT_INCREME
 pub use error::{EngineError, Result};
 pub use incremental::IncrementalDebug;
 pub use persistence::{RecoveryStats, WalStats, DEFAULT_FSYNC_EVERY, DEFAULT_SNAPSHOT_EVERY};
-pub use planner::{Backend, GraphMeta, Plan, ShuffleChoice};
+pub use planner::{Backend, GraphMeta, Plan};
 pub use query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
 pub use report::{JsonBuilder, Outcome, Report, ShuffleStats};
 pub use result_cache::{GraphId, ResultCache, ResultCacheStats};

@@ -117,34 +117,10 @@ pub enum Backend {
     MapReduce {
         /// Worker threads of the simulated cluster.
         workers: usize,
-        /// Planned shuffle placement.
-        shuffle: ShuffleChoice,
+        /// Planned shuffle placement: in RAM, or spilled to disk above
+        /// a per-worker, per-partition byte budget.
+        shuffle: ShuffleBackend,
     },
-}
-
-/// Shuffle placement of a MapReduce plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShuffleChoice {
-    /// All shuffle records stay in RAM.
-    InRam,
-    /// Spill sorted runs to disk above a per-worker, per-partition byte
-    /// budget.
-    Spill {
-        /// The spill budget handed to the shuffle.
-        budget_bytes: usize,
-    },
-}
-
-impl ShuffleChoice {
-    /// Converts the planned choice into the mapreduce crate's backend.
-    pub fn to_backend(self) -> ShuffleBackend {
-        match self {
-            ShuffleChoice::InRam => ShuffleBackend::InMemory,
-            ShuffleChoice::Spill { budget_bytes } => ShuffleBackend::External {
-                spill_budget_bytes: budget_bytes,
-            },
-        }
-    }
 }
 
 impl Backend {
@@ -158,11 +134,11 @@ impl Backend {
             } => "sketch",
             Backend::Sketched { streamed: true, .. } => "sketch-stream",
             Backend::MapReduce {
-                shuffle: ShuffleChoice::InRam,
+                shuffle: ShuffleBackend::InMemory,
                 ..
             } => "mapreduce",
             Backend::MapReduce {
-                shuffle: ShuffleChoice::Spill { .. },
+                shuffle: ShuffleBackend::External { .. },
                 ..
             } => "mapreduce-spill",
         }
@@ -254,7 +230,7 @@ fn plan_shuffle(
     meta: &GraphMeta,
     policy: &ResourcePolicy,
     reasons: &mut Vec<String>,
-) -> ShuffleChoice {
+) -> ShuffleBackend {
     let est = est_shuffle_bytes_per_pass(meta);
     match policy.memory_budget_bytes {
         Some(budget) if est > budget => {
@@ -266,19 +242,19 @@ fn plan_shuffle(
                 "shuffle ≈{est} B/pass exceeds budget {budget} B → spill to disk \
                  ({per_worker} B per worker bucket)"
             ));
-            ShuffleChoice::Spill {
-                budget_bytes: per_worker as usize,
+            ShuffleBackend::External {
+                spill_budget_bytes: per_worker as usize,
             }
         }
         Some(budget) => {
             reasons.push(format!(
                 "shuffle ≈{est} B/pass fits budget {budget} B → in-RAM shuffle"
             ));
-            ShuffleChoice::InRam
+            ShuffleBackend::InMemory
         }
         None => {
             reasons.push("no memory budget → in-RAM shuffle".into());
-            ShuffleChoice::InRam
+            ShuffleBackend::InMemory
         }
     }
 }
@@ -430,8 +406,8 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
         Backend::MapReduce { shuffle, .. } => {
             est_mem
                 + match shuffle {
-                    ShuffleChoice::InRam => est_shuffle_bytes_per_pass(meta),
-                    ShuffleChoice::Spill { budget_bytes } => budget_bytes as u64,
+                    ShuffleBackend::InMemory => est_shuffle_bytes_per_pass(meta),
+                    ShuffleBackend::External { spill_budget_bytes } => spill_budget_bytes as u64,
                 }
         }
     };
@@ -589,7 +565,7 @@ mod tests {
         assert!(matches!(
             ram.backend,
             Backend::MapReduce {
-                shuffle: ShuffleChoice::InRam,
+                shuffle: ShuffleBackend::InMemory,
                 ..
             }
         ));
@@ -602,7 +578,7 @@ mod tests {
             spill.backend,
             Backend::MapReduce {
                 workers: 2,
-                shuffle: ShuffleChoice::Spill { .. }
+                shuffle: ShuffleBackend::External { .. }
             }
         ));
         assert_eq!(spill.backend.name(), "mapreduce-spill");

@@ -7,12 +7,13 @@
 //! [`BinaryHeader`] and fixed-width little-endian records, so that the
 //! out-of-core experiments are not bottlenecked on integer parsing.
 //!
-//! Every read of an edge file (a load, a validation scan, a streamed
-//! pass, the engine's `stat`) runs the record loop of its format. Both
-//! loops read through one 64 KiB buffer with no allocation per line or
-//! record, and fold the same [`EdgeScan`]. Text lines all go through
+//! Every read of an edge file (a load, a stream's validating open or
+//! pass) runs the record loop of its format. Both loops read through one
+//! 64 KiB buffer with no allocation per line or record, and fold the
+//! same [`EdgeScan`]. Text lines all go through
 //! [`crate::stream::parse_edge_line`], so a file loads in memory if and
-//! only if it also streams.
+//! only if it also streams. [`read_text_from`] and [`read_binary_from`]
+//! load from any reader, so a caller can watch the bytes go by.
 //!
 //! Nothing in this module panics on user input: malformed files, header
 //! limits, and out-of-range node ids all surface as [`GraphError`]s.
@@ -75,13 +76,13 @@ fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
     out
 }
 
-/// The text record loop: parses each line of `file` with
-/// [`parse_edge_line`] (1-based line numbers) and calls `f(u, v, w)` per
-/// edge, `w = 1` without a weight column. It stops at the first error: a
-/// read, invalid UTF-8 (`InvalidData`), a parse error, or `f`'s. A line
-/// longer than the buffer grows it.
+/// The text record loop: parses each line `reader` yields with
+/// [`parse_edge_line`] (1-based line numbers), to the end of the input,
+/// and calls `f(u, v, w)` per edge, `w = 1` without a weight column. It
+/// stops at the first error: a read, invalid UTF-8 (`InvalidData`), a
+/// parse error, or `f`'s. A line longer than the buffer grows it.
 pub(crate) fn for_each_text_edge(
-    mut file: File,
+    mut reader: impl Read,
     mut f: impl FnMut(u32, u32, f64) -> Result<()>,
 ) -> Result<EdgeScan> {
     let mut scan = EdgeScan::default();
@@ -89,7 +90,7 @@ pub(crate) fn for_each_text_edge(
     let (mut end, mut line_no) = (0, 0u64);
     loop {
         // `end < buf.len()` here, so a read of 0 bytes is the end of file.
-        let n = match file.read(&mut buf[end..]) {
+        let n = match reader.read(&mut buf[end..]) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
@@ -123,12 +124,6 @@ pub(crate) fn for_each_text_edge(
             buf.resize(2 * end, 0);
         }
     }
-}
-
-/// Parses a text edge list without keeping its edges (the validation
-/// scan of [`crate::stream::TextFileStream`], the engine's `stat`).
-pub fn scan_text<P: AsRef<Path>>(path: P) -> Result<EdgeScan> {
-    for_each_text_edge(File::open(path)?, |_, _, _| Ok(()))
 }
 
 /// Writes `list` as a text edge list with a SNAP-style header comment.
@@ -166,13 +161,18 @@ pub fn write_text<P: AsRef<Path>>(path: P, list: &EdgeList) -> Result<()> {
 /// Self-loops and duplicates are kept — call [`EdgeList::canonicalize`]
 /// to simplify.
 ///
-/// Uses the same line grammar as [`crate::stream::TextFileStream`]
-/// (shared [`parse_edge_line`]): `u v [w]`, `#` comments, and **no**
-/// trailing tokens — a file loads here if and only if it streams.
+/// Uses the same line grammar as [`crate::stream::FileStream`] (shared
+/// [`parse_edge_line`]): `u v [w]`, `#` comments, and **no** trailing
+/// tokens — a file loads here if and only if it streams.
 pub fn read_text<P: AsRef<Path>>(path: P, kind: GraphKind) -> Result<EdgeList> {
+    read_text_from(File::open(path)?, kind)
+}
+
+/// [`read_text`] over the bytes `reader` yields, read to the end.
+pub fn read_text_from(reader: impl Read, kind: GraphKind) -> Result<EdgeList> {
     let mut edges = Vec::new();
     let mut weights = Vec::new();
-    let scan = for_each_text_edge(File::open(path)?, |u, v, w| {
+    let scan = for_each_text_edge(reader, |u, v, w| {
         edges.push((u, v));
         weights.push(w);
         Ok(())
@@ -186,7 +186,7 @@ pub fn read_text<P: AsRef<Path>>(path: P, kind: GraphKind) -> Result<EdgeList> {
 }
 
 /// Writes `list` in the compact binary format readable by
-/// [`crate::stream::BinaryFileStream`] and [`read_binary`].
+/// [`crate::stream::FileStream`] and [`read_binary`].
 ///
 /// The format stores the edge count as a `u32`; lists with more than
 /// `u32::MAX` edges are rejected with [`GraphError::TooLarge`].
@@ -245,8 +245,16 @@ impl BinaryHeader {
     /// the file, positioned at the first record.
     pub fn read<P: AsRef<Path>>(path: P) -> Result<(BinaryHeader, File)> {
         let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok((Self::read_from(&mut file, len)?, file))
+    }
+
+    /// Reads and validates the header at the start of `reader`, a binary
+    /// edge file of `len` bytes.
+    fn read_from(reader: &mut impl Read, len: u64) -> Result<BinaryHeader> {
         let mut bytes = [0u8; 16];
-        file.read_exact(&mut bytes)
+        reader
+            .read_exact(&mut bytes)
             .map_err(|_| GraphError::Format("binary edge file shorter than header".into()))?;
         let word = |at| u32::from_le_bytes(le(&bytes, at));
         let magic = word(0);
@@ -267,13 +275,12 @@ impl BinaryHeader {
             },
         };
         let expected = 16 + header.num_edges * header.record_len() as u64;
-        let actual = file.metadata()?.len();
-        if actual != expected {
+        if len != expected {
             return Err(GraphError::Format(format!(
-                "binary edge file length {actual} != expected {expected}"
+                "binary edge file length {len} != expected {expected}"
             )));
         }
-        Ok((header, file))
+        Ok(header)
     }
 
     fn record_len(&self) -> usize {
@@ -292,7 +299,7 @@ impl BinaryHeader {
 /// after [`BinaryHeader::read`]) is a `truncated at record i` format
 /// error, `i` the first record of the buffer it could not fill.
 pub(crate) fn for_each_binary_edge(
-    mut file: File,
+    mut reader: impl Read,
     header: &BinaryHeader,
     mut f: impl FnMut(u32, u32, f64),
 ) -> Result<EdgeScan> {
@@ -305,7 +312,7 @@ pub(crate) fn for_each_binary_edge(
     while scan.edges < header.num_edges {
         let left = (header.num_edges - scan.edges) * record as u64;
         let chunk = &mut buf[..left.min(IO_BUFFER as u64) as usize];
-        file.read_exact(chunk).map_err(|e| {
+        reader.read_exact(chunk).map_err(|e| {
             GraphError::Format(format!(
                 "binary edge file truncated at record {}: {e}",
                 scan.edges
@@ -335,11 +342,19 @@ pub(crate) fn for_each_binary_edge(
 /// Reads a binary edge file into memory through the binary record loop
 /// (only the edge list is materialized, never a whole-file byte copy).
 pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<EdgeList> {
-    let (header, file) = BinaryHeader::read(path)?;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_binary_from(file, len)
+}
+
+/// [`read_binary`] over `reader`, a binary edge file of `len` bytes. It
+/// reads the header and the records the header counts, and no further.
+pub fn read_binary_from(mut reader: impl Read, len: u64) -> Result<EdgeList> {
+    let header = BinaryHeader::read_from(&mut reader, len)?;
     let m = header.num_edges as usize;
     let mut edges = Vec::with_capacity(m);
     let mut weights = Vec::with_capacity(if header.weighted { m } else { 0 });
-    for_each_binary_edge(file, &header, |u, v, w| {
+    for_each_binary_edge(reader, &header, |u, v, w| {
         edges.push((u, v));
         if header.weighted {
             weights.push(w);
@@ -356,7 +371,7 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<EdgeList> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{BinaryFileStream, EdgeStream};
+    use crate::stream::{EdgeStream, FileStream};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("dsg_graph_io_tests");
@@ -398,7 +413,7 @@ mod tests {
 
     #[test]
     fn text_rejects_trailing_tokens_like_the_stream() {
-        // read_text and TextFileStream share one parser; a line with a
+        // read_text and a text FileStream share one parser; a line with a
         // fourth token fails identically in both.
         let path = tmp("t3.txt");
         std::fs::write(&path, "0 1\n1 2 0.5 extra\n").unwrap();
@@ -407,7 +422,7 @@ mod tests {
             matches!(loaded, Err(GraphError::Parse { line: 2, .. })),
             "{loaded:?}"
         );
-        let streamed = crate::stream::TextFileStream::open(&path, 3);
+        let streamed = FileStream::open(&path, false);
         assert!(matches!(
             streamed.err(),
             Some(GraphError::Parse { line: 2, .. })
@@ -443,7 +458,7 @@ mod tests {
         let path = tmp("b3.bin");
         let g = sample();
         write_binary(&path, &g).unwrap();
-        let mut s = BinaryFileStream::open(&path).unwrap();
+        let mut s = FileStream::open(&path, true).unwrap();
         assert_eq!(s.num_nodes(), 5);
         assert_eq!(s.num_edges(), 3);
         let mut seen = Vec::new();
@@ -459,7 +474,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         assert!(read_binary(&path).is_err());
-        assert!(BinaryFileStream::open(&path).is_err());
+        assert!(FileStream::open(&path, true).is_err());
     }
 
     #[test]
@@ -502,16 +517,17 @@ mod tests {
         assert_eq!(seen, vec![(1, 2, 0.25)]);
     }
 
-    /// `read_text` and `scan_text` over `body`, which must agree.
+    /// `read_text` and a text stream's validating open over `body`,
+    /// which must agree.
     fn text_edges(name: &str, body: &[u8]) -> Result<EdgeList> {
         let path = tmp(name);
         std::fs::write(&path, body).unwrap();
         let loaded = read_text(&path, GraphKind::Undirected);
         if let Ok(list) = &loaded {
-            let scan = scan_text(&path).unwrap();
-            assert_eq!(scan.edges, list.num_edges() as u64);
-            assert_eq!(scan.num_nodes().unwrap(), list.num_nodes);
-            assert_eq!(scan.weighted, list.is_weighted());
+            let scan = FileStream::open(&path, false).unwrap();
+            assert_eq!(scan.num_edges(), list.num_edges() as u64);
+            assert_eq!(scan.num_nodes(), list.num_nodes);
+            assert_eq!(scan.is_weighted(), list.is_weighted());
         }
         loaded
     }
@@ -593,7 +609,7 @@ mod tests {
             let h = read_binary(&path).unwrap();
             assert_eq!(h.edges, g.edges);
             assert_eq!(h.weights, g.weights);
-            let mut s = BinaryFileStream::open(&path).unwrap();
+            let mut s = FileStream::open(&path, true).unwrap();
             let mut seen = Vec::new();
             s.for_each_edge(&mut |u, v, w| seen.push((u, v, w)));
             assert!(s.take_error().is_none());
@@ -626,7 +642,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            BinaryFileStream::open(&path),
+            FileStream::open(&path, true),
             Err(GraphError::NodeOutOfRange { node: 777, .. })
         ));
     }

@@ -102,6 +102,30 @@ impl std::fmt::Display for GraphError {
     }
 }
 
+/// `std::io::Error` is not `Clone`: a cloned [`GraphError::Io`] keeps the
+/// error's kind and message. Every other variant clones field by field.
+impl Clone for GraphError {
+    fn clone(&self) -> Self {
+        match self {
+            GraphError::NodeOutOfRange { node, num_nodes } => GraphError::NodeOutOfRange {
+                node: *node,
+                num_nodes: *num_nodes,
+            },
+            GraphError::Io(e) => GraphError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            GraphError::Parse { line, msg } => GraphError::Parse {
+                line: *line,
+                msg: msg.clone(),
+            },
+            GraphError::Format(msg) => GraphError::Format(msg.clone()),
+            GraphError::TooLarge { what, value, max } => GraphError::TooLarge {
+                what,
+                value: *value,
+                max: *max,
+            },
+        }
+    }
+}
+
 impl std::error::Error for GraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

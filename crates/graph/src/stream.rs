@@ -8,14 +8,13 @@
 //! counts passes so experiments can report the paper's headline metric.
 //!
 //! Implementations:
-//! * [`MemoryStream`] — edges held in RAM (fast experiments).
-//! * [`TextFileStream`] — re-reads a SNAP-style text edge list from disk on
-//!   every pass (true out-of-core streaming).
-//! * [`BinaryFileStream`] — re-reads the compact binary format of
-//!   [`crate::io`].
-//!
-//! Both file streams read through the record loops of [`crate::io`]: one
-//! 64 KiB buffer per pass, no allocation per line or record.
+//! * [`MemoryStream`] — edges held in RAM, owned or borrowed.
+//! * [`FileStream`] — re-reads a text or binary edge file of
+//!   [`crate::io`] on every pass (true out-of-core streaming), through
+//!   the record loop of its format: one 64 KiB buffer per pass, no
+//!   allocation per line or record. Opening one validates the file in
+//!   one read; a clone reuses that validation, so p passes over a kept
+//!   stream's clone read the file p times.
 //!
 //! ## Failure model of the file streams
 //!
@@ -30,11 +29,12 @@
 //! taken; any results computed across a failed pass must be discarded
 //! (see `dsg-core`'s `try_` entry points).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
 use crate::edgelist::EdgeList;
-use crate::io::{for_each_binary_edge, for_each_text_edge, scan_text, BinaryHeader, EdgeScan};
+use crate::io::{for_each_binary_edge, for_each_text_edge, BinaryHeader, EdgeScan};
 use crate::{GraphError, Result};
 
 /// A multi-pass stream of (optionally weighted) edges.
@@ -68,31 +68,32 @@ pub trait EdgeStream {
     }
 }
 
-/// In-memory edge stream over an [`EdgeList`].
+/// In-memory edge stream over an owned or borrowed [`EdgeList`].
 #[derive(Clone, Debug)]
-pub struct MemoryStream {
-    list: EdgeList,
+pub struct MemoryStream<'a> {
+    list: Cow<'a, EdgeList>,
     passes: u64,
 }
 
-impl MemoryStream {
-    /// Wraps an edge list. The list is moved; clone it if still needed.
+impl<'a> MemoryStream<'a> {
+    /// Streams a list it owns: the list is moved.
     pub fn new(list: EdgeList) -> Self {
-        MemoryStream { list, passes: 0 }
+        MemoryStream {
+            list: Cow::Owned(list),
+            passes: 0,
+        }
     }
 
-    /// Read-only access to the underlying list.
-    pub fn edge_list(&self) -> &EdgeList {
-        &self.list
-    }
-
-    /// Consumes the stream, returning the underlying list.
-    pub fn into_edge_list(self) -> EdgeList {
-        self.list
+    /// Streams a list the caller keeps, without copying it.
+    pub fn borrowed(list: &'a EdgeList) -> Self {
+        MemoryStream {
+            list: Cow::Borrowed(list),
+            passes: 0,
+        }
     }
 }
 
-impl EdgeStream for MemoryStream {
+impl EdgeStream for MemoryStream<'_> {
     fn num_nodes(&self) -> u32 {
         self.list.num_nodes
     }
@@ -125,7 +126,7 @@ impl EdgeStream for MemoryStream {
 ///
 /// This is the **only** text-edge grammar in the crate, and the text
 /// record loop of [`crate::io`] its one caller: [`crate::io::read_text`]
-/// and [`TextFileStream`] both parse through it, so a file loads in
+/// and a text [`FileStream`] both parse through it, so a file loads in
 /// memory if and only if it also streams.
 pub fn parse_edge_line(line: &str, line_no: u64) -> Result<Option<(u32, u32, Option<f64>)>> {
     let line = line.trim();
@@ -162,25 +163,85 @@ pub fn parse_edge_line(line: &str, line_no: u64) -> Result<Option<(u32, u32, Opt
     Ok(Some((u, v, w)))
 }
 
-/// What both file streams keep: the validated file, the scan every pass
-/// must reproduce, and the pass accounting.
-struct FileState {
+/// Streams an edge file from disk, re-opening it on every pass: a text
+/// edge list (the grammar of [`parse_edge_line`]) or the binary format
+/// of [`crate::io::write_binary`]. The file is fully validated at
+/// [`FileStream::open`]; a file modified afterwards (TOCTOU drift) is
+/// detected mid- or end-of-pass and surfaces through
+/// [`EdgeStream::take_error`] — see the [module docs](self). A clone
+/// keeps the validation and counts its own passes from there.
+#[derive(Clone, Debug)]
+pub struct FileStream {
     path: PathBuf,
+    /// A binary file's header, which every pass must reproduce; `None`
+    /// for a text file.
+    header: Option<BinaryHeader>,
     num_nodes: u32,
+    /// The validation scan, which every pass must reproduce.
     scan: EdgeScan,
     passes: u64,
     error: Option<GraphError>,
 }
 
-impl FileState {
-    fn new(path: PathBuf, num_nodes: u32, scan: EdgeScan) -> Self {
-        FileState {
+/// Another name of [`FileStream`], kept with [`FileStream::open_auto`]
+/// because the benchmark harness builds against both.
+pub type TextFileStream = FileStream;
+
+impl FileStream {
+    /// Opens an edge file (binary or text) and fully validates it in one
+    /// read: it parses, its ids fit the node count, and a binary file's
+    /// length fits its header. Every pass must reproduce the [`EdgeScan`]
+    /// taken here, so even a rewrite before the first pass is drift; a
+    /// corrupt file fails here with a typed error. The node count is a
+    /// binary file's header's, or a text file's `max id + 1`
+    /// ([`EdgeScan::num_nodes`]), which [`Self::with_num_nodes`] raises.
+    pub fn open<P: AsRef<Path>>(path: P, binary: bool) -> Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        let (header, num_nodes, scan) = if binary {
+            let (header, file) = BinaryHeader::read(&path)?;
+            let scan = for_each_binary_edge(file, &header, |_, _, _| {})?;
+            (Some(header), header.num_nodes, scan)
+        } else {
+            let scan = for_each_text_edge(File::open(&path)?, |_, _, _| Ok(()))?;
+            (None, scan.num_nodes()?, scan)
+        };
+        Ok(FileStream {
             path,
+            header,
             num_nodes,
             scan,
             passes: 0,
             error: None,
+        })
+    }
+
+    /// Opens a text file: [`FileStream::open`] with `binary = false`.
+    pub fn open_auto<P: AsRef<Path>>(path: P) -> Result<Self> {
+        Self::open(path, false)
+    }
+
+    /// Raises the node bound to `num_nodes`, for a text file whose
+    /// highest node ids are isolated (no line can name them). A bound
+    /// below the current one is [`GraphError::NodeOutOfRange`].
+    pub fn with_num_nodes(mut self, num_nodes: u32) -> Result<Self> {
+        if num_nodes < self.num_nodes {
+            return Err(GraphError::NodeOutOfRange {
+                node: u64::from(self.num_nodes - 1),
+                num_nodes: u64::from(num_nodes),
+            });
         }
+        self.num_nodes = num_nodes;
+        Ok(self)
+    }
+
+    /// Number of edges counted by the validation scan.
+    pub fn num_edges(&self) -> u64 {
+        self.scan.edges
+    }
+
+    /// Whether some edge has a weight column (text) or the header says so.
+    pub fn is_weighted(&self) -> bool {
+        self.scan.weighted
     }
 
     fn drift(&self, detail: impl std::fmt::Display) -> GraphError {
@@ -200,15 +261,50 @@ impl FileState {
         }
     }
 
-    /// Runs one pass: `read` reopens the file and runs its record loop,
-    /// returning drift errors. The pass counts only if it reproduces the
-    /// scan taken at open; otherwise its error is parked for
-    /// [`EdgeStream::take_error`].
-    fn pass(&mut self, read: impl FnOnce(&Self) -> Result<EdgeScan>) {
+    /// Reopens the file and runs its record loop once, feeding `f`.
+    /// Returns the pass's scan, or the drift that cut it short.
+    fn read_pass(&self, f: &mut dyn FnMut(u32, u32, f64)) -> Result<EdgeScan> {
+        let scan = match &self.header {
+            None => {
+                let file = File::open(&self.path)
+                    .map_err(|e| self.drift(format_args!("cannot reopen: {e}")))?;
+                let n = self.num_nodes;
+                for_each_text_edge(file, |u, v, w| {
+                    if u >= n || v >= n {
+                        return Err(GraphError::NodeOutOfRange {
+                            node: u64::from(u.max(v)),
+                            num_nodes: u64::from(n),
+                        });
+                    }
+                    f(u, v, w);
+                    Ok(())
+                })
+            }
+            Some(expected) => {
+                let (header, file) = BinaryHeader::read(&self.path)
+                    .map_err(|e| self.drift(format_args!("cannot reopen: {e}")))?;
+                if header != *expected {
+                    return Err(self.drift("header drifted"));
+                }
+                for_each_binary_edge(file, &header, f)
+            }
+        };
+        scan.map_err(|e| self.mid_pass(e))
+    }
+}
+
+impl EdgeStream for FileStream {
+    fn num_nodes(&self) -> u32 {
+        self.num_nodes
+    }
+
+    /// One pass. It counts only if it reproduces the scan taken at open;
+    /// otherwise its error is parked for [`EdgeStream::take_error`].
+    fn for_each_edge(&mut self, f: &mut dyn FnMut(u32, u32, f64)) {
         if self.error.is_some() {
             return;
         }
-        let checked = read(self).and_then(|scan| {
+        let checked = self.read_pass(f).and_then(|scan| {
             if scan.edges != self.scan.edges {
                 Err(self.drift(format_args!(
                     "edge count drifted from {} to {}",
@@ -225,153 +321,18 @@ impl FileState {
             Err(e) => self.error = Some(e),
         }
     }
-}
-
-/// Streams a SNAP-style whitespace-separated text edge list from disk,
-/// re-opening the file on every pass.
-///
-/// Lines starting with `#` are comments; each data line is `u v` or
-/// `u v w` (the grammar of [`parse_edge_line`], shared with
-/// [`crate::io::read_text`]). The file is fully validated at
-/// construction; a file modified afterwards (TOCTOU drift) is detected
-/// mid- or end-of-pass and surfaces through [`EdgeStream::take_error`] —
-/// see the [module docs](self) for the failure model.
-pub struct TextFileStream {
-    state: FileState,
-}
-
-impl TextFileStream {
-    /// Opens (and fully validates) the file. `num_nodes` must upper-bound
-    /// every node id in the file.
-    pub fn open<P: AsRef<Path>>(path: P, num_nodes: u32) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let scan = scan_text(&path)?;
-        if scan.edges > 0 && scan.max_id >= num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node: scan.max_id as u64,
-                num_nodes: num_nodes as u64,
-            });
-        }
-        Ok(TextFileStream {
-            state: FileState::new(path, num_nodes, scan),
-        })
-    }
-
-    /// Opens (and fully validates) the file, inferring the node count as
-    /// `max id + 1` from the validation scan — the out-of-core CLI path,
-    /// which must never materialize the edge list.
-    pub fn open_auto<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let scan = scan_text(&path)?;
-        Ok(TextFileStream {
-            state: FileState::new(path, scan.num_nodes()?, scan),
-        })
-    }
-
-    /// Number of edges counted by the validation scan.
-    pub fn num_edges(&self) -> u64 {
-        self.state.scan.edges
-    }
-}
-
-impl EdgeStream for TextFileStream {
-    fn num_nodes(&self) -> u32 {
-        self.state.num_nodes
-    }
-
-    fn for_each_edge(&mut self, f: &mut dyn FnMut(u32, u32, f64)) {
-        self.state.pass(|s| {
-            let file =
-                File::open(&s.path).map_err(|e| s.drift(format_args!("cannot reopen: {e}")))?;
-            for_each_text_edge(file, |u, v, w| {
-                if u >= s.num_nodes || v >= s.num_nodes {
-                    return Err(GraphError::NodeOutOfRange {
-                        node: u64::from(u.max(v)),
-                        num_nodes: u64::from(s.num_nodes),
-                    });
-                }
-                f(u, v, w);
-                Ok(())
-            })
-            .map_err(|e| s.mid_pass(e))
-        });
-    }
 
     fn passes(&self) -> u64 {
-        self.state.passes
+        self.passes
     }
 
     fn take_error(&mut self) -> Option<GraphError> {
-        self.state.error.take()
+        self.error.take()
     }
-}
-
-/// Streams the compact binary edge format of [`crate::io::write_binary`].
-///
-/// Layout: a 16-byte [`BinaryHeader`] followed by `num_edges` records of
-/// `u: u32, v: u32` (+ `w: f64` when weighted), all little-endian. Files
-/// truncated, rewritten, or deleted after `open` surface through
-/// [`EdgeStream::take_error`] — see the [module docs](self).
-pub struct BinaryFileStream {
-    state: FileState,
-    header: BinaryHeader,
 }
 
 /// Magic number of the binary edge format (`"DSG1"`).
 pub const BINARY_MAGIC: u32 = 0x4453_4731;
-
-impl BinaryFileStream {
-    /// Opens a binary edge file and fully validates it: header, length,
-    /// node-id bounds of every record, and a content fingerprint that
-    /// every later pass is checked against (so a file rewritten even
-    /// before the first pass completes is caught). A corrupt file fails
-    /// here with a typed error rather than being misreported as drift.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let (header, file) = BinaryHeader::read(&path)?;
-        let scan = for_each_binary_edge(file, &header, |_, _, _| {})?;
-        Ok(BinaryFileStream {
-            state: FileState::new(path, header.num_nodes, scan),
-            header,
-        })
-    }
-
-    /// Number of edges recorded in the header.
-    pub fn num_edges(&self) -> u64 {
-        self.header.num_edges
-    }
-
-    /// Whether records carry weights.
-    pub fn is_weighted(&self) -> bool {
-        self.header.weighted
-    }
-}
-
-impl EdgeStream for BinaryFileStream {
-    fn num_nodes(&self) -> u32 {
-        self.state.num_nodes
-    }
-
-    fn for_each_edge(&mut self, f: &mut dyn FnMut(u32, u32, f64)) {
-        let expected = self.header;
-        self.state.pass(|s| {
-            let (header, file) = BinaryHeader::read(&s.path)
-                .map_err(|e| s.drift(format_args!("cannot reopen: {e}")))?;
-            if header != expected {
-                return Err(s.drift("header drifted"));
-            }
-            for_each_binary_edge(file, &header, f).map_err(|e| s.mid_pass(e))
-        });
-    }
-
-    fn passes(&self) -> u64 {
-        self.state.passes
-    }
-
-    fn take_error(&mut self) -> Option<GraphError> {
-        self.state.error.take()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -432,7 +393,7 @@ mod tests {
     fn text_file_stream_round_trip() {
         let path = tmp_dir("text").join("edges.txt");
         std::fs::write(&path, "# header\n0 1\n1 2 3.5\n\n2 0\n").unwrap();
-        let mut s = TextFileStream::open(&path, 3).unwrap();
+        let mut s = FileStream::open(&path, false).unwrap();
         assert_eq!(s.num_edges(), 3);
         let edges = collect(&mut s);
         assert_eq!(edges, vec![(0, 1, 1.0), (1, 2, 3.5), (2, 0, 1.0)]);
@@ -446,20 +407,20 @@ mod tests {
     fn text_file_stream_open_auto_infers_node_count() {
         let path = tmp_dir("text_auto").join("edges.txt");
         std::fs::write(&path, "0 1\n5 2\n").unwrap();
-        let s = TextFileStream::open_auto(&path).unwrap();
+        let s = FileStream::open(&path, false).unwrap();
         assert_eq!(s.num_nodes(), 6);
         assert_eq!(s.num_edges(), 2);
 
         let empty = tmp_dir("text_auto").join("empty.txt");
         std::fs::write(&empty, "# nothing\n").unwrap();
-        assert_eq!(TextFileStream::open_auto(&empty).unwrap().num_nodes(), 0);
+        assert_eq!(FileStream::open(&empty, false).unwrap().num_nodes(), 0);
 
         // `u32::MAX` as a node id would overflow `max id + 1`: a typed
         // error, not an overflow panic (or a wrapped num_nodes of 0).
         let huge = tmp_dir("text_auto").join("huge.txt");
         std::fs::write(&huge, format!("0 {}\n", u32::MAX)).unwrap();
         assert!(matches!(
-            TextFileStream::open_auto(&huge),
+            FileStream::open(&huge, false),
             Err(GraphError::TooLarge { .. })
         ));
     }
@@ -468,7 +429,9 @@ mod tests {
     fn text_file_stream_rejects_out_of_range() {
         let path = tmp_dir("text2").join("edges.txt");
         std::fs::write(&path, "0 7\n").unwrap();
-        assert!(TextFileStream::open(&path, 3).is_err());
+        assert!(FileStream::open(&path, false)
+            .and_then(|s| s.with_num_nodes(3))
+            .is_err());
     }
 
     #[test]
@@ -476,7 +439,7 @@ mod tests {
         let path = tmp_dir("text3").join("edges.txt");
         std::fs::write(&path, "0 1\nnot an edge\n").unwrap();
         assert!(matches!(
-            TextFileStream::open(&path, 3),
+            FileStream::open(&path, false),
             Err(GraphError::Parse { line: 2, .. })
         ));
     }
@@ -485,7 +448,7 @@ mod tests {
     fn text_file_stream_detects_drift_between_passes() {
         let path = tmp_dir("text_drift").join("edges.txt");
         std::fs::write(&path, "0 1\n1 2\n").unwrap();
-        let mut s = TextFileStream::open(&path, 3).unwrap();
+        let mut s = FileStream::open(&path, false).unwrap();
         assert_eq!(collect(&mut s).len(), 2);
         assert_eq!(s.passes(), 1);
 
@@ -510,7 +473,7 @@ mod tests {
         // order-sensitive checksum tells the rewrite apart.
         let path = tmp_dir("text_swap").join("edges.txt");
         std::fs::write(&path, "0 1\n1 2 0.5\n2 0\n").unwrap();
-        let mut s = TextFileStream::open(&path, 3).unwrap();
+        let mut s = FileStream::open(&path, false).unwrap();
         assert_eq!(collect(&mut s).len(), 3);
         std::fs::write(&path, "1 2 0.5\n0 1\n2 0\n").unwrap();
         collect(&mut s);
@@ -523,7 +486,7 @@ mod tests {
     fn text_file_stream_detects_deletion_and_garbage_mid_run() {
         let path = tmp_dir("text_drift2").join("edges.txt");
         std::fs::write(&path, "0 1\n").unwrap();
-        let mut s = TextFileStream::open(&path, 2).unwrap();
+        let mut s = FileStream::open(&path, false).unwrap();
         std::fs::write(&path, "junk line\n").unwrap();
         collect(&mut s);
         assert_eq!(s.passes(), 0);
@@ -545,12 +508,46 @@ mod tests {
         // arrays are sized to num_nodes).
         let path = tmp_dir("text_drift3").join("edges.txt");
         std::fs::write(&path, "0 1\n").unwrap();
-        let mut s = TextFileStream::open(&path, 2).unwrap();
+        let mut s = FileStream::open(&path, false).unwrap();
         std::fs::write(&path, "0 9\n").unwrap();
         let mut max_seen = 0u32;
         s.for_each_edge(&mut |u, v, _| max_seen = max_seen.max(u).max(v));
         assert!(max_seen < 2, "out-of-range id leaked to the callback");
         assert!(s.take_error().is_some());
+    }
+
+    #[test]
+    fn a_clone_streams_on_its_originals_validation() {
+        // A clone reads the file once per pass and never re-validates
+        // it: a same-length rewrite after the original's open is drift
+        // in the clone's first pass, in both formats.
+        let dir = tmp_dir("clone");
+        let text = dir.join("edges.txt");
+        std::fs::write(&text, "0 1\n1 2\n").unwrap();
+        let bin = dir.join("edges.bin");
+        let mut g = EdgeList::new_undirected(3);
+        g.push(0, 1);
+        g.push(1, 2);
+        write_binary(&bin, &g).unwrap();
+        for (path, binary) in [(&text, false), (&bin, true)] {
+            let validated = FileStream::open(path, binary).unwrap();
+            let mut first = validated.clone();
+            assert_eq!(collect(&mut first).len(), 2);
+            assert_eq!((first.passes(), validated.passes()), (1, 0));
+            if binary {
+                g.edges[1] = (0, 2);
+                write_binary(path, &g).unwrap();
+            } else {
+                std::fs::write(path, "0 1\n0 2\n").unwrap();
+            }
+            let mut second = validated.clone();
+            collect(&mut second);
+            assert_eq!(second.passes(), 0, "binary {binary}");
+            let err = second
+                .take_error()
+                .expect("the clone checks the original's scan");
+            assert!(err.to_string().contains("edge content drifted"), "{err}");
+        }
     }
 
     #[test]
@@ -564,7 +561,7 @@ mod tests {
         g.push(0, 1);
         g.push(2, 3);
         write_binary(&path, &g).unwrap();
-        let mut s = BinaryFileStream::open(&path).unwrap();
+        let mut s = FileStream::open(&path, true).unwrap();
         let mut h = EdgeList::new_undirected(4);
         h.push(0, 1);
         h.push(1, 3);
@@ -587,7 +584,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            BinaryFileStream::open(&path),
+            FileStream::open(&path, true),
             Err(GraphError::NodeOutOfRange { node: 9, .. })
         ));
     }
@@ -600,7 +597,7 @@ mod tests {
         g.push(0, 1);
         g.push(2, 3);
         write_binary(&path, &g).unwrap();
-        let mut s = BinaryFileStream::open(&path).unwrap();
+        let mut s = FileStream::open(&path, true).unwrap();
         assert_eq!(collect(&mut s).len(), 2);
         assert_eq!(s.passes(), 1);
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use dsg_graph::edgelist::{EdgeList, GraphKind};
 use dsg_graph::io::{read_binary, read_text, write_binary, write_text};
-use dsg_graph::stream::{BinaryFileStream, EdgeStream, MemoryStream, TextFileStream};
+use dsg_graph::stream::{EdgeStream, FileStream, MemoryStream};
 use dsg_graph::{CsrDirected, CsrUndirected, DeltaGraph, NodeSet};
 
 fn arb_edge_list(directed: bool) -> impl Strategy<Value = EdgeList> {
@@ -186,7 +186,9 @@ proptest! {
 
         let text = tmp_path("stream_text");
         write_text(&text, &list).unwrap();
-        let mut ts = TextFileStream::open(&text, n).unwrap();
+        let mut ts = FileStream::open(&text, false)
+            .and_then(|s| s.with_num_nodes(n))
+            .unwrap();
         prop_assert_eq!(ts.num_edges(), expected.len() as u64);
         for pass in 1..=2u64 {
             let mut got = Vec::new();
@@ -198,7 +200,7 @@ proptest! {
 
         let bin = tmp_path("stream_bin");
         write_binary(&bin, &list).unwrap();
-        let mut bs = BinaryFileStream::open(&bin).unwrap();
+        let mut bs = FileStream::open(&bin, true).unwrap();
         prop_assert_eq!(bs.num_nodes(), n);
         for pass in 1..=2u64 {
             let mut got = Vec::new();
@@ -209,13 +211,13 @@ proptest! {
         prop_assert!(bs.take_error().is_none());
     }
 
-    /// `TextFileStream::open_auto` infers the tightest node bound that
+    /// A text `FileStream` infers the tightest node bound that
     /// still streams the file (max id + 1).
     #[test]
     fn open_auto_infers_tight_bound(list in arb_edge_list(false)) {
         let path = tmp_path("auto");
         write_text(&path, &list).unwrap();
-        let s = TextFileStream::open_auto(&path).unwrap();
+        let s = FileStream::open(&path, false).unwrap();
         let max_id = list.edges.iter().map(|&(u, v)| u.max(v)).max();
         match max_id {
             Some(mx) => prop_assert_eq!(s.num_nodes(), mx + 1),

@@ -7,28 +7,30 @@
 //! ```
 //!
 //! Without an argument, generates a graph, writes it to a temp file in
-//! both text and binary formats, and streams from both.
+//! both text and binary formats, and streams from both. The text file is
+//! validated once; both text runs stream copies of that validated
+//! stream, so each reads the file once per pass.
 
 use densest_subgraph::core::undirected::try_approx_densest;
 use densest_subgraph::graph::gen;
 use densest_subgraph::graph::io::{write_binary, write_text};
-use densest_subgraph::graph::stream::{BinaryFileStream, EdgeStream, TextFileStream};
+use densest_subgraph::graph::stream::{EdgeStream, FileStream};
 use densest_subgraph::sketch::{try_approx_densest_sketched, SketchParams};
 
 fn main() {
     let arg = std::env::args().nth(1);
-    let (text_path, bin_path, num_nodes) = match arg {
+    let (validated, bin_path) = match arg {
         Some(p) => {
             // User-supplied file: node count (max id + 1) from the
             // validation scan, without loading the edges.
-            let scan = TextFileStream::open_auto(&p).expect("cannot read edge list");
+            let scan = FileStream::open(&p, false).expect("cannot read edge list");
             println!(
                 "scanned {}: {} nodes, {} edges",
                 p,
                 scan.num_nodes(),
                 scan.num_edges()
             );
-            (std::path::PathBuf::from(p), None, scan.num_nodes())
+            (scan, None)
         }
         None => {
             let dir = std::env::temp_dir().join("dsg_streaming_example");
@@ -46,14 +48,20 @@ fn main() {
             );
             println!("text file:   {}", text.display());
             println!("binary file: {}", bin.display());
-            (text, Some(bin), planted.graph.num_nodes)
+            // The binary header keeps the node count; the text stream is
+            // raised to it, in case the highest ids are isolated.
+            let scan = FileStream::open(&text, false)
+                .and_then(|s| s.with_num_nodes(planted.graph.num_nodes))
+                .expect("open text stream");
+            (scan, Some(bin))
         }
     };
+    let num_nodes = validated.num_nodes();
 
     // --- Stream from the text file with exact O(n) degree counters. ---
     // The try_ entry points surface I/O trouble (or a file modified
     // between passes) as a clean error instead of computing on garbage.
-    let mut stream = TextFileStream::open(&text_path, num_nodes).expect("open text stream");
+    let mut stream = validated.clone();
     let t0 = std::time::Instant::now();
     let run = try_approx_densest(&mut stream, 0.5).expect("stream failed mid-run");
     println!(
@@ -66,7 +74,7 @@ fn main() {
 
     // --- Same, with a Count-Sketch using ~10% of the counter memory. ---
     let b = num_nodes / 50; // t·b/n = 5·(n/50)/n = 10%
-    let mut stream = TextFileStream::open(&text_path, num_nodes).expect("open text stream");
+    let mut stream = validated.clone();
     let t0 = std::time::Instant::now();
     let sk = try_approx_densest_sketched(&mut stream, 0.5, SketchParams::paper(b, 7))
         .expect("stream failed mid-run");
@@ -86,7 +94,7 @@ fn main() {
 
     // --- Binary format is faster to re-scan. ---
     if let Some(bin) = bin_path {
-        let mut stream = BinaryFileStream::open(&bin).expect("open binary stream");
+        let mut stream = FileStream::open(&bin, true).expect("open binary stream");
         let t0 = std::time::Instant::now();
         let run_bin = try_approx_densest(&mut stream, 0.5).expect("stream failed mid-run");
         println!(

@@ -28,8 +28,8 @@ const USAGE: &str =
      [--flow-backend dinic|push-relabel] [--json] [--quiet]\n\
        densest serve [--socket <path>] [--workers n] [--max-connections n] [--shards n] \
      [--threads n] [--memory-budget bytes] [--max-graphs n] \
-     [--result-cache bytes] [--incremental-threshold f] [--data-dir <path>] \
-     [--fsync-every n] [--snapshot-every n] [--quiet]\n\
+     [--result-cache bytes] [--data-dir <path>] [--fsync-every n] \
+     [--snapshot-every n] [--quiet]\n\
        densest client --socket <path> [--repeat n] [--parallel n] [--binary] \
      [--pipeline n]\n\
        densest --help";
@@ -132,13 +132,12 @@ mutable graph sessions (serve mode):
   a small delta, approx and directed queries take the incremental tier
   first: the mutation journal is replayed through the stored peel trace
   and only the affected region is re-peeled, verified against the
-  published snapshot before answering (--incremental-threshold bounds
-  the affected set at that fraction of the nodes, default 0.05; 0
-  disables the tier). Past that, and for every atleast-k query, a warm
-  restart re-peels the already-materialized snapshot (delta logs
-  auto-compact once they outnumber the base edges). The stats op reports
-  per-graph version/delta_edges/compactions plus warm and incremental
-  hit/fallback counters.
+  published snapshot before answering (the tier gives up once the
+  affected set passes 5% of the nodes, at least 8). Past that, and for
+  every atleast-k query, a warm restart re-peels the already-materialized
+  snapshot (delta logs auto-compact once they outnumber the base edges).
+  The stats op reports per-graph version/delta_edges/compactions plus
+  warm and incremental hit/fallback counters.
 
 durable sessions (serve mode):
   --data-dir <path> makes named graphs survive restarts: every session
@@ -580,7 +579,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let mut options = ServeOptions::default();
     let mut max_graphs = densest_subgraph::engine::catalog::DEFAULT_MAX_ENTRIES;
     let mut result_cache_bytes = densest_subgraph::engine::result_cache::DEFAULT_RESULT_CACHE_BYTES;
-    let mut incremental_threshold: Option<f64> = None;
     let mut quiet = false;
     let mut it = args.collect::<Vec<_>>().into_iter();
     while let Some(flag) = it.next() {
@@ -650,15 +648,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
             "--result-cache" => {
                 result_cache_bytes = parse_budget("--result-cache", &value("--result-cache"));
             }
-            "--incremental-threshold" => {
-                let t: f64 =
-                    parse_value("--incremental-threshold", &value("--incremental-threshold"));
-                if !t.is_finite() || t < 0.0 {
-                    eprintln!("--incremental-threshold must be a finite number >= 0 (got {t})");
-                    exit(2);
-                }
-                incremental_threshold = Some(t);
-            }
             "--quiet" => quiet = true,
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -669,9 +658,6 @@ fn run_serve(args: impl Iterator<Item = String>) {
     let engine = Engine::new();
     engine.catalog().set_max_entries(max_graphs);
     engine.results().set_budget(result_cache_bytes);
-    if let Some(t) = incremental_threshold {
-        engine.set_incremental_threshold(t);
-    }
     if options.shards > 1 && socket.is_none() {
         eprintln!("--shards requires --socket (stdin mode is one connection)");
         exit(2);

@@ -14,7 +14,7 @@ use densest_subgraph::engine::{
 };
 use densest_subgraph::flow::{exact_densest_with, FlowBackend};
 use densest_subgraph::graph::io::{read_text, write_text};
-use densest_subgraph::graph::stream::{MemoryStream, TextFileStream};
+use densest_subgraph::graph::stream::{FileStream, MemoryStream};
 use densest_subgraph::graph::{gen, CsrDirected, CsrUndirected, EdgeList, GraphKind};
 use densest_subgraph::mapreduce::{mr_densest_undirected, MapReduceConfig, ShuffleBackend};
 use densest_subgraph::sketch::{approx_densest_sketched, SketchParams};
@@ -122,7 +122,7 @@ fn approx_parity_across_every_backend() {
     assert_eq!(report.threads, 1);
 
     // File-streamed (forced, and again via a tight budget).
-    let mut stream = TextFileStream::open_auto(&path).unwrap();
+    let mut stream = FileStream::open(&path, false).unwrap();
     let direct_stream = dsg_core::undirected::try_approx_densest(&mut stream, EPS).unwrap();
     for (label, query, policy) in [
         (
@@ -264,7 +264,7 @@ fn atleast_k_parity_across_backends() {
     );
     assert_run_parity(&report, &direct_csr, "4 threads");
 
-    let mut stream = TextFileStream::open_auto(&path).unwrap();
+    let mut stream = FileStream::open(&path, false).unwrap();
     let direct_stream =
         dsg_core::large::try_approx_densest_at_least_k(&mut stream, k, eps_used).unwrap();
     let report = run_engine(

@@ -7,7 +7,7 @@ use densest_subgraph::core::directed::approx_densest_directed;
 use densest_subgraph::core::undirected::{approx_densest, approx_densest_csr};
 use densest_subgraph::graph::gen;
 use densest_subgraph::graph::io::{write_binary, write_text};
-use densest_subgraph::graph::stream::{BinaryFileStream, MemoryStream, TextFileStream};
+use densest_subgraph::graph::stream::{FileStream, MemoryStream};
 use densest_subgraph::graph::CsrUndirected;
 use densest_subgraph::mapreduce::{
     mr_densest_directed, mr_densest_undirected, MapReduceConfig, ShuffleBackend,
@@ -36,13 +36,15 @@ fn all_undirected_substrates_agree() {
     // 3. Text file stream.
     let text = tmp_dir().join("agree.txt");
     write_text(&text, &list).unwrap();
-    let mut ts = TextFileStream::open(&text, list.num_nodes).unwrap();
+    let mut ts = FileStream::open(&text, false)
+        .and_then(|s| s.with_num_nodes(list.num_nodes))
+        .unwrap();
     let c = approx_densest(&mut ts, eps);
 
     // 4. Binary file stream.
     let bin = tmp_dir().join("agree.bin");
     write_binary(&bin, &list).unwrap();
-    let mut bs = BinaryFileStream::open(&bin).unwrap();
+    let mut bs = FileStream::open(&bin, true).unwrap();
     let d = approx_densest(&mut bs, eps);
 
     // 5. MapReduce.

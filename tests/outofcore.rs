@@ -3,14 +3,17 @@
 //! exactly, for both file formats, and file trouble must surface as
 //! typed errors instead of panics.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use densest_subgraph::core::large::{approx_densest_at_least_k_csr, try_approx_densest_at_least_k};
 use densest_subgraph::core::result::UndirectedRun;
 use densest_subgraph::core::undirected::{approx_densest_csr, try_approx_densest};
+use densest_subgraph::engine::{
+    Algorithm, BackendRequest, Engine, EngineError, Query, ResourcePolicy, Source,
+};
 use densest_subgraph::graph::gen;
 use densest_subgraph::graph::io::{write_binary, write_text};
-use densest_subgraph::graph::stream::{BinaryFileStream, EdgeStream, TextFileStream};
+use densest_subgraph::graph::stream::{EdgeStream, FileStream};
 use densest_subgraph::graph::{CsrUndirected, EdgeList};
 
 fn tmp(name: &str) -> PathBuf {
@@ -49,7 +52,7 @@ fn streamed_approx_matches_in_memory_both_formats() {
         for eps in [0.0, 0.5, 1.5] {
             let reference = approx_densest_csr(&csr, eps);
 
-            let mut ts = TextFileStream::open_auto(&text).unwrap();
+            let mut ts = FileStream::open(&text, false).unwrap();
             let from_text = try_approx_densest(&mut ts, eps).unwrap();
             assert_same_run(
                 &from_text,
@@ -58,7 +61,7 @@ fn streamed_approx_matches_in_memory_both_formats() {
             );
             assert_eq!(ts.passes(), from_text.passes as u64);
 
-            let mut bs = BinaryFileStream::open(&bin).unwrap();
+            let mut bs = FileStream::open(&bin, true).unwrap();
             let from_bin = try_approx_densest(&mut bs, eps).unwrap();
             assert_same_run(&from_bin, &reference, &format!("bin seed {seed} eps {eps}"));
             assert_eq!(bs.passes(), from_bin.passes as u64);
@@ -74,11 +77,11 @@ fn streamed_atleast_k_matches_in_memory_both_formats() {
     for (k, eps) in [(1usize, 0.5), (30, 0.3), (150, 1.0)] {
         let reference = approx_densest_at_least_k_csr(&csr, k, eps);
 
-        let mut ts = TextFileStream::open_auto(&text).unwrap();
+        let mut ts = FileStream::open(&text, false).unwrap();
         let from_text = try_approx_densest_at_least_k(&mut ts, k, eps).unwrap();
         assert_same_run(&from_text, &reference, &format!("text k {k} eps {eps}"));
 
-        let mut bs = BinaryFileStream::open(&bin).unwrap();
+        let mut bs = FileStream::open(&bin, true).unwrap();
         let from_bin = try_approx_densest_at_least_k(&mut bs, k, eps).unwrap();
         assert_same_run(&from_bin, &reference, &format!("bin k {k} eps {eps}"));
     }
@@ -91,13 +94,13 @@ fn streamed_weighted_graph_matches_in_memory() {
     let csr = CsrUndirected::from_edge_list(&list);
     let reference = approx_densest_csr(&csr, 0.8);
 
-    let mut ts = TextFileStream::open_auto(&text).unwrap();
+    let mut ts = FileStream::open(&text, false).unwrap();
     let from_text = try_approx_densest(&mut ts, 0.8).unwrap();
     assert_eq!(from_text.passes, reference.passes);
     assert_eq!(from_text.best_set.to_vec(), reference.best_set.to_vec());
     assert!((from_text.best_density - reference.best_density).abs() < 1e-9);
 
-    let mut bs = BinaryFileStream::open(&bin).unwrap();
+    let mut bs = FileStream::open(&bin, true).unwrap();
     let from_bin = try_approx_densest(&mut bs, 0.8).unwrap();
     assert_eq!(from_bin.passes, reference.passes);
     assert_eq!(from_bin.best_set.to_vec(), reference.best_set.to_vec());
@@ -115,9 +118,9 @@ fn streamed_weighted_atleast_k_matches_in_memory() {
     for (k, eps) in [(1usize, 0.5), (10, 0.3), (40, 1.0)] {
         let reference = approx_densest_at_least_k_csr(&csr, k, eps);
 
-        let mut ts = TextFileStream::open_auto(&text).unwrap();
+        let mut ts = FileStream::open(&text, false).unwrap();
         let from_text = try_approx_densest_at_least_k(&mut ts, k, eps).unwrap();
-        let mut bs = BinaryFileStream::open(&bin).unwrap();
+        let mut bs = FileStream::open(&bin, true).unwrap();
         let from_bin = try_approx_densest_at_least_k(&mut bs, k, eps).unwrap();
         for run in [&from_text, &from_bin] {
             assert_eq!(run.passes, reference.passes, "k {k} eps {eps}");
@@ -133,7 +136,7 @@ fn file_modified_mid_run_surfaces_an_error_not_a_panic() {
     // come back as Err (and must not panic), because the passes after
     // the swap saw different data.
     struct SwappingStream {
-        inner: TextFileStream,
+        inner: FileStream,
         path: PathBuf,
         swapped: bool,
     }
@@ -164,7 +167,7 @@ fn file_modified_mid_run_surfaces_an_error_not_a_panic() {
     }
     g.push(0, 2);
     write_text(&path, &g).unwrap();
-    let inner = TextFileStream::open_auto(&path).unwrap();
+    let inner = FileStream::open(&path, false).unwrap();
     let mut stream = SwappingStream {
         inner,
         path: path.clone(),
@@ -179,7 +182,7 @@ fn file_modified_mid_run_surfaces_an_error_not_a_panic() {
 fn deleted_file_surfaces_an_error_not_a_panic() {
     let path = tmp("deleted.txt");
     std::fs::write(&path, "0 1\n1 2\n2 0\n0 3\n").unwrap();
-    let mut s = TextFileStream::open_auto(&path).unwrap();
+    let mut s = FileStream::open(&path, false).unwrap();
     // First pass succeeds; then the file disappears.
     s.for_each_edge(&mut |_, _, _| {});
     assert_eq!(s.passes(), 1);
@@ -188,4 +191,88 @@ fn deleted_file_surfaces_an_error_not_a_panic() {
     assert_eq!(s.passes(), 1, "failed pass must not be counted");
     let err = s.take_error().expect("deletion must surface");
     assert!(err.to_string().contains("cannot reopen"), "{err}");
+}
+
+/// Writes `list` to `path` in the given format.
+fn write_edges(path: &Path, list: &EdgeList, binary: bool) {
+    if binary {
+        write_binary(path, list).unwrap();
+    } else {
+        write_text(path, list).unwrap();
+    }
+}
+
+/// Rewrites `path` with `list` and restores its mtime: when the length
+/// is unchanged too, a `(length, mtime)` stamp cannot see the rewrite.
+fn rewrite_unstamped(path: &Path, list: &EdgeList, binary: bool) {
+    let before = std::fs::metadata(path).unwrap();
+    write_edges(path, list, binary);
+    std::fs::File::options()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_modified(before.modified().unwrap())
+        .unwrap();
+    let after = std::fs::metadata(path).unwrap();
+    assert_eq!(
+        (after.len(), after.modified().unwrap()),
+        (before.len(), before.modified().unwrap()),
+        "the rewrite must keep the stamp"
+    );
+}
+
+#[test]
+fn a_streamed_query_reads_its_file_only_in_passes() {
+    // The engine streams a copy of the stream that the stat scan (text)
+    // or the first streamed query (binary) validated, so a later query
+    // reads the file once per pass and validates nothing: a rewrite
+    // that keeps the file's length and mtime is drift in its first
+    // pass. The failure drops the stale stat, and the retry rescans and
+    // answers the new content.
+    let mut k4 = EdgeList::new_undirected(6);
+    for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+        k4.push(u, v);
+    }
+    let mut cycle = EdgeList::new_undirected(6);
+    for u in 0..6 {
+        cycle.push(u, (u + 1) % 6);
+    }
+    let engine = Engine::new();
+    let query = Query {
+        algorithm: Algorithm::Approx {
+            epsilon: 0.0,
+            sketch: None,
+        },
+        backend: Some(BackendRequest::Streamed),
+    };
+    let policy = ResourcePolicy::default();
+    for binary in [false, true] {
+        let path = tmp(if binary {
+            "unstamped.bin"
+        } else {
+            "unstamped.txt"
+        });
+        write_edges(&path, &k4, binary);
+        let source = Source::File {
+            path: path.clone(),
+            binary,
+            directed_input: false,
+        };
+        let first = engine.execute(&source, &query, &policy).unwrap();
+        assert_eq!(first.density(), 1.5, "binary {binary}: K4");
+
+        rewrite_unstamped(&path, &cycle, binary);
+        let scans = engine.catalog().stats().stat_scans;
+        let err = engine
+            .execute(&source, &query, &policy)
+            .expect_err("the validated stream must see the rewrite");
+        assert!(matches!(err, EngineError::StreamFailed(_)), "{err}");
+        assert!(err.to_string().contains("changed while streaming"), "{err}");
+        assert_eq!(engine.catalog().stats().stat_scans, scans, "no rescan");
+
+        let retry = engine.execute(&source, &query, &policy).unwrap();
+        assert_eq!(retry.density(), 1.0, "binary {binary}: 6-cycle");
+        assert_eq!(retry.graph_nodes, 6);
+        assert_eq!(engine.catalog().stats().stat_scans, scans + 1, "rescanned");
+    }
 }
