@@ -7,9 +7,9 @@ use std::hint::black_box;
 use dsg_datasets::{im_standin, Scale};
 use dsg_mapreduce::{mr_densest_undirected, MapReduceConfig, ShuffleBackend};
 
-fn edge_splits(list: &dsg_graph::EdgeList, parts: usize) -> Vec<Vec<(u32, u32)>> {
+fn edge_splits(list: &dsg_graph::EdgeList, parts: usize) -> Vec<&[(u32, u32)]> {
     let chunk = (list.edges.len() / parts).max(1);
-    list.edges.chunks(chunk).map(|c| c.to_vec()).collect()
+    list.edges.chunks(chunk).collect()
 }
 
 /// Figure 6.7 kernel: the full MapReduce driver at each ε.
@@ -26,14 +26,7 @@ fn bench_mr_driver(c: &mut Criterion) {
     group.sample_size(10);
     for eps in [0.0, 1.0, 2.0] {
         group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, &eps| {
-            b.iter(|| {
-                black_box(mr_densest_undirected(
-                    &config,
-                    list.num_nodes,
-                    splits.clone(),
-                    eps,
-                ))
-            });
+            b.iter(|| black_box(mr_densest_undirected(&config, list.num_nodes, &splits, eps)));
         });
     }
     group.finish();
@@ -56,14 +49,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(workers),
             &config,
             |b, config| {
-                b.iter(|| {
-                    black_box(mr_densest_undirected(
-                        config,
-                        list.num_nodes,
-                        splits.clone(),
-                        1.0,
-                    ))
-                });
+                b.iter(|| black_box(mr_densest_undirected(config, list.num_nodes, &splits, 1.0)));
             },
         );
     }
@@ -85,14 +71,7 @@ fn bench_combiner(c: &mut Criterion) {
             shuffle: ShuffleBackend::InMemory,
         };
         group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(mr_densest_undirected(
-                    &config,
-                    list.num_nodes,
-                    splits.clone(),
-                    1.0,
-                ))
-            });
+            b.iter(|| black_box(mr_densest_undirected(&config, list.num_nodes, &splits, 1.0)));
         });
     }
     group.finish();

@@ -32,12 +32,12 @@ pub fn run(scale: Scale) -> Vec<Series> {
     let list = im_standin(scale);
     let splits = 16usize;
     let chunk = (list.edges.len() / splits).max(1);
-    let edge_splits: Vec<Vec<(u32, u32)>> = list.edges.chunks(chunk).map(|c| c.to_vec()).collect();
+    let edge_splits: Vec<&[(u32, u32)]> = list.edges.chunks(chunk).collect();
     let config = MapReduceConfig::default();
     EPSILONS
         .iter()
         .map(|&eps| {
-            let r = mr_densest_undirected(&config, list.num_nodes, edge_splits.clone(), eps);
+            let r = mr_densest_undirected(&config, list.num_nodes, &edge_splits, eps);
             Series {
                 epsilon: eps,
                 passes: r

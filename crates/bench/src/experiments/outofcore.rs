@@ -219,10 +219,9 @@ pub fn run(scale: Scale) -> Report {
     });
 
     // ---- MapReduce: in-memory vs spill-to-disk shuffle ---------------
-    let splits: Vec<Vec<(u32, u32)>> = list
+    let splits: Vec<&[(u32, u32)]> = list
         .edges
         .chunks(list.edges.len().div_ceil(16).max(1))
-        .map(|c| c.to_vec())
         .collect();
     let base = MapReduceConfig {
         num_workers: 4,
@@ -231,7 +230,7 @@ pub fn run(scale: Scale) -> Report {
         shuffle: ShuffleBackend::InMemory,
     };
     let (mr_mem, mr_mem_ms) =
-        time_ms(|| mr_densest_undirected(&base, list.num_nodes, splits.clone(), epsilon));
+        time_ms(|| mr_densest_undirected(&base, list.num_nodes, &splits, epsilon));
     let mem_shuffle_bytes: u64 = mr_mem.reports.iter().map(|r| r.rounds.shuffle_bytes).sum();
     rows.push(Row {
         case: "mapreduce/in-memory",
@@ -254,7 +253,7 @@ pub fn run(scale: Scale) -> Report {
         ..base
     };
     let (mr_spill, mr_spill_ms) =
-        time_ms(|| mr_densest_undirected(&spilling, list.num_nodes, splits, epsilon));
+        time_ms(|| mr_densest_undirected(&spilling, list.num_nodes, &splits, epsilon));
     let spilled: u64 = mr_spill
         .reports
         .iter()

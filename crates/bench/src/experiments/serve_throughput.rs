@@ -4,8 +4,9 @@
 //! — reporting q/s **and tail latency** (p50/p99 per request) per cell,
 //! with content parity across transports asserted per row.
 //!
-//! Per row, a fresh [`dsg_engine::Engine`] serves a Unix socket with a
-//! worker pool ([`dsg_engine::ServeOptions`]). A single warm-up
+//! Per case, three fresh [`dsg_engine::Engine`]s serve three Unix
+//! sockets with a worker pool ([`dsg_engine::ServeOptions`]), one per
+//! transport, all started up front. On each, a single warm-up
 //! connection first sends one round (one query per distinct graph
 //! file) and its response transcript — stripped of the
 //! nondeterministic `elapsed_ms` — must be **byte-identical** to the
@@ -15,8 +16,10 @@
 //! connections that each send `repeat` rounds, the fan-out behind
 //! `densest client --parallel N [--binary] [--pipeline K]`, and
 //! per-request latencies from every connection are folded into the
-//! p50/p99 columns. The timed phase runs `TRIALS`
-//! times and the fastest trial is reported (min-time benchmarking:
+//! p50/p99 columns. The timed phase runs `TRIALS` times per transport,
+//! the transports taking turns within a trial in an order rotated each
+//! trial, so a slow spell of the host lands on every transport alike;
+//! the fastest trial of each is reported (min-time benchmarking:
 //! scheduler noise only ever slows a trial down).
 //!
 //! Afterwards the `stats` op is parsed (with the same `minijson`
@@ -160,6 +163,16 @@ fn stats_then_shutdown(sock: &Path) -> String {
     String::from_utf8(out).expect("utf8 stats")
 }
 
+/// One transport's timed trials: the fastest trial's wall time and
+/// latencies, the requests all trials answered, and the first failed
+/// reply.
+struct Timed {
+    wall_ms: f64,
+    latencies: Vec<f64>,
+    answered: u64,
+    failed: Option<String>,
+}
+
 /// The three transports under measurement.
 fn transports() -> [(&'static str, ClientOptions); 3] {
     [
@@ -216,29 +229,38 @@ pub fn run(scale: Scale) -> Vec<Row> {
     let repeat = 1024;
 
     let cases: &[(usize, usize)] = &[(1, 1), (2, 2), (4, 4)];
+    let arms = transports();
     let mut rows = Vec::new();
     for &(clients, workers) in cases {
-        let mut jsonl_qps = 0.0;
-        let mut jsonl_transcript = String::new();
-        for (transport, client_options) in transports() {
-            let sock = dir.join(format!("serve_{clients}x{workers}_{transport}.sock"));
-            let _ = std::fs::remove_file(&sock);
-
-            let engine = Engine::new();
-            let policy = ResourcePolicy::default();
-            let options = ServeOptions {
-                workers,
-                max_connections: 2 * clients.max(1),
-                shards: 1,
-                ..ServeOptions::default()
-            };
-            let row = std::thread::scope(|s| {
-                let server = {
-                    let (engine, sock) = (&engine, sock.clone());
+        // One fresh server per transport, all started up front, so the
+        // arms' timed trials can interleave on equal terms.
+        let engines: Vec<Engine> = arms.iter().map(|_| Engine::new()).collect();
+        let socks: Vec<PathBuf> = arms
+            .iter()
+            .map(|(transport, _)| dir.join(format!("serve_{clients}x{workers}_{transport}.sock")))
+            .collect();
+        let policy = ResourcePolicy::default();
+        let options = ServeOptions {
+            workers,
+            max_connections: 2 * clients.max(1),
+            shards: 1,
+            ..ServeOptions::default()
+        };
+        let requests = vec![round.repeat(repeat); clients];
+        let expected = (clients * repeat * graphs.len()) as u64;
+        let (warmups, timed, stats) = std::thread::scope(|s| {
+            let servers: Vec<_> = engines
+                .iter()
+                .zip(&socks)
+                .map(|(engine, sock)| {
+                    let _ = std::fs::remove_file(sock);
+                    let (policy, options) = (&policy, &options);
                     s.spawn(move || {
-                        serve_unix(engine, &policy, &sock, &options).expect("serve loop failed")
+                        serve_unix(engine, policy, sock, options).expect("serve loop failed")
                     })
-                };
+                })
+                .collect();
+            for sock in &socks {
                 for _ in 0..300 {
                     if sock.exists() {
                         break;
@@ -248,120 +270,151 @@ pub fn run(scale: Scale) -> Vec<Row> {
                     std::thread::sleep(std::time::Duration::from_millis(10));
                 }
                 assert!(sock.exists(), "server socket never appeared");
+            }
 
-                // Parity warm-up: one connection, one round, fresh
-                // server — the transcript is fully deterministic
-                // (cold cache counters included) and must match the
-                // JSONL transcript of the same case exactly.
-                let transcript = {
+            // Parity warm-up: one connection, one round, fresh server
+            // — the transcript is fully deterministic (cold cache
+            // counters included), so each arm's must match JSONL's.
+            let warmups: Vec<String> = arms
+                .iter()
+                .zip(&socks)
+                .map(|((_, client_options), sock)| {
                     let mut out = Vec::new();
-                    client_unix_opts(&sock, Cursor::new(round.clone()), &mut out, &client_options)
+                    client_unix_opts(sock, Cursor::new(round.clone()), &mut out, client_options)
                         .expect("warm-up client failed");
                     strip_elapsed(&String::from_utf8(out).expect("utf8 response"))
-                };
-                if transport == "jsonl" {
-                    jsonl_transcript = transcript.clone();
-                } else {
-                    assert_eq!(
-                        transcript, jsonl_transcript,
-                        "{transport} responses must be byte-identical in content to JSONL \
-                         ({clients} clients, {workers} workers)"
-                    );
-                }
+                })
+                .collect();
 
-                // Timed phase: `clients` connections × `repeat` rounds,
-                // per-request latencies folded across all connections.
-                // Run [`TRIALS`] times against the same server and keep
-                // the fastest trial (and its latencies).
-                let requests = vec![round.repeat(repeat); clients];
-                let expected = (clients * repeat * graphs.len()) as u64;
-                let mut wall_ms = f64::INFINITY;
-                let mut latencies: Vec<f64> = Vec::new();
-                for _trial in 0..TRIALS {
+            // Timed phase: `clients` connections × `repeat` rounds per
+            // arm, [`TRIALS`] times. The arms take turns within a trial,
+            // in an order rotated each trial, so a slow spell of the
+            // host falls on every arm alike; each arm keeps its fastest
+            // trial (and its latencies).
+            let mut timed: Vec<Timed> = arms
+                .iter()
+                .map(|_| Timed {
+                    wall_ms: f64::INFINITY,
+                    latencies: Vec::new(),
+                    answered: 0,
+                    failed: None,
+                })
+                .collect();
+            for trial in 0..TRIALS {
+                for turn in 0..arms.len() {
+                    let arm = (trial + turn) % arms.len();
                     let started = std::time::Instant::now();
-                    let conns = client_fan_out(&sock, &requests, &client_options);
+                    let conns = client_fan_out(&socks[arm], &requests, &arms[arm].1);
                     let trial_wall = started.elapsed().as_secs_f64() * 1e3;
                     let (exchanged, transcripts, trial_lats) = fold_conns(conns, "client");
-                    for line in transcripts.iter().flat_map(|t| t.lines()) {
-                        assert!(
-                            line.contains("\"ok\":true"),
-                            "query failed under load: {line}"
-                        );
-                    }
-                    assert_eq!(exchanged, expected, "every request must be answered");
-                    if trial_wall < wall_ms {
-                        wall_ms = trial_wall;
-                        latencies = trial_lats;
+                    let t = &mut timed[arm];
+                    t.answered += exchanged;
+                    t.failed = t.failed.take().or_else(|| {
+                        let mut lines = transcripts.iter().flat_map(|t| t.lines());
+                        lines
+                            .find(|line| !line.contains("\"ok\":true"))
+                            .map(str::to_string)
+                    });
+                    if trial_wall < t.wall_ms {
+                        t.wall_ms = trial_wall;
+                        t.latencies = trial_lats;
                     }
                 }
-
-                // Read the counters, then shut the server down.
-                let out = stats_then_shutdown(&sock);
-                let stats_line = out.lines().next().expect("stats response");
-                let fields = minijson::parse_object(stats_line).expect("stats parses");
-                let summary = server.join().expect("server thread panicked");
-                assert!(summary.shutdown, "server must exit via shutdown");
-                assert!(!sock.exists(), "socket file must be removed");
-
-                let loads = stat_u64(&fields, "loads");
-                let result_hits = stat_u64(&fields, "result_hits");
-                let conn_peak = stat_u64(&fields, "conn_peak");
-                // The properties this experiment exists to pin down.
-                assert_eq!(
-                    loads, distinct_graphs,
-                    "single-flight: each distinct graph loads exactly once \
-                     ({transport}, {clients} clients, {workers} workers)"
-                );
-                // The warm-up round computed both results; every timed
-                // query in every trial repeats one of them, so all must
-                // be replays.
-                let expected_hits = expected * TRIALS as u64;
-                assert!(
-                    result_hits >= expected_hits,
-                    "expected ≥ {expected_hits} result-cache hits, got {result_hits} ({transport})"
-                );
-
-                let qps = if wall_ms > 0.0 {
-                    expected as f64 / (wall_ms / 1e3)
-                } else {
-                    0.0
-                };
-                Row {
-                    case: format!("{clients}x{workers}"),
-                    transport,
-                    clients,
-                    repeat,
-                    workers,
-                    queries: expected,
-                    wall_ms,
-                    qps,
-                    p50_ms: percentile(&latencies, 50.0),
-                    p99_ms: percentile(&latencies, 99.0),
-                    speedup: 0.0, // filled in below
-                    loads,
-                    result_hits,
-                    conn_peak,
-                }
-            });
-            let mut row = row;
-            if transport == "jsonl" {
-                jsonl_qps = row.qps;
             }
-            row.speedup = if jsonl_qps > 0.0 {
-                row.qps / jsonl_qps
+
+            // Read each server's counters, then shut it down.
+            let stats: Vec<(String, bool)> = socks
+                .iter()
+                .zip(servers)
+                .map(|(sock, server)| {
+                    let out = stats_then_shutdown(sock);
+                    (out, server.join().expect("server thread panicked").shutdown)
+                })
+                .collect();
+            (warmups, timed, stats)
+        });
+
+        // Asserted only now, with the servers down: a panic inside the
+        // scope would leave the serve threads running and deadlock it.
+        let mut jsonl_qps = 0.0;
+        for (arm, (transport, _)) in arms.iter().enumerate() {
+            let transport = *transport;
+            assert_eq!(
+                warmups[arm], warmups[0],
+                "{transport} responses must be byte-identical in content to JSONL \
+                 ({clients} clients, {workers} workers)"
+            );
+            let Timed {
+                wall_ms,
+                latencies,
+                answered,
+                failed,
+            } = &timed[arm];
+            assert!(failed.is_none(), "query failed under load: {failed:?}");
+            assert_eq!(
+                *answered,
+                expected * TRIALS as u64,
+                "every request must be answered"
+            );
+            let (out, shutdown) = &stats[arm];
+            assert!(shutdown, "server must exit via shutdown");
+            assert!(!socks[arm].exists(), "socket file must be removed");
+            let stats_line = out.lines().next().expect("stats response");
+            let fields = minijson::parse_object(stats_line).expect("stats parses");
+            let loads = stat_u64(&fields, "loads");
+            let result_hits = stat_u64(&fields, "result_hits");
+            let conn_peak = stat_u64(&fields, "conn_peak");
+            // The properties this experiment exists to pin down.
+            assert_eq!(
+                loads, distinct_graphs,
+                "single-flight: each distinct graph loads exactly once \
+                 ({transport}, {clients} clients, {workers} workers)"
+            );
+            // The warm-up round computed both results; every timed
+            // query in every trial repeats one of them, so all must be
+            // replays.
+            let expected_hits = expected * TRIALS as u64;
+            assert!(
+                result_hits >= expected_hits,
+                "expected ≥ {expected_hits} result-cache hits, got {result_hits} ({transport})"
+            );
+
+            let qps = if *wall_ms > 0.0 {
+                expected as f64 / (wall_ms / 1e3)
+            } else {
+                0.0
+            };
+            if arm == 0 {
+                jsonl_qps = qps;
+            }
+            let speedup = if jsonl_qps > 0.0 {
+                qps / jsonl_qps
             } else {
                 0.0
             };
             if transport == "binary+pipe" && clients == 1 && workers == 1 {
                 assert!(
-                    row.speedup >= MIN_PIPELINE_SPEEDUP,
+                    speedup >= MIN_PIPELINE_SPEEDUP,
                     "pipelined binary must beat JSONL lockstep by ≥ {MIN_PIPELINE_SPEEDUP}x \
-                     on the 1x1 cell (got {:.2}x: {:.0} q/s vs {jsonl_qps:.0} q/s)",
-                    row.speedup,
-                    row.qps
+                     on the 1x1 cell (got {speedup:.2}x: {qps:.0} q/s vs {jsonl_qps:.0} q/s)"
                 );
             }
-            rows.push(row);
+            rows.push(Row {
+                case: format!("{clients}x{workers}"),
+                transport,
+                clients,
+                repeat,
+                workers,
+                queries: expected,
+                wall_ms: *wall_ms,
+                qps,
+                p50_ms: percentile(latencies, 50.0),
+                p99_ms: percentile(latencies, 99.0),
+                speedup,
+                loads,
+                result_hits,
+                conn_peak,
+            });
         }
     }
     rows

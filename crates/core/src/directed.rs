@@ -175,20 +175,28 @@ pub struct SweepResult {
     pub per_c: Vec<(f64, f64, u32)>,
 }
 
-/// Shared δ-grid driver: tries `c = δ^i` for `i ∈ [-levels, levels]`
-/// covering `[1/n, n]` and keeps the densest run.
+/// The δ-grid of §4.3 over `num_nodes` nodes: `c = δ^i` for
+/// `i ∈ [-levels, levels]` with `levels = ⌈ln n / ln δ⌉`, which covers
+/// `[1/n, n]`, in increasing order. Every sweep tries exactly these
+/// ratios, and the incremental tier matches a seed's ratios against them.
+pub fn c_grid(num_nodes: usize, delta: f64) -> impl Iterator<Item = f64> {
+    assert!(delta > 1.0, "resolution delta must exceed 1");
+    let n = num_nodes.max(2) as f64;
+    let levels = (n.ln() / delta.ln()).ceil() as i32;
+    (-levels..=levels).map(move |i| delta.powi(i))
+}
+
+/// Shared δ-grid driver: runs every ratio of [`c_grid`] and keeps the
+/// densest run.
 fn sweep_grid(
     num_nodes: usize,
     delta: f64,
     mut run_at: impl FnMut(f64) -> DirectedRun,
 ) -> SweepResult {
-    assert!(delta > 1.0, "resolution delta must exceed 1");
-    let n = num_nodes.max(2) as f64;
-    let levels = (n.ln() / delta.ln()).ceil() as i32;
+    let grid = c_grid(num_nodes, delta);
     let mut best: Option<DirectedRun> = None;
-    let mut per_c = Vec::with_capacity((2 * levels + 1) as usize);
-    for i in -levels..=levels {
-        let c = delta.powi(i);
+    let mut per_c = Vec::with_capacity(grid.size_hint().0);
+    for c in grid {
         let run = run_at(c);
         per_c.push((c, run.best_density, run.passes));
         let replace = match &best {

@@ -877,7 +877,7 @@ impl Engine {
                     shuffle,
                 };
                 let splits = mr_edge_splits(list, workers);
-                let result = mr_densest_undirected(&config, list.num_nodes, splits, epsilon);
+                let result = mr_densest_undirected(&config, list.num_nodes, &splits, epsilon);
                 exec.shuffle = Some(shuffle_stats(&result));
                 Ok(Outcome::MapReduce(result))
             }
@@ -1024,13 +1024,12 @@ struct Execution {
 /// Splits a canonical edge list into `parts` contiguous chunks — the
 /// deterministic partitioning the MapReduce backend feeds the driver.
 /// Public so parity tests construct the identical direct call.
-pub fn mr_edge_splits(list: &EdgeList, parts: usize) -> Vec<Vec<(u32, u32)>> {
-    let parts = parts.max(1);
+pub fn mr_edge_splits(list: &EdgeList, parts: usize) -> Vec<&[(u32, u32)]> {
     if list.edges.is_empty() {
-        return vec![Vec::new()];
+        return vec![&[]];
     }
-    let chunk = list.edges.len().div_ceil(parts);
-    list.edges.chunks(chunk).map(|c| c.to_vec()).collect()
+    let chunk = list.edges.len().div_ceil(parts.max(1));
+    list.edges.chunks(chunk).collect()
 }
 
 /// Sums the shuffle accounting over every pass of an MR run.

@@ -40,7 +40,7 @@
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use dsg_core::directed::{DirectedRun, SweepResult};
+use dsg_core::directed::{c_grid, DirectedRun, SweepResult};
 use dsg_core::incremental::{
     simulate, AffectedAdjacency, IncPolicy, RowCache, SimFallback, SimLimits, SimSuccess, TraceView,
 };
@@ -241,21 +241,17 @@ fn attempt_directed(
     if traces.iter().any(|(_, t)| t.n() as usize != n_new) {
         return Err("node count changed (the directed grid depends on it)".into());
     }
-    // Regenerate the grid the cold run would sweep and require an exact
-    // (bitwise) match with the seed's ratios.
-    let n = n_new.max(2) as f64;
-    let levels = (n.ln() / delta.ln()).ceil() as i32;
-    if traces.len() != (2 * levels + 1) as usize {
+    // The seed's ratios must be, bit for bit, the grid the cold run
+    // would sweep.
+    let seed_grid = traces.iter().map(|(c, _)| c.to_bits());
+    if !seed_grid.eq(c_grid(n_new, delta).map(f64::to_bits)) {
         return Err("sweep grid changed since the seed".into());
     }
     let seed = seed_for(n_new as u32);
     let mut sims: Vec<SimSuccess> = Vec::with_capacity(traces.len());
     let mut per_c = Vec::with_capacity(traces.len());
     let mut affected = 0usize;
-    for (i, (c, trace)) in traces.iter().enumerate() {
-        if delta.powi(i as i32 - levels).to_bits() != c.to_bits() {
-            return Err("sweep grid changed since the seed".into());
-        }
+    for (c, trace) in traces {
         let policy = IncPolicy::DirectedSizes { c: *c, epsilon };
         let sim = simulate(policy, trace, n_new, &seed, rows, limits)?;
         affected = affected.max(sim.affected);

@@ -89,7 +89,7 @@ pub use error::{EngineError, Result};
 pub use incremental::IncrementalDebug;
 pub use persistence::{RecoveryStats, WalStats, DEFAULT_FSYNC_EVERY, DEFAULT_SNAPSHOT_EVERY};
 pub use planner::{Backend, GraphMeta, Plan};
-pub use query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
+pub use query::{parse_query, Algorithm, BackendRequest, Query, ResourcePolicy, Source};
 pub use report::{JsonBuilder, Outcome, Report, ShuffleStats};
 pub use result_cache::{GraphId, ResultCache, ResultCacheStats};
 #[cfg(unix)]

@@ -168,17 +168,27 @@ impl Plan {
     }
 }
 
-/// Validates the query's parameters, naming the offending one.
-fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
+/// The planner's rule for a query and its policy: every parameter in
+/// range, naming the offending one, and a forced backend the algorithm
+/// can run on. None of it needs the graph, so the request parser
+/// ([`crate::query::parse_query`]) applies it before any file is read,
+/// and [`plan`] applies it again for direct callers.
+pub(crate) fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
     let bad = |msg: String| Err(EngineError::InvalidQuery(msg));
+    let epsilon_ok = |epsilon: f64| {
+        if epsilon.is_finite() && epsilon >= 0.0 {
+            Ok(())
+        } else {
+            bad(format!(
+                "epsilon must be a finite number >= 0 (got {epsilon})"
+            ))
+        }
+    };
     policy.validate().map_err(EngineError::InvalidQuery)?;
-    match query.algorithm {
+    let alg = &query.algorithm;
+    match *alg {
         Algorithm::Approx { epsilon, sketch } => {
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return bad(format!(
-                    "epsilon must be a finite number >= 0 (got {epsilon})"
-                ));
-            }
+            epsilon_ok(epsilon)?;
             if sketch == Some(0) {
                 return bad("sketch width must be at least 1".into());
             }
@@ -187,32 +197,20 @@ fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
             if k == 0 {
                 return bad("k must be at least 1".into());
             }
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return bad(format!(
-                    "epsilon must be a finite number >= 0 (got {epsilon})"
-                ));
-            }
+            epsilon_ok(epsilon)?;
         }
         Algorithm::Directed { delta, epsilon } => {
             if !delta.is_finite() || delta <= 1.0 {
                 return bad(format!("delta must be a finite number > 1 (got {delta})"));
             }
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return bad(format!(
-                    "epsilon must be a finite number >= 0 (got {epsilon})"
-                ));
-            }
+            epsilon_ok(epsilon)?;
         }
         Algorithm::Enumerate {
             epsilon,
             min_density,
             max_communities,
         } => {
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return bad(format!(
-                    "epsilon must be a finite number >= 0 (got {epsilon})"
-                ));
-            }
+            epsilon_ok(epsilon)?;
             if !min_density.is_finite() {
                 return bad("min_density must be finite".into());
             }
@@ -222,7 +220,23 @@ fn validate(query: &Query, policy: &ResourcePolicy) -> Result<()> {
         }
         Algorithm::Charikar | Algorithm::Exact { .. } => {}
     }
-    Ok(())
+    let refusal = match (query.backend, alg) {
+        (Some(BackendRequest::Streamed), _) if !alg.streamable() => format!(
+            "'{}' cannot stream; it needs the whole graph in memory",
+            alg.name()
+        ),
+        (
+            Some(BackendRequest::MapReduce),
+            Algorithm::Approx {
+                sketch: Some(_), ..
+            },
+        ) => "sketched runs are serial streaming; MapReduce does not apply".into(),
+        (Some(BackendRequest::MapReduce), _) if !alg.mapreducible() => {
+            format!("no MapReduce driver for '{}'", alg.name())
+        }
+        _ => return Ok(()),
+    };
+    Err(EngineError::Unsupported(refusal))
 }
 
 /// Plans the shuffle placement of a MapReduce backend (rule 6).
@@ -300,15 +314,11 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
                 reasons.push("forced in-memory sketched run".into());
                 false
             }
-            Some(BackendRequest::Streamed) => {
+            // `validate` refused a forced MapReduce run.
+            Some(_) => {
                 reasons.push("forced streamed sketched run".into());
                 reasons.push(STREAM_SEMANTICS_NOTE.into());
                 true
-            }
-            Some(other) => {
-                return Err(EngineError::Unsupported(format!(
-                    "sketched runs are serial streaming; {other:?} does not apply"
-                )))
             }
         };
         let working = est_stream_state_bytes(meta, SKETCH_ROWS * width as u64)
@@ -322,30 +332,19 @@ pub fn plan(query: &Query, meta: &GraphMeta, policy: &ResourcePolicy) -> Result<
         ));
     }
 
-    // Rule 1: forced backends.
+    // Rule 1: forced backends, which `validate` checked the algorithm
+    // can run on.
     let backend = match query.backend {
         Some(BackendRequest::InMemory) => {
             reasons.push("forced in-memory".into());
             Backend::InMemorySerial
         }
         Some(BackendRequest::Streamed) => {
-            if !alg.streamable() {
-                return Err(EngineError::Unsupported(format!(
-                    "'{}' cannot stream; it needs the whole graph in memory",
-                    alg.name()
-                )));
-            }
             reasons.push("forced out-of-core streaming".into());
             reasons.push(STREAM_SEMANTICS_NOTE.into());
             Backend::Streamed
         }
         Some(BackendRequest::MapReduce) => {
-            if !alg.mapreducible() {
-                return Err(EngineError::Unsupported(format!(
-                    "no MapReduce driver for '{}'",
-                    alg.name()
-                )));
-            }
             if meta.weighted {
                 return Err(EngineError::Unsupported(
                     "the MapReduce driver handles unweighted graphs only".into(),

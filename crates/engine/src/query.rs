@@ -8,11 +8,17 @@
 //! specific backend anyway (the CLI's `--stream`, a parity experiment)
 //! sets [`Query::backend`] and the planner validates the request instead
 //! of choosing.
+//!
+//! [`parse_query`] is the one request schema: it decodes a serve
+//! request's flat fields, which the one-shot CLI fills from its flags,
+//! into a source, a query and a policy, and applies the planner's rule.
 
 use std::path::PathBuf;
 
 use dsg_flow::FlowBackend;
 use dsg_graph::{EdgeList, GraphKind};
+
+use crate::minijson::Value;
 
 /// The algorithm a query runs, with its parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -99,19 +105,6 @@ pub enum BackendRequest {
     /// Force the §5.2 MapReduce driver (shuffle placement is still
     /// planned from the budget).
     MapReduce,
-}
-
-impl BackendRequest {
-    /// CLI spelling of the request (`--backend <value>`).
-    pub fn parse(s: &str) -> Option<Option<BackendRequest>> {
-        match s {
-            "auto" => Some(None),
-            "memory" => Some(Some(BackendRequest::InMemory)),
-            "stream" => Some(Some(BackendRequest::Streamed)),
-            "mapreduce" => Some(Some(BackendRequest::MapReduce)),
-            _ => None,
-        }
-    }
 }
 
 /// A densest-subgraph query: the algorithm plus an optional forced
@@ -252,4 +245,167 @@ impl Source {
             GraphKind::Undirected
         }
     }
+}
+
+/// Reads a request field with `get`: `null` reads as omitted, and a
+/// value of another type is refused by the field's name.
+fn typed<'v, T>(
+    key: &str,
+    v: &'v Value,
+    get: fn(&'v Value) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, String> {
+    match v {
+        Value::Null => Ok(None),
+        v => get(v)
+            .map(Some)
+            .ok_or_else(|| format!("'{key}' must be {what}")),
+    }
+}
+
+/// A string request field.
+pub(crate) fn str_field<'v>(key: &str, v: &'v Value) -> Result<Option<&'v str>, String> {
+    typed(key, v, Value::as_str, "a string")
+}
+
+fn num_field(key: &str, v: &Value) -> Result<Option<f64>, String> {
+    typed(key, v, Value::as_num, "a number")
+}
+
+fn uint_field(key: &str, v: &Value) -> Result<Option<u64>, String> {
+    typed(key, v, Value::as_uint, "a non-negative integer")
+}
+
+/// A boolean request field; omitted reads as `false`.
+pub(crate) fn bool_field(key: &str, v: &Value) -> Result<bool, String> {
+    Ok(typed(key, v, Value::as_bool, "a boolean")?.unwrap_or(false))
+}
+
+/// Decodes the query half of a request and checks it by the planner's
+/// rule, so a bad value is refused before any file is read. The fields
+/// are the serve protocol's flat request; the one-shot CLI builds them
+/// from its flags (`--foo-bar v` sets `foo_bar`). The last occurrence of
+/// a key wins, and an omitted or `null` field takes its default: ε =
+/// 0.5, k = 10, δ = 2, `min_density` = 1, `max_communities` = 32, and
+/// `default_policy`'s budget and threads. `Err` is the error text both
+/// surfaces print.
+pub fn parse_query(
+    fields: &[(String, Value)],
+    default_policy: &ResourcePolicy,
+) -> Result<(Source, Query, ResourcePolicy), String> {
+    // One pass over the request fields instead of one linear scan per
+    // key — this extraction runs once per served query. The four keys
+    // that only some branches read (`min_density`, `max_communities`,
+    // `binary`, `directed_input`) are type-checked only there.
+    let mut file: Option<&str> = None;
+    let mut graph: Option<&str> = None;
+    let mut algorithm_name: Option<&str> = None;
+    let mut epsilon: Option<f64> = None;
+    let mut k: Option<u64> = None;
+    let mut delta: Option<f64> = None;
+    let mut sketch: Option<u64> = None;
+    let mut flow_raw: Option<&str> = None;
+    let mut backend_raw: Option<&str> = None;
+    let mut stream = false;
+    let mut memory_budget: Option<u64> = None;
+    let mut threads: Option<u64> = None;
+    let mut min_density_v = &Value::Null;
+    let mut max_communities_v = &Value::Null;
+    let mut binary_v = &Value::Null;
+    let mut directed_input_v = &Value::Null;
+    for (key, value) in fields {
+        match key.as_str() {
+            "file" => file = str_field("file", value)?,
+            "graph" => graph = str_field("graph", value)?,
+            "algorithm" => algorithm_name = str_field("algorithm", value)?,
+            "epsilon" => epsilon = num_field("epsilon", value)?,
+            "k" => k = uint_field("k", value)?,
+            "delta" => delta = num_field("delta", value)?,
+            "sketch" => sketch = uint_field("sketch", value)?,
+            "flow_backend" => flow_raw = str_field("flow_backend", value)?,
+            "backend" => backend_raw = str_field("backend", value)?,
+            "stream" => stream = bool_field("stream", value)?,
+            "memory_budget" => memory_budget = uint_field("memory_budget", value)?,
+            "threads" => threads = uint_field("threads", value)?,
+            "min_density" => min_density_v = value,
+            "max_communities" => max_communities_v = value,
+            "binary" => binary_v = value,
+            "directed_input" => directed_input_v = value,
+            _ => {}
+        }
+    }
+
+    let algorithm_name = algorithm_name.unwrap_or("approx");
+    let epsilon = epsilon.unwrap_or(0.5);
+    let sketch = sketch
+        .map(|b| u32::try_from(b).map_err(|_| format!("'sketch' must be at most {}", u32::MAX)))
+        .transpose()?;
+    let flow = match flow_raw {
+        None | Some("dinic") => FlowBackend::Dinic,
+        Some("push-relabel") => FlowBackend::PushRelabel,
+        Some(other) => return Err(format!("unknown flow_backend '{other}'")),
+    };
+    let algorithm = match algorithm_name {
+        "approx" => Algorithm::Approx { epsilon, sketch },
+        "atleast-k" => Algorithm::AtLeastK {
+            k: k.unwrap_or(10) as usize,
+            epsilon,
+        },
+        "directed" => Algorithm::Directed {
+            delta: delta.unwrap_or(2.0),
+            epsilon,
+        },
+        "charikar" => Algorithm::Charikar,
+        "exact" => Algorithm::Exact { flow },
+        "enumerate" => Algorithm::Enumerate {
+            epsilon,
+            min_density: num_field("min_density", min_density_v)?.unwrap_or(1.0),
+            max_communities: uint_field("max_communities", max_communities_v)?.unwrap_or(32)
+                as usize,
+        },
+        other => return Err(format!("unknown algorithm '{other}'")),
+    };
+    if flow_raw.is_some() && algorithm_name != "exact" {
+        return Err(format!(
+            "'flow_backend' applies only to 'exact' (got '{algorithm_name}')"
+        ));
+    }
+    let backend = match backend_raw {
+        None | Some("auto") => None,
+        Some("memory") => Some(BackendRequest::InMemory),
+        Some("stream") => Some(BackendRequest::Streamed),
+        Some("mapreduce") => Some(BackendRequest::MapReduce),
+        Some(raw) => {
+            return Err(format!(
+                "unknown backend '{raw}' (auto|memory|stream|mapreduce)"
+            ))
+        }
+    };
+    let query = Query {
+        algorithm,
+        // `stream` is shorthand for `"backend":"stream"`.
+        backend: if stream {
+            Some(BackendRequest::Streamed)
+        } else {
+            backend
+        },
+    };
+    let policy = ResourcePolicy {
+        memory_budget_bytes: memory_budget.or(default_policy.memory_budget_bytes),
+        threads: threads.map_or(default_policy.threads, |t| t as usize),
+    };
+    let source = match (file, graph) {
+        (Some(path), None) => Source::File {
+            path: PathBuf::from(path),
+            binary: bool_field("binary", binary_v)?,
+            directed_input: bool_field("directed_input", directed_input_v)?,
+        },
+        (None, Some(name)) => Source::Named {
+            name: name.to_string(),
+        },
+        (Some(_), Some(_)) => return Err("specify either 'file' or 'graph', not both".into()),
+        (None, None) => return Err("missing 'file' or 'graph'".into()),
+    };
+    crate::planner::validate(&query, &policy).map_err(|e| e.to_string())?;
+    Ok((source, query, policy))
 }

@@ -72,12 +72,16 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! `op` defaults to `"query"`. Query fields mirror the CLI flags:
+//! `op` defaults to `"query"`. A query's fields are decoded by
+//! [`parse_query`], the parser the one-shot CLI runs on its flags too
+//! (`--foo-bar` sets `foo_bar`), so both surfaces take the same fields
+//! with the same defaults and refuse a bad one in the same words:
 //! `algorithm`, `file` **or** `graph` (exactly one), `epsilon`, `k`,
 //! `delta`, `threads`, `sketch`, `stream`, `binary`, `directed_input`,
-//! `backend`, `memory_budget`, `flow_backend`, `min_density`,
-//! `max_communities`. Omitted fields take the CLI defaults (ε = 0.5,
-//! k = 10, δ = 2) or the server's resource policy.
+//! `backend`, `memory_budget`, `flow_backend` (`exact` only), and the
+//! serve-only `min_density` and `max_communities`. Omitted fields take
+//! the defaults (ε = 0.5, k = 10, δ = 2) or the server's resource
+//! policy.
 //!
 //! ## Mutable graph sessions
 //!
@@ -132,11 +136,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dsg_flow::FlowBackend;
-
 use crate::engine::Engine;
 use crate::minijson::{self, FieldScratch, Value};
-use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
+use crate::query::{bool_field, parse_query, str_field, ResourcePolicy};
 use crate::report::JsonBuilder;
 
 /// Worker-pool sizing and durability wiring of the socket serve mode.
@@ -649,27 +651,17 @@ fn run_mutation(
     fields: &[(String, Value)],
     j: &mut JsonBuilder,
 ) -> Result<(), String> {
-    let str_of = |key: &str| -> Result<Option<&str>, String> {
-        match minijson::get(fields, key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| format!("'{key}' must be a string")),
-        }
-    };
-    let name = str_of("graph")?.ok_or("missing 'graph'")?.to_string();
-    let edges = match str_of("edges")? {
+    let field = |key: &str| minijson::get(fields, key).unwrap_or(&Value::Null);
+    let name = str_field("graph", field("graph"))?
+        .ok_or("missing 'graph'")?
+        .to_string();
+    let edges = match str_field("edges", field("edges"))? {
         Some(raw) => parse_edge_pairs(raw)?,
         None => Vec::new(),
     };
     let outcome = match op {
         "create_graph" => {
-            let directed = match minijson::get(fields, "directed") {
-                None | Some(Value::Null) => false,
-                Some(v) => v.as_bool().ok_or("'directed' must be a boolean")?,
-            };
-            let kind = if directed {
+            let kind = if bool_field("directed", field("directed"))? {
                 dsg_graph::GraphKind::Directed
             } else {
                 dsg_graph::GraphKind::Undirected
@@ -704,151 +696,18 @@ fn run_mutation(
     Ok(())
 }
 
-/// Decodes a query request, executes it, and appends the result fields
-/// (`result`, cache markers, `loads`, `elapsed_ms`) to the response
-/// envelope under construction. The nested result embeds the report's
-/// memoized rendering directly — no intermediate string on the replay
-/// hot path.
+/// Decodes a query request ([`parse_query`]), executes it, and appends
+/// the result fields (`result`, cache markers, `loads`, `elapsed_ms`) to
+/// the response envelope under construction. The nested result embeds
+/// the report's memoized rendering directly — no intermediate string on
+/// the replay hot path.
 fn run_query(
     engine: &Engine,
     default_policy: &ResourcePolicy,
     fields: &[(String, Value)],
     j: &mut JsonBuilder,
 ) -> Result<(), String> {
-    fn str_v<'v>(key: &str, v: &'v Value) -> Result<Option<&'v str>, String> {
-        match v {
-            Value::Null => Ok(None),
-            v => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| format!("'{key}' must be a string")),
-        }
-    }
-    fn num_v(key: &str, v: &Value) -> Result<Option<f64>, String> {
-        match v {
-            Value::Null => Ok(None),
-            v => v
-                .as_num()
-                .map(Some)
-                .ok_or_else(|| format!("'{key}' must be a number")),
-        }
-    }
-    fn uint_v(key: &str, v: &Value) -> Result<Option<u64>, String> {
-        match v {
-            Value::Null => Ok(None),
-            v => v
-                .as_uint()
-                .map(Some)
-                .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
-        }
-    }
-    fn bool_v(key: &str, v: &Value) -> Result<bool, String> {
-        match v {
-            Value::Null => Ok(false),
-            v => v
-                .as_bool()
-                .ok_or_else(|| format!("'{key}' must be a boolean")),
-        }
-    }
-
-    // One pass over the request fields instead of one linear scan per
-    // key — this extraction runs once per served query. Semantics match
-    // the scan-per-key version: the last occurrence of a key wins, an
-    // explicit `null` resets to the default, and the four keys that were
-    // only validated when their branch was taken (`min_density`,
-    // `max_communities`, `binary`, `directed_input`) stay lazy.
-    let mut file: Option<&str> = None;
-    let mut graph: Option<&str> = None;
-    let mut algorithm_name: Option<&str> = None;
-    let mut epsilon: Option<f64> = None;
-    let mut k: Option<u64> = None;
-    let mut delta: Option<f64> = None;
-    let mut sketch: Option<u64> = None;
-    let mut flow_raw: Option<&str> = None;
-    let mut backend_raw: Option<&str> = None;
-    let mut stream = false;
-    let mut memory_budget: Option<u64> = None;
-    let mut threads: Option<u64> = None;
-    let mut min_density_v: Option<&Value> = None;
-    let mut max_communities_v: Option<&Value> = None;
-    let mut binary_v: Option<&Value> = None;
-    let mut directed_input_v: Option<&Value> = None;
-    for (key, value) in fields {
-        match key.as_str() {
-            "file" => file = str_v("file", value)?,
-            "graph" => graph = str_v("graph", value)?,
-            "algorithm" => algorithm_name = str_v("algorithm", value)?,
-            "epsilon" => epsilon = num_v("epsilon", value)?,
-            "k" => k = uint_v("k", value)?,
-            "delta" => delta = num_v("delta", value)?,
-            "sketch" => sketch = uint_v("sketch", value)?,
-            "flow_backend" => flow_raw = str_v("flow_backend", value)?,
-            "backend" => backend_raw = str_v("backend", value)?,
-            "stream" => stream = bool_v("stream", value)?,
-            "memory_budget" => memory_budget = uint_v("memory_budget", value)?,
-            "threads" => threads = uint_v("threads", value)?,
-            "min_density" => min_density_v = Some(value),
-            "max_communities" => max_communities_v = Some(value),
-            "binary" => binary_v = Some(value),
-            "directed_input" => directed_input_v = Some(value),
-            _ => {}
-        }
-    }
-
-    let algorithm_name = algorithm_name.unwrap_or("approx");
-    let epsilon = epsilon.unwrap_or(0.5);
-    let k = k.unwrap_or(10) as usize;
-    let delta = delta.unwrap_or(2.0);
-    let sketch = sketch
-        .map(|b| u32::try_from(b).map_err(|_| format!("'sketch' must be at most {}", u32::MAX)))
-        .transpose()?;
-    let flow = match flow_raw {
-        None | Some("dinic") => FlowBackend::Dinic,
-        Some("push-relabel") => FlowBackend::PushRelabel,
-        Some(other) => return Err(format!("unknown flow_backend '{other}'")),
-    };
-    let algorithm = match algorithm_name {
-        "approx" => Algorithm::Approx { epsilon, sketch },
-        "atleast-k" => Algorithm::AtLeastK { k, epsilon },
-        "directed" => Algorithm::Directed { delta, epsilon },
-        "charikar" => Algorithm::Charikar,
-        "exact" => Algorithm::Exact { flow },
-        "enumerate" => Algorithm::Enumerate {
-            epsilon,
-            min_density: min_density_v
-                .map_or(Ok(None), |v| num_v("min_density", v))?
-                .unwrap_or(1.0),
-            max_communities: max_communities_v
-                .map_or(Ok(None), |v| uint_v("max_communities", v))?
-                .unwrap_or(32) as usize,
-        },
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
-    let mut backend = match backend_raw {
-        None => None,
-        Some(raw) => BackendRequest::parse(raw)
-            .ok_or_else(|| format!("unknown backend '{raw}' (auto|memory|stream|mapreduce)"))?,
-    };
-    if stream {
-        backend = Some(BackendRequest::Streamed);
-    }
-    let query = Query { algorithm, backend };
-    let policy = ResourcePolicy {
-        memory_budget_bytes: memory_budget.or(default_policy.memory_budget_bytes),
-        threads: threads.map_or(default_policy.threads, |t| t as usize),
-    };
-    let source = match (file, graph) {
-        (Some(path), None) => Source::File {
-            path: PathBuf::from(path),
-            binary: binary_v.map_or(Ok(false), |v| bool_v("binary", v))?,
-            directed_input: directed_input_v.map_or(Ok(false), |v| bool_v("directed_input", v))?,
-        },
-        (None, Some(name)) => Source::Named {
-            name: name.to_string(),
-        },
-        (Some(_), Some(_)) => return Err("specify either 'file' or 'graph', not both".into()),
-        (None, None) => return Err("missing 'file' or 'graph'".into()),
-    };
+    let (source, query, policy) = parse_query(fields, default_policy)?;
     match engine
         .execute_serve(&source, &query, &policy)
         .map_err(|e| e.to_string())?
@@ -1993,6 +1852,7 @@ fn read_reply_frame<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Algorithm, Query, Source};
     use std::io::Cursor;
 
     fn fixture(name: &str, content: &str) -> PathBuf {

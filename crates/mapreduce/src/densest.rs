@@ -201,16 +201,17 @@ enum MarkOut {
 pub fn mr_densest_undirected(
     config: &MapReduceConfig,
     num_nodes: u32,
-    edge_splits: Vec<Vec<(u32, u32)>>,
+    edge_splits: &[&[(u32, u32)]],
     epsilon: f64,
 ) -> MrUndirectedResult {
     assert!(epsilon >= 0.0);
     // Node file: initially every node, split evenly.
     let mut node_splits: Vec<Vec<u32>> =
         split_evenly((0..num_nodes).collect(), config.num_reducers);
+    // The driver's own copy of the edge file, without self-loops.
     let mut edge_splits: Vec<Vec<(u32, u32)>> = edge_splits
-        .into_iter()
-        .map(|s| s.into_iter().filter(|&(u, v)| u != v).collect())
+        .iter()
+        .map(|s| s.iter().copied().filter(|&(u, v)| u != v).collect())
         .collect();
 
     let mut best_set = NodeSet::full(num_nodes as usize);
@@ -390,14 +391,14 @@ impl Spillable for Side {
 pub fn mr_densest_directed(
     config: &MapReduceConfig,
     num_nodes: u32,
-    edge_splits: Vec<Vec<(u32, u32)>>,
+    edge_splits: &[&[(u32, u32)]],
     c: f64,
     epsilon: f64,
 ) -> MrDirectedResult {
     assert!(c > 0.0 && epsilon >= 0.0);
     let mut s_nodes: Vec<Vec<u32>> = split_evenly((0..num_nodes).collect(), config.num_reducers);
     let mut t_nodes: Vec<Vec<u32>> = s_nodes.clone();
-    let mut edge_splits = edge_splits;
+    let mut edge_splits: Vec<Vec<(u32, u32)>> = edge_splits.iter().map(|s| s.to_vec()).collect();
 
     let mut best_s = NodeSet::full(num_nodes as usize);
     let mut best_t = NodeSet::full(num_nodes as usize);
@@ -556,8 +557,8 @@ mod tests {
         }
     }
 
-    fn split_edges(edges: &[(u32, u32)], parts: usize) -> Vec<Vec<(u32, u32)>> {
-        split_evenly(edges.to_vec(), parts)
+    fn split_edges(edges: &[(u32, u32)], parts: usize) -> Vec<&[(u32, u32)]> {
+        edges.chunks(edges.len().div_ceil(parts).max(1)).collect()
     }
 
     #[test]
@@ -569,7 +570,7 @@ mod tests {
             let mr = mr_densest_undirected(
                 &cfg(),
                 pg.graph.num_nodes,
-                split_edges(&pg.graph.edges, 6),
+                &split_edges(&pg.graph.edges, 6),
                 eps,
             );
             assert_eq!(mr.passes, expected.passes, "eps {eps}");
@@ -586,7 +587,7 @@ mod tests {
     #[test]
     fn edge_volume_shrinks_per_pass() {
         let pg = gen::planted_dense_subgraph(400, 2000, 25, 0.6, 9);
-        let mr = mr_densest_undirected(&cfg(), 400, split_edges(&pg.graph.edges, 8), 1.0);
+        let mr = mr_densest_undirected(&cfg(), 400, &split_edges(&pg.graph.edges, 8), 1.0);
         for w in mr.reports.windows(2) {
             assert!(w[1].edges <= w[0].edges);
             assert!(w[1].nodes < w[0].nodes);
@@ -596,8 +597,8 @@ mod tests {
     #[test]
     fn single_split_and_many_splits_agree() {
         let pg = gen::planted_clique(150, 300, 10, 7);
-        let a = mr_densest_undirected(&cfg(), 150, split_edges(&pg.graph.edges, 1), 0.5);
-        let b = mr_densest_undirected(&cfg(), 150, split_edges(&pg.graph.edges, 16), 0.5);
+        let a = mr_densest_undirected(&cfg(), 150, &split_edges(&pg.graph.edges, 1), 0.5);
+        let b = mr_densest_undirected(&cfg(), 150, &split_edges(&pg.graph.edges, 16), 0.5);
         assert_eq!(a.passes, b.passes);
         assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
     }
@@ -608,7 +609,7 @@ mod tests {
         for (c, eps) in [(1.0, 0.5), (4.0, 1.0), (0.25, 0.0)] {
             let mut stream = MemoryStream::new(g.clone());
             let expected = approx_densest_directed(&mut stream, c, eps);
-            let mr = mr_densest_directed(&cfg(), 120, split_edges(&g.edges, 5), c, eps);
+            let mr = mr_densest_directed(&cfg(), 120, &split_edges(&g.edges, 5), c, eps);
             assert_eq!(mr.passes, expected.passes, "c {c} eps {eps}");
             assert!((mr.best_density - expected.best_density).abs() < 1e-9);
             assert_eq!(mr.best_s.to_vec(), expected.best_s.to_vec());
@@ -623,8 +624,8 @@ mod tests {
         with.combine = true;
         let mut without = cfg();
         without.combine = false;
-        let a = mr_densest_undirected(&with, 300, split_edges(&pg.graph.edges, 6), 0.5);
-        let b = mr_densest_undirected(&without, 300, split_edges(&pg.graph.edges, 6), 0.5);
+        let a = mr_densest_undirected(&with, 300, &split_edges(&pg.graph.edges, 6), 0.5);
+        let b = mr_densest_undirected(&without, 300, &split_edges(&pg.graph.edges, 6), 0.5);
         assert_eq!(a.passes, b.passes);
         assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
         assert!((a.best_density - b.best_density).abs() < 1e-12);
@@ -646,8 +647,8 @@ mod tests {
         with.combine = true;
         let mut without = cfg();
         without.combine = false;
-        let a = mr_densest_directed(&with, 100, split_edges(&g.edges, 4), 1.0, 0.5);
-        let b = mr_densest_directed(&without, 100, split_edges(&g.edges, 4), 1.0, 0.5);
+        let a = mr_densest_directed(&with, 100, &split_edges(&g.edges, 4), 1.0, 0.5);
+        let b = mr_densest_directed(&without, 100, &split_edges(&g.edges, 4), 1.0, 0.5);
         assert_eq!(a.passes, b.passes);
         assert_eq!(a.best_s.to_vec(), b.best_s.to_vec());
         assert_eq!(a.best_t.to_vec(), b.best_t.to_vec());
@@ -666,8 +667,8 @@ mod tests {
             spilling.shuffle = crate::engine::ShuffleBackend::External {
                 spill_budget_bytes: 256,
             };
-            let a = mr_densest_undirected(&in_mem, 300, split_edges(&pg.graph.edges, 6), 0.5);
-            let b = mr_densest_undirected(&spilling, 300, split_edges(&pg.graph.edges, 6), 0.5);
+            let a = mr_densest_undirected(&in_mem, 300, &split_edges(&pg.graph.edges, 6), 0.5);
+            let b = mr_densest_undirected(&spilling, 300, &split_edges(&pg.graph.edges, 6), 0.5);
             assert_eq!(a.passes, b.passes, "combine {combine}");
             assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
             assert_eq!(a.best_density.to_bits(), b.best_density.to_bits());
@@ -694,8 +695,8 @@ mod tests {
         spilling.shuffle = crate::engine::ShuffleBackend::External {
             spill_budget_bytes: 128,
         };
-        let a = mr_densest_directed(&cfg(), 100, split_edges(&g.edges, 4), 1.0, 0.5);
-        let b = mr_densest_directed(&spilling, 100, split_edges(&g.edges, 4), 1.0, 0.5);
+        let a = mr_densest_directed(&cfg(), 100, &split_edges(&g.edges, 4), 1.0, 0.5);
+        let b = mr_densest_directed(&spilling, 100, &split_edges(&g.edges, 4), 1.0, 0.5);
         assert_eq!(a.passes, b.passes);
         assert_eq!(a.best_s.to_vec(), b.best_s.to_vec());
         assert_eq!(a.best_t.to_vec(), b.best_t.to_vec());
@@ -705,7 +706,7 @@ mod tests {
 
     #[test]
     fn empty_graph_terminates() {
-        let mr = mr_densest_undirected(&cfg(), 10, vec![vec![]], 0.5);
+        let mr = mr_densest_undirected(&cfg(), 10, &[&[]], 0.5);
         assert_eq!(mr.best_density, 0.0);
         assert_eq!(mr.passes, 1);
     }

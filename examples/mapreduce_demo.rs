@@ -22,11 +22,7 @@ fn main() {
     );
 
     // Partition the edge file across 32 "machines".
-    let splits: Vec<Vec<(u32, u32)>> = list
-        .edges
-        .chunks(list.edges.len().div_ceil(32))
-        .map(|c| c.to_vec())
-        .collect();
+    let splits: Vec<&[(u32, u32)]> = list.edges.chunks(list.edges.len().div_ceil(32)).collect();
     let config = MapReduceConfig::default();
     println!(
         "simulator: {} workers, {} reducers, {} input splits",
@@ -36,7 +32,7 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let result = mr_densest_undirected(&config, list.num_nodes, splits, 1.0);
+    let result = mr_densest_undirected(&config, list.num_nodes, &splits, 1.0);
     println!(
         "\nMapReduce result: density {:.3} on {} nodes, {} passes, {:.2?} total",
         result.best_density,

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Program lines of the workspace: the non-blank lines of each Rust file
 # in crates/*/src, crates/*/benches and src/ that come before the file's
-# first `#[cfg(test)]` (so unit-test modules at the end of a file do not
-# count), printed per crate and in total.
+# first `#[cfg(test)]` at column 0 (so the unit-test module at the end of
+# a file does not count, while an indented, statement-level
+# `#[cfg(test)]` inside a function does not end the count), printed per
+# crate and in total.
 #
 #   bash scripts/program_lines.sh
 #
@@ -19,7 +21,7 @@ count() {
     ((${#dirs[@]})) || { echo 0; return; }
     find "${dirs[@]}" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
         FNR == 1 { tests = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
         !tests && NF { n++ }
         END { print n + 0 }'
 }

@@ -1,7 +1,9 @@
 //! `densest` — a command-line densest-subgraph tool over edge-list files.
 //!
-//! The binary is a thin parser over the `dsg-engine` query engine: flags
-//! become a [`Query`] + [`ResourcePolicy`], the engine's planner picks
+//! The binary is a thin layer over the `dsg-engine` query engine: each
+//! query flag becomes the serve request field of the same name, the
+//! serve protocol's own parser ([`parse_query`]) turns the fields into a
+//! source, a query and a policy, the engine's planner picks
 //! the execution backend (in-memory, file-streamed, sketched, MapReduce
 //! with an in-RAM or spill-to-disk shuffle), and one
 //! unified [`Report`] drives both the human and `--json` output. Run
@@ -14,11 +16,11 @@
 use std::path::PathBuf;
 use std::process::exit;
 
+use densest_subgraph::engine::minijson::Value;
 use densest_subgraph::engine::{
-    percentile, Algorithm, BackendRequest, ClientOptions, Engine, EngineError, Outcome, Query,
-    Report, ResourcePolicy, ServeOptions, Source,
+    parse_query, percentile, Algorithm, BackendRequest, ClientOptions, Engine, EngineError,
+    Outcome, Report, ResourcePolicy, ServeOptions,
 };
-use densest_subgraph::flow::FlowBackend;
 use densest_subgraph::graph::NodeSet;
 
 const USAGE: &str =
@@ -50,33 +52,39 @@ algorithms:
   exact      Goldberg max-flow optimum (in-memory)
   enumerate  node-disjoint dense communities
 
-query options:
-  --epsilon <f>        approximation parameter ε (default 0.5)
-  --k <n>              size floor for atleast-k (default 10)
-  --delta <f>          c-grid resolution for directed (default 2, must be > 1)
-  --sketch <b>         use a Count-Sketch degree oracle with width b (t=5)
+query options (each sets the serve request field of the same name,
+--directed-input -> \"directed_input\"; the server's parser reads them, so a
+bad value gets the server's error text, before any file is read):
+  --epsilon <f>        approximation parameter ε >= 0 (default 0.5)
+  --k <n>              size floor for atleast-k, >= 1 (default 10)
+  --delta <f>          c-grid resolution for directed, > 1 (default 2)
+  --sketch <b>         use a Count-Sketch degree oracle with width b >= 1
+                       (t=5)
   --binary             input is the dsg binary edge format
   --directed-input     parse the file as directed (for `directed`)
-  --flow-backend <s>   max-flow solver for `exact`: dinic (default) or
+  --flow-backend <s>   max-flow solver, `exact` only: dinic (default) or
                        push-relabel
-  --json               print a one-line machine-readable JSON summary
-  --quiet              print only the summary line
-
-planner options (one-shot and serve):
   --threads <n>        MapReduce worker threads, 1 to 256 (default 1); every
-                       other backend runs serially
+                       other backend runs serially (serve: the default)
   --memory-budget <b>  working-set budget in bytes (suffixes k/m/g allowed);
                        graphs whose in-memory estimate exceeds it are planned
                        on the out-of-core streamed backend automatically
+                       (serve: the default)
   --backend <s>        force a backend instead of planning: auto (default),
                        memory, stream, mapreduce
   --stream             shorthand for --backend stream (approx, atleast-k):
                        run straight over the file, one re-read per pass,
                        O(n) memory — the edge list is never materialized
 
+output options (one-shot):
+  --json               print a one-line machine-readable JSON summary
+  --quiet              print only the summary line
+
 serve mode:
   densest serve reads one flat JSON request per line (stdin, or a Unix
-  socket with --socket) and writes one JSON response per line. Socket
+  socket with --socket) and writes one JSON response per line. A query
+  request carries the query options above as fields, plus \"file\" or
+  \"graph\" and enumerate's \"min_density\" and \"max_communities\". Socket
   mode serves many clients concurrently: an accept thread hands
   connections to --workers worker threads per shard (default 4), each
   answering its connections' requests itself, one at a time, and at most
@@ -182,15 +190,6 @@ fn usage() -> ! {
     exit(2);
 }
 
-const ALGORITHMS: [&str; 6] = [
-    "approx",
-    "atleast-k",
-    "directed",
-    "charikar",
-    "exact",
-    "enumerate",
-];
-
 /// Parses a flag value, naming the flag in the error. Never panics on
 /// user input — asserts deep inside the kernels are not an error path.
 fn parse_value<T: std::str::FromStr>(name: &str, raw: &str) -> T {
@@ -200,193 +199,57 @@ fn parse_value<T: std::str::FromStr>(name: &str, raw: &str) -> T {
     })
 }
 
-/// Byte-size flags (`--memory-budget`, `--result-cache`) accept plain
-/// bytes or k/m/g (KiB multiple) suffixes.
-fn parse_budget(name: &str, raw: &str) -> u64 {
-    let (digits, mult) = match raw.trim().to_ascii_lowercase() {
-        s if s.ends_with('k') => (s[..s.len() - 1].to_string(), 1024u64),
-        s if s.ends_with('m') => (s[..s.len() - 1].to_string(), 1024 * 1024),
-        s if s.ends_with('g') => (s[..s.len() - 1].to_string(), 1024 * 1024 * 1024),
-        s => (s, 1),
+/// A byte size: plain bytes or a k/m/g (KiB multiple) suffix; `None`
+/// if it does not parse or overflows.
+fn parse_bytes(raw: &str) -> Option<u64> {
+    let s = raw.trim().to_ascii_lowercase();
+    let (digits, mult) = match s.as_bytes().last() {
+        Some(b'k') => (&s[..s.len() - 1], 1 << 10),
+        Some(b'm') => (&s[..s.len() - 1], 1 << 20),
+        Some(b'g') => (&s[..s.len() - 1], 1 << 30),
+        _ => (&s[..], 1),
     };
-    let n: u64 = parse_value(name, &digits);
-    n.checked_mul(mult).unwrap_or_else(|| {
-        eprintln!("invalid value '{raw}' for {name} (overflows)");
+    digits.parse::<u64>().ok()?.checked_mul(mult)
+}
+
+/// A byte-size flag of `serve` (`--memory-budget`, `--result-cache`).
+fn byte_flag(name: &str, raw: &str) -> u64 {
+    parse_bytes(raw).unwrap_or_else(|| {
+        eprintln!("invalid value '{raw}' for {name}");
         exit(2);
     })
 }
 
-struct Options {
-    algorithm: String,
-    path: String,
-    epsilon: f64,
-    k: usize,
-    delta: f64,
-    threads: usize,
-    sketch_b: Option<u32>,
-    stream: bool,
-    backend: Option<BackendRequest>,
-    memory_budget: Option<u64>,
-    flow_backend: Option<FlowBackend>,
-    binary: bool,
-    directed_input: bool,
-    json: bool,
-    quiet: bool,
+/// The value type of a one-shot query flag.
+#[derive(Clone, Copy)]
+enum FlagType {
+    Number,
+    Unsigned,
+    /// A byte size with an optional k/m/g suffix.
+    Bytes,
+    Text,
+    /// No value: the field is `true`.
+    Flag,
 }
 
-/// Parses the shared query/planner flags; `algorithm`/`path` are already
-/// consumed by the caller. Used by the one-shot mode.
-fn parse_options(algorithm: String, path: String, args: impl Iterator<Item = String>) -> Options {
-    let mut o = Options {
-        algorithm,
-        path,
-        epsilon: 0.5,
-        k: 10,
-        delta: 2.0,
-        threads: 1,
-        sketch_b: None,
-        stream: false,
-        backend: None,
-        memory_budget: None,
-        flow_backend: None,
-        binary: false,
-        directed_input: false,
-        json: false,
-        quiet: false,
-    };
-    let mut it = args;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--epsilon" => {
-                o.epsilon = parse_value("--epsilon", &value("--epsilon"));
-                // NaN/inf parse as f64 but poison every threshold
-                // comparison downstream; reject them here by name.
-                if !o.epsilon.is_finite() || o.epsilon < 0.0 {
-                    eprintln!("--epsilon must be a finite number >= 0 (got {})", o.epsilon);
-                    exit(2);
-                }
-            }
-            "--k" => {
-                o.k = parse_value("--k", &value("--k"));
-                if o.k == 0 {
-                    eprintln!("--k must be at least 1");
-                    exit(2);
-                }
-            }
-            "--delta" => {
-                o.delta = parse_value("--delta", &value("--delta"));
-                if !o.delta.is_finite() || o.delta <= 1.0 {
-                    eprintln!("--delta must be a finite number > 1 (got {})", o.delta);
-                    exit(2);
-                }
-            }
-            "--threads" => {
-                o.threads = parse_value("--threads", &value("--threads"));
-                if o.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    exit(2);
-                }
-            }
-            "--sketch" => {
-                let b: u32 = parse_value("--sketch", &value("--sketch"));
-                if b == 0 {
-                    eprintln!("--sketch width must be at least 1");
-                    exit(2);
-                }
-                o.sketch_b = Some(b);
-            }
-            "--stream" => o.stream = true,
-            "--backend" => {
-                let raw = value("--backend");
-                o.backend = BackendRequest::parse(&raw).unwrap_or_else(|| {
-                    eprintln!(
-                        "invalid value '{raw}' for --backend \
-                         (auto|memory|stream|mapreduce)"
-                    );
-                    exit(2);
-                });
-            }
-            "--memory-budget" => {
-                o.memory_budget = Some(parse_budget("--memory-budget", &value("--memory-budget")));
-            }
-            "--flow-backend" => {
-                let raw = value("--flow-backend");
-                o.flow_backend = Some(match raw.as_str() {
-                    "dinic" => FlowBackend::Dinic,
-                    "push-relabel" => FlowBackend::PushRelabel,
-                    _ => {
-                        eprintln!("invalid value '{raw}' for --flow-backend (dinic|push-relabel)");
-                        exit(2);
-                    }
-                });
-            }
-            "--binary" => o.binary = true,
-            "--directed-input" => o.directed_input = true,
-            "--json" => o.json = true,
-            "--quiet" => o.quiet = true,
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage();
-            }
-        }
-    }
-    if o.stream && !matches!(o.algorithm.as_str(), "approx" | "atleast-k") {
-        eprintln!(
-            "--stream supports only 'approx' and 'atleast-k' (got '{}'; the other algorithms \
-             need the whole graph in memory)",
-            o.algorithm
-        );
-        exit(2);
-    }
-    if o.flow_backend.is_some() && o.algorithm != "exact" {
-        eprintln!(
-            "--flow-backend applies only to 'exact' (got '{}')",
-            o.algorithm
-        );
-        exit(2);
-    }
-    o
-}
-
-/// Assembles the engine query from parsed flags.
-fn build_query(o: &Options) -> Query {
-    let algorithm = match o.algorithm.as_str() {
-        "approx" => Algorithm::Approx {
-            epsilon: o.epsilon,
-            sketch: o.sketch_b,
-        },
-        "atleast-k" => Algorithm::AtLeastK {
-            k: o.k,
-            epsilon: o.epsilon,
-        },
-        "directed" => Algorithm::Directed {
-            delta: o.delta,
-            epsilon: o.epsilon,
-        },
-        "charikar" => Algorithm::Charikar,
-        "exact" => Algorithm::Exact {
-            flow: o.flow_backend.unwrap_or_default(),
-        },
-        "enumerate" => Algorithm::Enumerate {
-            epsilon: o.epsilon,
-            min_density: 1.0,
-            max_communities: 32,
-        },
-        other => unreachable!("algorithm validated against ALGORITHMS ({other})"),
-    };
-    let backend = if o.stream {
-        Some(BackendRequest::Streamed)
-    } else {
-        o.backend
-    };
-    Query { algorithm, backend }
-}
+/// The one-shot query flags. `--foo-bar v` sets the request field
+/// `foo_bar`, and `dsg_engine::parse_query` — the serve protocol's
+/// parser — reads the fields, so defaults, ranges and error texts are
+/// the server's. A value that does not read as its type is passed on as
+/// a string, which the parser refuses by the field's name.
+const QUERY_FLAGS: [(&str, FlagType); 11] = [
+    ("--epsilon", FlagType::Number),
+    ("--k", FlagType::Unsigned),
+    ("--delta", FlagType::Number),
+    ("--threads", FlagType::Unsigned),
+    ("--sketch", FlagType::Unsigned),
+    ("--stream", FlagType::Flag),
+    ("--binary", FlagType::Flag),
+    ("--directed-input", FlagType::Flag),
+    ("--backend", FlagType::Text),
+    ("--memory-budget", FlagType::Bytes),
+    ("--flow-backend", FlagType::Text),
+];
 
 fn print_set(nodes: &NodeSet, quiet: bool) {
     if quiet {
@@ -400,7 +263,7 @@ fn print_set(nodes: &NodeSet, quiet: bool) {
 
 /// Renders the human-readable result, matching the pre-engine output of
 /// every algorithm branch byte for byte.
-fn print_human(o: &Options, report: &Report) {
+fn print_human(report: &Report, quiet: bool) {
     match (&report.query.algorithm, &report.outcome) {
         (Algorithm::Approx { epsilon, .. }, _) => {
             println!(
@@ -410,7 +273,7 @@ fn print_human(o: &Options, report: &Report) {
                 report.passes().unwrap_or(0),
                 epsilon
             );
-            print_set(report.best_set().expect("approx has a set"), o.quiet);
+            print_set(report.best_set().expect("approx has a set"), quiet);
         }
         (Algorithm::AtLeastK { k, .. }, _) => {
             println!(
@@ -420,7 +283,7 @@ fn print_human(o: &Options, report: &Report) {
                 k,
                 report.passes().unwrap_or(0)
             );
-            print_set(report.best_set().expect("atleast-k has a set"), o.quiet);
+            print_set(report.best_set().expect("atleast-k has a set"), quiet);
         }
         (Algorithm::Directed { delta, .. }, Outcome::Sweep(sweep)) => {
             println!(
@@ -431,7 +294,7 @@ fn print_human(o: &Options, report: &Report) {
                 sweep.best.c,
                 delta
             );
-            if !o.quiet {
+            if !quiet {
                 println!("S:");
                 print_set(&sweep.best.best_s, false);
                 println!("T:");
@@ -444,7 +307,7 @@ fn print_human(o: &Options, report: &Report) {
                 report.density(),
                 report.node_count()
             );
-            print_set(report.best_set().expect("charikar has a set"), o.quiet);
+            print_set(report.best_set().expect("charikar has a set"), quiet);
         }
         (Algorithm::Exact { .. }, Outcome::Exact(r)) => {
             println!(
@@ -453,7 +316,7 @@ fn print_human(o: &Options, report: &Report) {
                 r.set.len(),
                 r.flow_calls
             );
-            print_set(&r.set, o.quiet);
+            print_set(&r.set, quiet);
         }
         (Algorithm::Enumerate { .. }, Outcome::Communities(comms)) => {
             println!("{} node-disjoint dense communities:", comms.len());
@@ -464,58 +327,81 @@ fn print_human(o: &Options, report: &Report) {
                     c.density,
                     c.nodes.len()
                 );
-                print_set(&c.nodes, o.quiet);
+                print_set(&c.nodes, quiet);
             }
         }
         (alg, _) => unreachable!("outcome shape mismatch for {}", alg.name()),
     }
 }
 
-/// Renders an engine error exactly as the pre-engine CLI did, and exits.
-fn fail(o: &Options, e: EngineError) -> ! {
+/// Prints an engine error and exits: 1 when the file could not be read
+/// or streamed, else 2 with the words a server would reply.
+fn fail(path: &str, e: EngineError) -> ! {
     match e {
         EngineError::Graph(e) => {
-            eprintln!("cannot read {}: {e}", o.path);
+            eprintln!("cannot read {path}: {e}");
             exit(1);
         }
         EngineError::StreamFailed(e) => {
-            eprintln!("streaming {} failed: {e}", o.path);
+            eprintln!("streaming {path} failed: {e}");
             exit(1);
         }
-        EngineError::KTooLarge { k, n } => {
-            eprintln!("--k {k} exceeds the graph's {n} nodes");
-            exit(2);
-        }
-        EngineError::InvalidQuery(msg) | EngineError::Unsupported(msg) => {
-            eprintln!("{msg}");
-            exit(2);
-        }
-        // Named session graphs exist only inside a running server; the
-        // one-shot CLI can never hold one, but the match stays
-        // exhaustive so a new error variant is a compile error here.
-        e @ (EngineError::UnknownGraph { .. }
-        | EngineError::GraphExists { .. }
-        | EngineError::StaleGraph { .. }
-        | EngineError::Persistence(_)) => {
+        e => {
             eprintln!("{e}");
             exit(2);
         }
     }
 }
 
-/// One-shot query mode: parse → plan + execute via the engine → render.
-fn run_query(algorithm: String, path: String, rest: impl Iterator<Item = String>) {
-    let o = parse_options(algorithm, path, rest);
-    let query = build_query(&o);
-    let policy = ResourcePolicy {
-        memory_budget_bytes: o.memory_budget,
-        threads: o.threads,
-    };
-    let source = Source::File {
-        path: PathBuf::from(&o.path),
-        binary: o.binary,
-        directed_input: o.directed_input,
-    };
+/// One-shot query mode: flags → request fields → the serve protocol's
+/// parser → plan + execute via the engine → render.
+fn run_query(algorithm: String, path: String, mut args: impl Iterator<Item = String>) {
+    let mut fields = vec![
+        ("algorithm".to_string(), Value::Str(algorithm)),
+        ("file".to_string(), Value::Str(path.clone())),
+    ];
+    let (mut json, mut quiet) = (false, false);
+    while let Some(flag) = args.next() {
+        let flag_type = match flag.as_str() {
+            "--json" => {
+                json = true;
+                continue;
+            }
+            "--quiet" => {
+                quiet = true;
+                continue;
+            }
+            name => match QUERY_FLAGS.iter().find(|(f, _)| *f == name) {
+                Some(&(_, flag_type)) => flag_type,
+                None => {
+                    eprintln!("unknown flag '{name}'");
+                    usage();
+                }
+            },
+        };
+        let value = match flag_type {
+            FlagType::Flag => Value::Bool(true),
+            flag_type => {
+                let raw = args.next().unwrap_or_else(|| {
+                    eprintln!("missing value for {flag}");
+                    exit(2);
+                });
+                let number = match flag_type {
+                    FlagType::Number => raw.parse().ok(),
+                    FlagType::Unsigned => raw.parse::<u64>().ok().map(|n| n as f64),
+                    FlagType::Bytes => parse_bytes(&raw).map(|n| n as f64),
+                    FlagType::Text | FlagType::Flag => None,
+                };
+                number.map_or(Value::Str(raw), Value::Num)
+            }
+        };
+        fields.push((flag[2..].replace('-', "_"), value));
+    }
+    let (source, query, policy) =
+        parse_query(&fields, &ResourcePolicy::default()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2);
+        });
 
     let engine = Engine::new();
     // A one-shot process can never replay a cached result; a zero
@@ -523,23 +409,23 @@ fn run_query(algorithm: String, path: String, rest: impl Iterator<Item = String>
     engine.results().set_budget(0);
     let report = engine
         .execute(&source, &query, &policy)
-        .unwrap_or_else(|e| fail(&o, e));
+        .unwrap_or_else(|e| fail(&path, e));
     // Warn when --threads could not take effect, instead of silently
     // ignoring the flag: only the MapReduce backend uses threads.
-    if o.threads > 1 && query.backend != Some(BackendRequest::MapReduce) {
+    if policy.threads > 1 && query.backend != Some(BackendRequest::MapReduce) {
         eprintln!("warning: --threads has no effect without --backend mapreduce (serial run)");
     }
 
-    if !o.quiet && !o.json {
+    if !quiet && !json {
         if matches!(report.plan.backend.name(), "stream" | "sketch-stream") {
             eprintln!(
-                "streaming {}: {} nodes, {} edges (out-of-core; edge list not materialized)",
-                o.path, report.graph_nodes, report.graph_edges
+                "streaming {path}: {} nodes, {} edges (out-of-core; edge list not materialized)",
+                report.graph_nodes, report.graph_edges
             );
         } else {
             eprintln!(
-                "loaded {}: {} nodes, {} edges",
-                o.path, report.graph_nodes, report.graph_edges
+                "loaded {path}: {} nodes, {} edges",
+                report.graph_nodes, report.graph_edges
             );
         }
         eprintln!("plan: {}", report.plan.explain());
@@ -554,12 +440,12 @@ fn run_query(algorithm: String, path: String, rest: impl Iterator<Item = String>
         }
     }
 
-    if o.json {
+    if json {
         println!("{}", report.json_object(true));
         return;
     }
-    print_human(&o, &report);
-    if !o.quiet {
+    print_human(&report, quiet);
+    if !quiet {
         if let Some(state) = report.state_bytes {
             eprintln!(
                 "peak streaming state ≈ {} bytes for {} nodes (edge file re-read {} times)",
@@ -636,7 +522,7 @@ fn run_serve(args: impl Iterator<Item = String>) {
             }
             "--memory-budget" => {
                 policy.memory_budget_bytes =
-                    Some(parse_budget("--memory-budget", &value("--memory-budget")));
+                    Some(byte_flag("--memory-budget", &value("--memory-budget")));
             }
             "--max-graphs" => {
                 max_graphs = parse_value("--max-graphs", &value("--max-graphs"));
@@ -646,7 +532,7 @@ fn run_serve(args: impl Iterator<Item = String>) {
                 }
             }
             "--result-cache" => {
-                result_cache_bytes = parse_budget("--result-cache", &value("--result-cache"));
+                result_cache_bytes = byte_flag("--result-cache", &value("--result-cache"));
             }
             "--quiet" => quiet = true,
             other => {
@@ -965,13 +851,9 @@ fn main() {
         }
         "serve" => run_serve(args),
         "client" => run_client(args),
-        alg if ALGORITHMS.contains(&alg) => {
+        _ => {
             let path = args.next().unwrap_or_else(|| usage());
             run_query(first, path, args);
-        }
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            usage();
         }
     }
 }

@@ -146,10 +146,11 @@ fn enumerate_mode() {
 
 #[test]
 fn rejects_bad_usage() {
+    // The algorithm is checked before the file is read.
     let (_, stderr, ok) = run(&["bogus-algorithm", "/nonexistent"]);
     assert!(!ok);
     assert!(
-        stderr.contains("usage") || stderr.contains("cannot read"),
+        stderr.contains("unknown algorithm 'bogus-algorithm'"),
         "{stderr}"
     );
 
@@ -241,7 +242,10 @@ fn zero_threads_rejected() {
     let path = clique_fixture("zero_threads_rejected");
     let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--threads", "0"]);
     assert!(!ok);
-    assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
+    assert!(
+        stderr.contains("invalid query: threads must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -251,17 +255,14 @@ fn non_finite_epsilon_rejected_by_name() {
         let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--epsilon", bad]);
         assert!(!ok, "--epsilon {bad} must be rejected");
         assert!(
-            stderr.contains("--epsilon must be a finite number >= 0"),
+            stderr.contains("invalid query: epsilon must be a finite number >= 0"),
             "--epsilon {bad}: {stderr}"
         );
     }
-    // Unparseable values name the flag too (no panic backtrace).
+    // Unparseable values name the field too (no panic backtrace).
     let (_, stderr, ok) = run(&["approx", path.to_str().unwrap(), "--epsilon", "zero"]);
     assert!(!ok);
-    assert!(
-        stderr.contains("invalid value 'zero' for --epsilon"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("'epsilon' must be a number"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
@@ -270,7 +271,10 @@ fn zero_k_and_bad_delta_rejected_by_name() {
     let path = clique_fixture("zero_k_and_bad_delta_rejected_by_name");
     let (_, stderr, ok) = run(&["atleast-k", path.to_str().unwrap(), "--k", "0"]);
     assert!(!ok);
-    assert!(stderr.contains("--k must be at least 1"), "{stderr}");
+    assert!(
+        stderr.contains("invalid query: k must be at least 1"),
+        "{stderr}"
+    );
 
     // Oversized k: clean named error in both modes, never a kernel panic.
     for extra in [&[][..], &["--stream"][..]] {
@@ -278,7 +282,10 @@ fn zero_k_and_bad_delta_rejected_by_name() {
         args.extend_from_slice(extra);
         let (_, stderr, ok) = run(&args);
         assert!(!ok, "oversized --k must be rejected ({extra:?})");
-        assert!(stderr.contains("--k 1000 exceeds"), "{stderr}");
+        assert!(
+            stderr.contains("k 1000 exceeds the graph's 8 nodes"),
+            "{stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 
@@ -286,7 +293,7 @@ fn zero_k_and_bad_delta_rejected_by_name() {
         let (_, stderr, ok) = run(&["directed", path.to_str().unwrap(), "--delta", delta]);
         assert!(!ok, "--delta {delta} must be rejected");
         assert!(
-            stderr.contains("--delta must be a finite number > 1"),
+            stderr.contains("invalid query: delta must be a finite number > 1"),
             "{stderr}"
         );
     }
@@ -366,7 +373,10 @@ fn stream_mode_rejected_for_in_memory_algorithms() {
     for alg in ["charikar", "exact", "enumerate", "directed"] {
         let (_, stderr, ok) = run(&[alg, path.to_str().unwrap(), "--stream"]);
         assert!(!ok, "{alg} --stream must be rejected");
-        assert!(stderr.contains("--stream supports only"), "{alg}: {stderr}");
+        assert!(
+            stderr.contains(&format!("'{alg}' cannot stream")),
+            "{alg}: {stderr}"
+        );
     }
 }
 
@@ -462,14 +472,14 @@ fn flow_backend_flag_selects_solver_and_rejects_bad_values() {
     let (_, stderr, ok) = run(&["exact", p, "--flow-backend", "simplex"]);
     assert!(!ok);
     assert!(
-        stderr.contains("invalid value 'simplex' for --flow-backend"),
+        stderr.contains("unknown flow_backend 'simplex'"),
         "{stderr}"
     );
 
     let (_, stderr, ok) = run(&["approx", p, "--flow-backend", "dinic"]);
     assert!(!ok);
     assert!(
-        stderr.contains("--flow-backend applies only to 'exact'"),
+        stderr.contains("'flow_backend' applies only to 'exact'"),
         "{stderr}"
     );
 }
@@ -509,7 +519,7 @@ fn planner_flags_choose_backends_and_are_reported() {
         assert!(!ok);
         assert!(
             stderr.contains(&format!(
-                "invalid value '{bad}' for --backend (auto|memory|stream|mapreduce)"
+                "unknown backend '{bad}' (auto|memory|stream|mapreduce)"
             )),
             "{stderr}"
         );
@@ -518,6 +528,107 @@ fn planner_flags_choose_backends_and_are_reported() {
     let (out, _, ok) = run(&["approx", p, "--memory-budget", "1g", "--json"]);
     assert!(ok, "{out}");
     assert_eq!(json_field(out.trim(), "backend"), "\"memory\"");
+}
+
+/// A bad query reads the same on both surfaces: the one-shot CLI exits 2
+/// and its one stderr line is the `error` of a stdio server's reply. The
+/// CLI's flags and the request's fields go through one parser and the
+/// planner's rule, which refuses the value before any file is read, so
+/// a missing file changes nothing.
+#[test]
+fn a_bad_query_reads_the_same_on_the_cli_and_the_server() {
+    use densest_subgraph::engine::minijson::{self, Value};
+    use std::io::{Read, Write};
+    use std::process::Stdio;
+
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["approx", "--epsilon", "-0.5"],
+            r#""algorithm":"approx","epsilon":-0.5"#,
+        ),
+        (
+            &["atleast-k", "--k", "0"],
+            r#""algorithm":"atleast-k","k":0"#,
+        ),
+        (
+            &["directed", "--delta", "1"],
+            r#""algorithm":"directed","delta":1"#,
+        ),
+        (
+            &["approx", "--sketch", "0"],
+            r#""algorithm":"approx","sketch":0"#,
+        ),
+        (
+            &["approx", "--threads", "0"],
+            r#""algorithm":"approx","threads":0"#,
+        ),
+        (
+            &["approx", "--threads", "300"],
+            r#""algorithm":"approx","threads":300"#,
+        ),
+        (
+            &["charikar", "--stream"],
+            r#""algorithm":"charikar","stream":true"#,
+        ),
+        (
+            &["approx", "--backend", "gpu"],
+            r#""algorithm":"approx","backend":"gpu""#,
+        ),
+        (
+            &["approx", "--flow-backend", "dinic"],
+            r#""algorithm":"approx","flow_backend":"dinic""#,
+        ),
+    ];
+    let present = clique_fixture("a_bad_query_reads_the_same_on_the_cli_and_the_server");
+    let missing = present.with_file_name("no_such_graph.txt");
+    for file in [present.to_str().unwrap(), missing.to_str().unwrap()] {
+        let mut server = KillOnDrop(
+            Command::new(densest_bin())
+                .args(["serve", "--quiet"])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("serve starts"),
+        );
+        {
+            let stdin = server.0.stdin.as_mut().unwrap();
+            for (_, fields) in &cases {
+                writeln!(stdin, "{{{fields},\"file\":\"{file}\"}}").unwrap();
+            }
+        }
+        drop(server.0.stdin.take());
+        let mut replies = String::new();
+        server
+            .0
+            .stdout
+            .take()
+            .unwrap()
+            .read_to_string(&mut replies)
+            .unwrap();
+        assert!(server.0.wait().expect("serve exits").success());
+        assert_eq!(replies.lines().count(), cases.len(), "{replies}");
+
+        for ((args, _), reply) in cases.iter().zip(replies.lines()) {
+            let reply = minijson::parse_object(reply).expect("reply parses");
+            assert_eq!(minijson::get(&reply, "ok"), Some(&Value::Bool(false)));
+            let error = minijson::get(&reply, "error")
+                .and_then(Value::as_str)
+                .expect("error text");
+            let mut cli = vec![args[0], file];
+            cli.extend_from_slice(&args[1..]);
+            let out = Command::new(densest_bin())
+                .args(&cli)
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(2), "{cli:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("{error}\n"),
+                "{cli:?}"
+            );
+        }
+    }
 }
 
 #[test]

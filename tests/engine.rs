@@ -177,7 +177,7 @@ fn approx_parity_across_every_backend() {
     let direct_mr = mr_densest_undirected(
         &config,
         canonical.num_nodes,
-        mr_edge_splits(&canonical, 2),
+        &mr_edge_splits(&canonical, 2),
         EPS,
     );
     let report = run_engine(

@@ -48,14 +48,14 @@ fn all_undirected_substrates_agree() {
     let d = approx_densest(&mut bs, eps);
 
     // 5. MapReduce.
-    let splits: Vec<Vec<(u32, u32)>> = list.edges.chunks(97).map(|ch| ch.to_vec()).collect();
+    let splits: Vec<&[(u32, u32)]> = list.edges.chunks(97).collect();
     let config = MapReduceConfig {
         num_workers: 3,
         num_reducers: 5,
         combine: true,
         shuffle: ShuffleBackend::InMemory,
     };
-    let e = mr_densest_undirected(&config, list.num_nodes, splits, eps);
+    let e = mr_densest_undirected(&config, list.num_nodes, &splits, eps);
 
     let reference = a.best_set.to_vec();
     for (name, set, density, passes) in [
@@ -90,14 +90,14 @@ fn directed_substrates_agree() {
         let mut ms = MemoryStream::new(g.clone());
         let a = approx_densest_directed(&mut ms, c_ratio, eps);
 
-        let splits: Vec<Vec<(u32, u32)>> = g.edges.chunks(53).map(|ch| ch.to_vec()).collect();
+        let splits: Vec<&[(u32, u32)]> = g.edges.chunks(53).collect();
         let config = MapReduceConfig {
             num_workers: 2,
             num_reducers: 7,
             combine: true,
             shuffle: ShuffleBackend::InMemory,
         };
-        let b = mr_densest_directed(&config, g.num_nodes, splits, c_ratio, eps);
+        let b = mr_densest_directed(&config, g.num_nodes, &splits, c_ratio, eps);
 
         assert_eq!(a.passes, b.passes);
         assert!((a.best_density - b.best_density).abs() < 1e-9);
@@ -112,14 +112,14 @@ fn trace_matches_across_substrates() {
     let list = pg.graph;
     let csr = CsrUndirected::from_edge_list(&list);
     let a = approx_densest_csr(&csr, 1.0);
-    let splits: Vec<Vec<(u32, u32)>> = list.edges.chunks(31).map(|ch| ch.to_vec()).collect();
+    let splits: Vec<&[(u32, u32)]> = list.edges.chunks(31).collect();
     let config = MapReduceConfig {
         num_workers: 4,
         num_reducers: 4,
         combine: true,
         shuffle: ShuffleBackend::InMemory,
     };
-    let mr = mr_densest_undirected(&config, list.num_nodes, splits, 1.0);
+    let mr = mr_densest_undirected(&config, list.num_nodes, &splits, 1.0);
     assert_eq!(a.trace.len(), mr.reports.len());
     for (t, r) in a.trace.iter().zip(&mr.reports) {
         assert_eq!(t.nodes, r.nodes as usize);
